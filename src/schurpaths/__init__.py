@@ -30,6 +30,7 @@ from .lgv import (
     schur_via_lgv,
 )
 from .ring import (
+    DegreeOverflow,
     Family,
     Monomial,
     Polynomial,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
+    "DegreeOverflow",
     "Family",
     "LatticePath",
     "Monomial",

@@ -5,8 +5,12 @@ verify (run one identity check), suite (run the whole grid, JSON report),
 paths (count non-intersecting path systems and their signed sum), render
 (write the systems as an SVG figure).
 
-Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
-2 = usage or config error.
+Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal
+(a brute-force enumeration that is too large, or a degree beyond the ring's
+packed-monomial limit), 2 = usage or config error.
+
+`--profile FILE`, given before the command, writes cProfile statistics of
+the command to FILE (read them with `python -m pstats FILE`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 
 from . import combinat, identities, lgv, symfun
 from .combinat import parse_partition
-from .ring import Polynomial, canonical_text
+from .ring import DegreeOverflow, Polynomial, canonical_text
 
 
 class _UsageError(Exception):
@@ -179,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schurpaths",
         description="Exact Schur polynomials via lattice paths, with identity checks.",
     )
+    parser.add_argument(
+        "--profile", metavar="FILE", help="write cProfile statistics of the command to FILE"
+    )
     sub = parser.add_subparsers(dest="command")
 
     p_schur = sub.add_parser("schur", help="compute a Schur polynomial")
@@ -231,12 +238,24 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    if args.profile is None:
+        return _run(args)
+    import cProfile  # only profiled runs pay for loading the profiler
+
+    profiler = cProfile.Profile()
+    try:
+        return profiler.runcall(_run, args)
+    finally:
+        profiler.dump_stats(args.profile)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except lgv.TooLarge as exc:
+    except (lgv.TooLarge, DegreeOverflow) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
 

@@ -8,10 +8,9 @@ along rows and strictly increasing down columns.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
-from .ring import IndexUnderflow, Monomial, Polynomial, apoly, xpoly, xvar
+from .ring import IndexUnderflow, Polynomial, apoly, x_word_sum, xpoly
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -121,9 +120,7 @@ def ssyt_enumerate(shape: Partition, n: int) -> Iterator[Tableau]:
 
 def tableau_monomial(tableau: Tableau) -> Polynomial:
     """x^T: the product of x_i^(number of letters i in T)."""
-    counts = Counter(letter for row in tableau for letter in row)
-    monomial = Monomial.of({xvar(letter): count for letter, count in counts.items()})
-    return Polynomial.term(monomial)
+    return x_word_sum([sum(tableau, ())])
 
 
 def schur_tableaux(shape: Partition, n: int) -> Polynomial:
@@ -131,12 +128,7 @@ def schur_tableaux(shape: Partition, n: int) -> Polynomial:
 
     Returns 1 for the empty shape and 0 when the shape has more than n rows.
     """
-    accumulated: dict[Monomial, int] = {}
-    for tableau in ssyt_enumerate(shape, n):
-        counts = Counter(letter for row in tableau for letter in row)
-        monomial = Monomial.of({xvar(v): c for v, c in counts.items()})
-        accumulated[monomial] = accumulated.get(monomial, 0) + 1
-    return Polynomial(accumulated)
+    return x_word_sum(sum(tableau, ()) for tableau in ssyt_enumerate(shape, n))
 
 
 def factorial_tableau_weight(tableau: Tableau) -> Polynomial:

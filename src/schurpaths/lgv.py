@@ -294,7 +294,10 @@ def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]
             yield from walk(q)
             trail.pop()
 
-    yield from walk(a)
+    try:
+        yield from walk(a)
+    finally:
+        walk = None  # break the closure's self-reference (see nonintersecting_systems)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -374,7 +377,12 @@ def nonintersecting_systems(
                     used_sinks.discard(j)
                     chosen.pop()
 
-    yield from assign(0, set(), frozenset())
+    try:
+        yield from assign(0, set(), frozenset())
+    finally:
+        # assign refers to itself through its closure; breaking that cycle
+        # frees the path table now instead of at the next cyclic collection
+        assign = None
 
 
 def nonintersecting_sum(

@@ -7,9 +7,23 @@ compared in graded-lexicographic order: higher total degree wins, and ties
 are broken by the exponent of the earliest variable in the family order,
 so e.g. x1^2 > x1*x2 > x2^2.
 
-Coefficients are Python ints, so nothing ever overflows.  Canonical form is
-maintained everywhere: no zero coefficient and no zero exponent is ever
-stored, and two polynomials are equal iff their term maps are equal.
+Representation.  A polynomial is a dict from a packed monomial key to a
+nonzero int coefficient.  The key is one non-negative int made of 8-bit
+fields: field 0 holds the total degree, field 1 the exponent of t, and
+x_i, y_i, a_i sit in fields 3i-1, 3i and 3i+1, so the layout never depends
+on how many variables exist.  The top bit of every field is a guard bit that
+stays clear, so a monomial product is one integer addition and divisibility
+is one borrow-free subtraction.  Since the degree field bounds every other
+field, no field can carry as long as the total degree stays at or below
+MAX_DEGREE (127); a product that could exceed it raises DegreeOverflow
+before any arithmetic is done.  The packed order is not the graded-lex
+order: where order matters (the leading term, canonical text and the
+division heap) the fields are regrouped family by family into a key whose
+integer order is the graded-lex order for the variables at hand.
+
+Coefficients are Python ints, so nothing else ever overflows.  Canonical
+form is maintained everywhere: no zero coefficient is ever stored, and two
+polynomials are equal iff their term maps are equal.
 
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
@@ -20,7 +34,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class NotDivisible(ArithmeticError):
@@ -35,6 +52,10 @@ class UnassignedVariable(LookupError):
     """eval_int met a variable with no value in the assignment."""
 
 
+class DegreeOverflow(OverflowError):
+    """A monomial of total degree above MAX_DEGREE was requested."""
+
+
 class Family(IntEnum):
     """Variable families, in their fixed order."""
 
@@ -46,6 +67,11 @@ class Family(IntEnum):
 
 _FAMILY_LETTER = {Family.T: "t", Family.X: "x", Family.Y: "y", Family.A: "a"}
 _LETTER_FAMILY = {v: k for k, v in _FAMILY_LETTER.items()}
+_FAMILIES = tuple(Family)
+
+_FIELD_BITS = 8
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+_DEGREE_MASK = (1 << _FIELD_BITS) - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -84,20 +110,119 @@ def avar(i: int) -> Variable:
     return Variable(Family.A, i)
 
 
-@dataclass(frozen=True)
+# -- the packed layout ---------------------------------------------------------
+
+
+def _field(variable: Variable) -> int:
+    """The field that holds the exponent of `variable`."""
+    if variable.family == Family.T:
+        return 1
+    return 3 * variable.index + variable.family - 2
+
+
+def _variable_at(field: int) -> Variable:
+    if field == 1:
+        return tvar()
+    index = (field + 1) // 3
+    return Variable(_FAMILIES[field - 3 * index + 2], index)
+
+
+def _unit(variable: Variable) -> int:
+    """The key of the monomial `variable` (exponent 1, degree 1)."""
+    return (1 << (_FIELD_BITS * _field(variable))) + 1
+
+
+def _family_fields(family: Family, first_index: int = 1) -> slice:
+    """The fields of `family` from `first_index` on, as a slice of key bytes."""
+    if family == Family.T:
+        return slice(1, 2)
+    return slice(3 * max(first_index, 1) + family - 2, None, 3)
+
+
+def _byte_length(key: int) -> int:
+    return (key.bit_length() + 7) // 8
+
+
+def _grlex_width(top_key: int) -> int:
+    """Bytes to unpack so that every family shows the same number of fields.
+
+    `top_key` must be at least as long as every key that will be compared.
+    """
+    return 3 * (_byte_length(top_key) // 3) + 2
+
+
+def _grlex_bytes(key: int, width: int) -> bytes:
+    """Degree, then t, x1..xN, y1..yN, a1..aN: compares as graded-lex.
+
+    The same byte sequence, read in variable order, is the exponent vector.
+    """
+    b = key.to_bytes(width, "little")
+    return b[:2] + b[2::3] + b[3::3] + b[4::3]
+
+
+def _from_grlex(grlex: int, width: int) -> int:
+    """Inverse of int.from_bytes(_grlex_bytes(key, width), "big")."""
+    n = (width - 2) // 3
+    g = grlex.to_bytes(width, "big")
+    b = bytearray(width)
+    b[:2] = g[:2]
+    b[2::3] = g[2 : 2 + n]
+    b[3::3] = g[2 + n : 2 + 2 * n]
+    b[4::3] = g[2 + 2 * n :]
+    return int.from_bytes(b, "little")
+
+
+def _guard(width: int) -> int:
+    return int.from_bytes(b"\x80" * width, "little")
+
+
+def _divides(small: int, big: int) -> bool:
+    """True iff every field of `small` is at most the same field of `big`."""
+    guard = _guard(max(_byte_length(small), _byte_length(big)))
+    return ((big | guard) - small) & guard == guard
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(
+            f"total degree {degree} exceeds the packed-monomial limit {MAX_DEGREE}"
+        )
+
+
+def _check_coefficient(coefficient) -> None:
+    if type(coefficient) is bool or not isinstance(coefficient, int):
+        raise TypeError(f"coefficients must be int, got {type(coefficient)!r}")
+
+
 class Monomial:
-    """A product of variable powers; exponents are >= 1, sorted by variable."""
+    """A product of variable powers: a view over one packed key.
 
-    exps: tuple[tuple[Variable, int], ...] = ()
+    Monomial(exps) takes (variable, exponent) pairs with exponents >= 1,
+    strictly sorted by variable; `exps` gives them back.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("_key",)
+
+    def __init__(self, exps: Iterable[tuple[Variable, int]] = ()):
+        key = 0
+        degree = 0
         previous: Variable | None = None
-        for variable, exponent in self.exps:
+        for variable, exponent in exps:
             if exponent < 1:
                 raise ValueError(f"stored exponent on {variable.text()} must be >= 1")
             if previous is not None and not previous < variable:
                 raise ValueError("exponent pairs must be strictly sorted by variable")
             previous = variable
+            degree += exponent
+            _check_degree(degree)
+            key += exponent << (_FIELD_BITS * _field(variable))
+        self._key = key + degree
+
+    @classmethod
+    def _of_key(cls, key: int) -> "Monomial":
+        monomial = object.__new__(cls)
+        monomial._key = key
+        return monomial
 
     @staticmethod
     def of(exponents: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> "Monomial":
@@ -106,39 +231,33 @@ class Monomial:
         merged: dict[Variable, int] = {}
         for variable, exponent in items:
             merged[variable] = merged.get(variable, 0) + exponent
-        cleaned = {v: e for v, e in merged.items() if e != 0}
-        return Monomial(tuple(sorted(cleaned.items())))
+        return Monomial(sorted((v, e) for v, e in merged.items() if e))
+
+    @property
+    def exps(self) -> tuple[tuple[Variable, int], ...]:
+        b = self._key.to_bytes(_byte_length(self._key), "little")
+        return tuple(sorted((_variable_at(f), e) for f, e in enumerate(b) if f and e))
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self._key & _DEGREE_MASK
 
     def family_degree(self, family: Family) -> int:
-        return sum(e for v, e in self.exps if v.family == family)
+        b = self._key.to_bytes(_byte_length(self._key), "little")
+        return sum(b[_family_fields(family)])
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self.exps:
-            return other
-        if not other.exps:
-            return self
-        return Monomial.of(tuple(self.exps) + tuple(other.exps))
+        _check_degree(self.degree() + other.degree())
+        return Monomial._of_key(self._key + other._key)
 
     def divides(self, other: "Monomial") -> bool:
         """True iff self divides other, i.e. every exponent fits."""
-        theirs = dict(other.exps)
-        return all(theirs.get(v, 0) >= e for v, e in self.exps)
+        return _divides(self._key, other._key)
 
     def quotient(self, divisor: "Monomial") -> "Monomial":
         """self / divisor; the caller must know divisor divides self."""
-        ours = dict(self.exps)
-        for variable, exponent in divisor.exps:
-            remaining = ours.get(variable, 0) - exponent
-            if remaining < 0:
-                raise ValueError(f"{divisor.text()} does not divide {self.text()}")
-            if remaining:
-                ours[variable] = remaining
-            else:
-                ours.pop(variable, None)
-        return Monomial(tuple(sorted(ours.items())))
+        if not _divides(divisor._key, self._key):
+            raise ValueError(f"{divisor.text()} does not divide {self.text()}")
+        return Monomial._of_key(self._key - divisor._key)
 
     def sort_key(self):
         """Graded-lex key: compare by total degree, then earliest variable."""
@@ -148,53 +267,75 @@ class Monomial:
         )
 
     def text(self) -> str:
-        if not self.exps:
+        if not self._key:
             return "1"
-        return "*".join(
-            v.text() + (f"^{e}" if e >= 2 else "") for v, e in self.exps
-        )
+        return "*".join(v.text() + (f"^{e}" if e >= 2 else "") for v, e in self.exps)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self._key == other._key
 
-_ONE_MONOMIAL = Monomial()
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"Monomial({self.text()})"
 
 
 class Polynomial:
     """An immutable sparse polynomial: a map from Monomial to nonzero int."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_degree")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        data: dict[Monomial, int] = {}
+        data: dict[int, int] = {}
         if terms:
             for monomial, coefficient in terms.items():
-                if not isinstance(coefficient, int):
-                    raise TypeError(f"coefficients must be int, got {type(coefficient)!r}")
+                _check_coefficient(coefficient)
+                if not isinstance(monomial, Monomial):
+                    raise TypeError(f"terms must be keyed by Monomial, got {type(monomial)!r}")
                 if coefficient != 0:
-                    data[monomial] = coefficient
+                    data[monomial._key] = coefficient
         self._terms = data
         self._hash: int | None = None
+        self._degree: int | None = None
+
+    @classmethod
+    def _of(cls, terms: dict[int, int], degree: int | None = None) -> "Polynomial":
+        """Wrap a packed term map that is already canonical (no zero values).
+
+        `degree`, when given, must be the exact total degree.
+        """
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        p._degree = degree
+        return p
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._of({}, -1)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({_ONE_MONOMIAL: 1})
+        return cls._of({0: 1}, 0)
 
     @classmethod
     def const(cls, value: int) -> "Polynomial":
-        return cls({_ONE_MONOMIAL: value})
+        _check_coefficient(value)
+        return cls._of({0: value} if value else {})
 
     @classmethod
     def variable(cls, v: Variable) -> "Polynomial":
-        return cls({Monomial(((v, 1),)): 1})
+        return cls._of({_unit(v): 1}, 1)
 
     @classmethod
     def term(cls, monomial: Monomial, coefficient: int = 1) -> "Polynomial":
-        return cls({monomial: coefficient})
+        _check_coefficient(coefficient)
+        return cls._of({monomial._key: coefficient} if coefficient else {})
 
     # -- inspection --------------------------------------------------------
 
@@ -206,35 +347,35 @@ class Polynomial:
 
     def terms(self) -> dict[Monomial, int]:
         """A copy of the term map (monomial -> nonzero coefficient)."""
-        return dict(self._terms)
+        return {Monomial._of_key(k): c for k, c in self._terms.items()}
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        return ((Monomial._of_key(k), c) for k, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial (reporting convention)."""
-        if not self._terms:
-            return -1
-        return max(m.degree() for m in self._terms)
+        if self._degree is None:
+            self._degree = max((k & _DEGREE_MASK for k in self._terms), default=-1)
+        return self._degree
 
     def leading(self) -> tuple[Monomial, int]:
         """The graded-lex leading (monomial, coefficient) pair."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        monomial = max(self._terms, key=Monomial.sort_key)
-        return monomial, self._terms[monomial]
+        width = _grlex_width(max(self._terms))
+        key = max(self._terms, key=lambda k: _grlex_bytes(k, width))
+        return Monomial._of_key(key), self._terms[key]
 
     def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for monomial in self._terms:
-            out.update(v for v, _ in monomial.exps)
-        return out
+        present = reduce(or_, self._terms, 0)
+        b = present.to_bytes(_byte_length(present), "little")
+        return {_variable_at(f) for f, e in enumerate(b) if f and e}
 
     def coefficient(self, monomial: Monomial) -> int:
-        return self._terms.get(monomial, 0)
+        return self._terms.get(monomial._key, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -242,7 +383,7 @@ class Polynomial:
     def _coerce(value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Polynomial.const(value)
         return NotImplemented
 
@@ -251,18 +392,22 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         merged = dict(self._terms)
-        for monomial, coefficient in other._terms.items():
-            total = merged.get(monomial, 0) + coefficient
+        for key, coefficient in other._terms.items():
+            total = merged.get(key, 0) + coefficient
             if total:
-                merged[monomial] = total
+                merged[key] = total
             else:
-                merged.pop(monomial, None)
-        return Polynomial(merged)
+                del merged[key]
+        degree = None
+        if self._degree is not None and other._degree is not None:
+            if self._degree != other._degree:  # the higher top part cannot cancel
+                degree = max(self._degree, other._degree)
+        return Polynomial._of(merged, degree)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._of({k: -c for k, c in self._terms.items()}, self._degree)
 
     def __sub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
@@ -293,9 +438,8 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Polynomial.const(other)
-        if not isinstance(other, Polynomial):
+        other = Polynomial._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -327,9 +471,28 @@ def apoly(i: int) -> Polynomial:
     return Polynomial.variable(avar(i))
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Coefficient-wise sum in canonical form."""
-    return p + q
+class _XUnits(dict):
+    """x-index -> the key of the monomial x_index, filled in on demand."""
+
+    def __missing__(self, index: int) -> int:
+        unit = self[index] = _unit(xvar(index))
+        return unit
+
+
+def x_word_sum(words: Iterable[Sequence[int]]) -> Polynomial:
+    """The sum over the words of x_{w1} * x_{w2} * ..., with multiplicity.
+
+    A word is a sequence of x-indices (>= 1); repeated letters multiply, so
+    the word (1, 1, 2) contributes x1^2*x2.
+    """
+    unit = _XUnits().__getitem__
+    out: dict[int, int] = {}
+    for word in words:
+        if len(word) > MAX_DEGREE:
+            _check_degree(len(word))
+        key = sum(map(unit, word))
+        out[key] = out.get(key, 0) + 1
+    return Polynomial._of(out)
 
 
 def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomial:
@@ -337,24 +500,36 @@ def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomi
 
     With degree_cap, every product monomial of total degree > degree_cap is
     discarded; this realizes the degree-truncated power-series ring used by
-    the Cauchy identity check.
+    the Cauchy identity check.  Raises DegreeOverflow when a kept product
+    could exceed MAX_DEGREE.
     """
-    if p.is_zero() or q.is_zero():
+    if not p._terms or not q._terms:
         return Polynomial.zero()
-    out: dict[Monomial, int] = {}
-    for m1, c1 in p.items():
-        if degree_cap is not None and m1.degree() > degree_cap:
-            continue
-        for m2, c2 in q.items():
-            monomial = m1.mul(m2)
-            if degree_cap is not None and monomial.degree() > degree_cap:
-                continue
-            total = out.get(monomial, 0) + c1 * c2
-            if total:
-                out[monomial] = total
-            else:
-                del out[monomial]
-    return Polynomial(out)
+    top = p.degree() + q.degree()
+    capped = degree_cap is not None and degree_cap < top
+    _check_degree(degree_cap if capped else top)
+    if len(p._terms) > len(q._terms):
+        p, q = q, p
+    out: dict[int, int] = {}
+    get = out.get
+    inner = list(q._terms.items())
+    if capped:
+        # Every field of a sum of two stored keys is at most 2 * MAX_DEGREE,
+        # which still fits its 8 bits, so a discarded product never carried.
+        for k1, c1 in p._terms.items():
+            for k2, c2 in inner:
+                k = k1 + k2
+                if k & _DEGREE_MASK <= degree_cap:
+                    out[k] = get(k, 0) + c1 * c2
+    else:
+        for k1, c1 in p._terms.items():
+            for k2, c2 in inner:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    # Z[...] has no zero divisors, so the top-degree parts never cancel
+    return Polynomial._of(out, None if capped else top)
 
 
 def truncate(p: Polynomial, degree_cap: int) -> Polynomial:
@@ -363,41 +538,74 @@ def truncate(p: Polynomial, degree_cap: int) -> Polynomial:
     Truncation is the quotient map onto the degree-capped ring, so applying
     it after full arithmetic agrees with doing all arithmetic capped.
     """
-    return Polynomial({m: c for m, c in p.items() if m.degree() <= degree_cap})
+    return Polynomial._of(
+        {k: c for k, c in p._terms.items() if k & _DEGREE_MASK <= degree_cap}
+    )
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """The exact quotient q with q*d = p.
 
     Works by repeatedly cancelling the graded-lex leading term of the running
-    remainder against the leading term of d.  Raises NotDivisible as soon as
-    a leading term fails to divide (monomial or integer coefficient), which
-    signals either a bug or a false identity.
+    remainder against the leading term of d.  The remainder's monomials wait
+    in a max-heap; a monomial whose coefficient cancelled stays there until
+    it is popped and skipped.  Raises NotDivisible as soon as a leading term
+    fails to divide (monomial or integer coefficient), which signals either
+    a bug or a false identity.
+
+    The work happens on graded-lex keys (see _grlex_bytes), on which the
+    monomial order is integer order and products are still sums.  Every
+    remainder and quotient monomial has degree <= deg(p), so nothing can
+    carry.
     """
-    if d.is_zero():
+    if not d._terms:
         raise ZeroDivisionError("division by the zero polynomial")
-    divisor_monomial, divisor_coeff = d.leading()
-    quotient: dict[Monomial, int] = {}
-    remainder = p.terms()
-    while remainder:
-        lead = max(remainder, key=Monomial.sort_key)
-        lead_coeff = remainder[lead]
-        if not divisor_monomial.divides(lead) or lead_coeff % divisor_coeff != 0:
+    if not p._terms:
+        return Polynomial.zero()
+    width = _grlex_width(max(max(p._terms), max(d._terms)))
+
+    def grlex(key: int) -> int:
+        return int.from_bytes(_grlex_bytes(key, width), "big")
+
+    divisor = sorted(((grlex(k), c) for k, c in d._terms.items()), reverse=True)
+    (lead, lead_coeff), tail = divisor[0], divisor[1:]
+    remainder = {grlex(k): c for k, c in p._terms.items()}
+    pending = [-m for m in remainder]
+    heapify(pending)
+    guard = _guard(width)
+    quotient: dict[int, int] = {}
+    while pending:
+        m = -heappop(pending)
+        coeff = remainder.pop(m)
+        if not coeff:
+            continue
+        if ((m | guard) - lead) & guard != guard or coeff % lead_coeff:
             raise NotDivisible(
-                f"leading term {lead_coeff}*{lead.text()} is not divisible "
-                f"by {divisor_coeff}*{divisor_monomial.text()}"
+                f"leading term {coeff}*{Monomial._of_key(_from_grlex(m, width)).text()} "
+                f"is not divisible by "
+                f"{lead_coeff}*{Monomial._of_key(_from_grlex(lead, width)).text()}"
             )
-        q_monomial = lead.quotient(divisor_monomial)
-        q_coeff = lead_coeff // divisor_coeff
-        quotient[q_monomial] = quotient.get(q_monomial, 0) + q_coeff
-        for m2, c2 in d.items():
-            monomial = q_monomial.mul(m2)
-            total = remainder.get(monomial, 0) - q_coeff * c2
-            if total:
-                remainder[monomial] = total
+        q_monomial = m - lead
+        q_coeff = coeff // lead_coeff
+        quotient[_from_grlex(q_monomial, width)] = q_coeff
+        for monomial, c in tail:
+            # every product sorts below m, so none of them was popped yet
+            product = q_monomial + monomial
+            old = remainder.get(product)
+            if old is None:
+                remainder[product] = -q_coeff * c
+                heappush(pending, -product)
             else:
-                remainder.pop(monomial, None)
-    return Polynomial(quotient)
+                remainder[product] = old - q_coeff * c
+    return Polynomial._of(quotient, p.degree() - d.degree())
+
+
+def _family_mask(family: Family, first_index: int, width: int) -> int:
+    """All bits of the fields of `family` from `first_index` on, within width bytes."""
+    fields = _family_fields(family, first_index)
+    b = bytearray(width)
+    b[fields] = b"\xff" * len(range(width)[fields])
+    return int.from_bytes(b, "little")
 
 
 def substitute_zero(p: Polynomial, family: Family, from_index: int) -> Polynomial:
@@ -407,12 +615,10 @@ def substitute_zero(p: Polynomial, family: Family, from_index: int) -> Polynomia
     """
     if family == Family.T:
         raise ValueError("substitute_zero applies to the X, Y and A families only")
-    kept = {
-        m: c
-        for m, c in p.items()
-        if not any(v.family == family and v.index >= from_index for v, _ in m.exps)
-    }
-    return Polynomial(kept)
+    if not p._terms:
+        return p
+    mask = _family_mask(family, from_index, _byte_length(max(p._terms)))
+    return Polynomial._of({k: c for k, c in p._terms.items() if not k & mask})
 
 
 def substitute_family(
@@ -426,27 +632,28 @@ def substitute_family(
     """
     if family == Family.T or target_family == Family.T:
         raise ValueError("substitute_family applies to the X, Y and A families only")
-    if family == target_family and index_shift == 0:
+    if (family == target_family and index_shift == 0) or not p._terms:
         return p
-    out: dict[Monomial, int] = {}
-    for monomial, coefficient in p.items():
-        pairs: list[tuple[Variable, int]] = []
-        for variable, exponent in monomial.exps:
-            if variable.family == family:
-                shifted = variable.index + index_shift
-                if shifted < 1:
-                    raise IndexUnderflow(
-                        f"{variable.text()} shifted by {index_shift} leaves the index range"
-                    )
-                variable = Variable(target_family, shifted)
-            pairs.append((variable, exponent))
-        renamed = Monomial.of(pairs)
+    width = _byte_length(max(p._terms))
+    moved = _family_mask(family, 1, width)
+    lost = reduce(or_, p._terms) & moved & ~_family_mask(family, 1 - index_shift, width)
+    if lost:
+        first = ((lost & -lost).bit_length() - 1) // _FIELD_BITS  # the lowest such field
+        raise IndexUnderflow(
+            f"{_variable_at(first).text()} shifted by {index_shift} leaves the index range"
+        )
+    # the renaming moves every field of the family by the same distance
+    shift = _FIELD_BITS * (3 * index_shift + target_family - family)
+    out: dict[int, int] = {}
+    for key, coefficient in p._terms.items():
+        part = key & moved
+        renamed = key - part + (part << shift if shift >= 0 else part >> -shift)
         total = out.get(renamed, 0) + coefficient
         if total:
             out[renamed] = total
         else:
             del out[renamed]
-    return Polynomial(out)
+    return Polynomial._of(out)
 
 
 def eval_int(p: Polynomial, assignment: Mapping[Variable, int]) -> int:
@@ -455,14 +662,26 @@ def eval_int(p: Polynomial, assignment: Mapping[Variable, int]) -> int:
     The assignment must cover every variable occurring in p; a missing
     variable raises UnassignedVariable naming it.
     """
+    if not p._terms:
+        return 0
+    present = reduce(or_, p._terms)
+    width = _byte_length(present)
+    top = present.to_bytes(width, "little")  # top[f] bounds every exponent in field f
+    powers: dict[int, list[int]] = {}
+    for variable, value in assignment.items():
+        field = _field(variable)
+        if field < width and top[field]:
+            powers[field] = [value**e for e in range(top[field] + 1)]
+    for field in range(1, width):
+        if top[field] and field not in powers:
+            raise UnassignedVariable(f"no value assigned to {_variable_at(field).text()}")
+    tables = list(powers.items())
     total = 0
-    for monomial, coefficient in p.items():
-        value = coefficient
-        for variable, exponent in monomial.exps:
-            if variable not in assignment:
-                raise UnassignedVariable(f"no value assigned to {variable.text()}")
-            value *= assignment[variable] ** exponent
-        total += value
+    for key, coefficient in p._terms.items():
+        b = key.to_bytes(width, "little")
+        for field, table in tables:
+            coefficient *= table[b[field]]
+        total += coefficient
     return total
 
 
@@ -474,19 +693,29 @@ def canonical_text(p: Polynomial) -> str:
     coefficient is omitted when |coeff| = 1 and at least one variable factor
     exists; exponents appear only when >= 2.
     """
-    if p.is_zero():
+    if not p._terms:
         return "0"
-    ordered = sorted(p.items(), key=lambda item: item[0].sort_key(), reverse=True)
+    present = reduce(or_, p._terms)
+    width = _grlex_width(present)
+    # variable names in the positions of _grlex_bytes (position 0 is the degree)
+    names = ["", "t"] + [f"{c}{i}" for c in "xya" for i in range(1, (width - 2) // 3 + 1)]
+    used = [j for j, e in enumerate(_grlex_bytes(present, width)) if j and e]
+    ordered = sorted(
+        ((_grlex_bytes(k, width), c) for k, c in p._terms.items()), reverse=True
+    )
     chunks: list[str] = []
-    for position, (monomial, coefficient) in enumerate(ordered):
+    for exponents, coefficient in ordered:
         magnitude = abs(coefficient)
-        if not monomial.exps:
+        body = "*".join(
+            names[j] if exponents[j] == 1 else f"{names[j]}^{exponents[j]}"
+            for j in used
+            if exponents[j]
+        )
+        if not body:
             body = str(magnitude)
-        elif magnitude == 1:
-            body = monomial.text()
-        else:
-            body = f"{magnitude}*{monomial.text()}"
-        if position == 0:
+        elif magnitude != 1:
+            body = f"{magnitude}*{body}"
+        if not chunks:
             chunks.append(body if coefficient > 0 else f"-{body}")
         else:
             chunks.append(f" + {body}" if coefficient > 0 else f" - {body}")
@@ -494,56 +723,33 @@ def canonical_text(p: Polynomial) -> str:
 
 
 _TERM_SEP_RE = re.compile(r" ([+-]) ")
-_FACTOR_RE = re.compile(r"(t|[xya][1-9][0-9]*)(?:\^([0-9]+))?\Z")
-
-
-def _variable_from_text(token: str) -> Variable:
-    family = _LETTER_FAMILY[token[0]]
-    if family == Family.T:
-        return tvar()
-    return Variable(family, int(token[1:]))
-
-
-def _parse_term(chunk: str) -> tuple[Monomial, int]:
-    if not chunk or " " in chunk:
-        raise ValueError(f"malformed term {chunk!r}")
-    factors = chunk.split("*")
-    coefficient = 1
-    if factors[0].isdigit():
-        coefficient = int(factors[0])
-        factors = factors[1:]
-    exponents: dict[Variable, int] = {}
-    for factor in factors:
-        match = _FACTOR_RE.match(factor)
-        if not match:
-            raise ValueError(f"malformed factor {factor!r} in term {chunk!r}")
-        variable = _variable_from_text(match.group(1))
-        exponent = int(match.group(2)) if match.group(2) else 1
-        if match.group(2) and exponent < 2:
-            raise ValueError(f"explicit exponent must be >= 2 in term {chunk!r}")
-        if variable in exponents:
-            raise ValueError(f"repeated variable {variable.text()} in term {chunk!r}")
-        exponents[variable] = exponent
-    return Monomial.of(exponents), coefficient
+_FACTOR_RE = re.compile(r"(t|[xya])([1-9][0-9]*)?(?:\^([0-9]+))?")
 
 
 def parse_poly(text: str) -> Polynomial:
-    """Parse the canonical text form; inverse of canonical_text."""
-    s = text.strip()
-    if s == "0":
-        return Polynomial.zero()
-    if not s:
-        raise ValueError("empty polynomial text")
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        s = s[1:]
-    pieces = _TERM_SEP_RE.split(s)
-    signed_terms: list[tuple[int, str]] = [(sign, pieces[0])]
-    for operator, chunk in zip(pieces[1::2], pieces[2::2]):
-        signed_terms.append((1 if operator == "+" else -1, chunk))
+    """Parse the canonical text form; inverse of canonical_text.
+
+    Only canonical text is accepted: anything that canonical_text would
+    print differently (term order, merged terms, a coefficient 1, a leading
+    zero, an exponent 1, ...) raises ValueError naming the canonical form.
+    """
+    pieces = _TERM_SEP_RE.split(text[1:] if text.startswith("-") else text)
+    signs = [-1 if text.startswith("-") else 1] + [1 if op == "+" else -1 for op in pieces[1::2]]
     accumulated: dict[Monomial, int] = {}
-    for term_sign, chunk in signed_terms:
-        monomial, coefficient = _parse_term(chunk)
-        accumulated[monomial] = accumulated.get(monomial, 0) + term_sign * coefficient
-    return Polynomial(accumulated)
+    for sign, chunk in zip(signs, pieces[::2]):
+        factors = chunk.split("*")
+        coefficient = int(factors.pop(0)) if factors[0].isdigit() else 1
+        pairs = []
+        for factor in factors:
+            match = _FACTOR_RE.fullmatch(factor)
+            if not match or (match[1] == "t") == bool(match[2]):
+                raise ValueError(f"malformed factor {factor!r} in {text!r}")
+            family = _LETTER_FAMILY[match[1]]
+            pairs.append((Variable(family, int(match[2] or 0)), int(match[3] or 1)))
+        monomial = Monomial.of(pairs)
+        accumulated[monomial] = accumulated.get(monomial, 0) + sign * coefficient
+    result = Polynomial(accumulated)
+    canonical = canonical_text(result)
+    if canonical != text:
+        raise ValueError(f"{text!r} is not canonical; its canonical form is {canonical!r}")
+    return result

@@ -12,13 +12,13 @@ from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
 from .ring import (
-    Monomial,
     Polynomial,
     Variable,
     apoly,
     exact_div,
     substitute_family,
     tpoly,
+    x_word_sum,
     xpoly,
     xvar,
     Family,
@@ -144,14 +144,7 @@ def complete_homogeneous(k: int, n: int) -> Polynomial:
         return Polynomial.zero()
     if k == 0:
         return Polynomial.one()
-    accumulated: dict[Monomial, int] = {}
-    for combo in combinations_with_replacement(range(1, n + 1), k):
-        counts: dict[Variable, int] = {}
-        for index in combo:
-            v = xvar(index)
-            counts[v] = counts.get(v, 0) + 1
-        accumulated[Monomial.of(counts)] = 1
-    return Polynomial(accumulated)
+    return x_word_sum(combinations_with_replacement(range(1, n + 1), k))
 
 
 def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:

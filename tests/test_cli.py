@@ -1,4 +1,5 @@
 import json
+import pstats
 import re
 import xml.etree.ElementTree as ET
 
@@ -211,3 +212,20 @@ def test_outputs_are_reproducible(capsys):
     v1 = run_cli(capsys, "verify", "dual-cauchy", "--n", "2", "--m", "2")
     v2 = run_cli(capsys, "verify", "dual-cauchy", "--n", "2", "--m", "2")
     assert v1 == v2  # text mode carries no timings
+
+
+def test_profile_writes_stats_and_keeps_output(tmp_path, capsys):
+    argv = ["schur", "--shape", "[2,1]", "--n", "3", "--method", "bialternant"]
+    plain = run_cli(capsys, *argv)
+    profile = tmp_path / "schur.prof"
+    profiled = run_cli(capsys, "--profile", str(profile), *argv)
+    assert profiled == plain
+    names = {function for _, _, function in pstats.Stats(str(profile)).stats}
+    assert "exact_div" in names
+
+
+def test_degree_beyond_the_packed_limit_is_a_refusal(capsys):
+    code, out, err = run_cli(capsys, "schur", "--shape", "[128]", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "refused" in err and "127" in err

@@ -1,0 +1,175 @@
+"""The packed monomial keys: graded-lex order, the degree limit, heap division."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from schurpaths.ring import (
+    MAX_DEGREE,
+    DegreeOverflow,
+    Family,
+    Monomial,
+    NotDivisible,
+    Polynomial,
+    apoly,
+    avar,
+    canonical_text,
+    exact_div,
+    mul,
+    parse_poly,
+    substitute_family,
+    tpoly,
+    tvar,
+    xpoly,
+    xvar,
+    ypoly,
+    yvar,
+)
+
+# Every family, with indices far apart so that their fields interleave in
+# every way the packed layout allows.
+_POOL = sorted([tvar(), xvar(1), xvar(2), xvar(7), yvar(1), yvar(3), avar(1), avar(2), avar(12)])
+
+
+def reference_key(monomial: Monomial):
+    """Graded lex: total degree, then the dense exponent vector in variable order."""
+    exponents = dict(monomial.exps)
+    return sum(exponents.values()), tuple(exponents.get(v, 0) for v in _POOL)
+
+
+@st.composite
+def monomials(draw):
+    chosen = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    return Monomial.of({v: draw(st.integers(1, 3)) for v in chosen})
+
+
+@st.composite
+def polynomials(draw, max_terms=6):
+    terms: dict[Monomial, int] = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = draw(monomials())
+        terms[m] = terms.get(m, 0) + draw(st.integers(-9, 9))
+    return Polynomial(terms)
+
+
+def scan_div(p: Polynomial, d: Polynomial) -> Polynomial:
+    """Reference division: find each leading term by a max() scan."""
+    lead, lead_coeff = max(d.items(), key=lambda mc: reference_key(mc[0]))
+    remainder, quotient = p.terms(), {}
+    while remainder:
+        m = max(remainder, key=reference_key)
+        if not lead.divides(m) or remainder[m] % lead_coeff:
+            raise NotDivisible(m.text())
+        q_monomial, q_coeff = m.quotient(lead), remainder[m] // lead_coeff
+        quotient[q_monomial] = q_coeff
+        for m2, c2 in d.items():
+            product = q_monomial.mul(m2)
+            remainder[product] = remainder.get(product, 0) - q_coeff * c2
+            if not remainder[product]:
+                del remainder[product]
+    return Polynomial(quotient)
+
+
+def expected_text(p: Polynomial) -> str:
+    chunks = []
+    for m, c in sorted(p.items(), key=lambda mc: reference_key(mc[0]), reverse=True):
+        if not m.exps:
+            body = str(abs(c))
+        else:
+            body = m.text() if abs(c) == 1 else f"{abs(c)}*{m.text()}"
+        sign = "-" if c < 0 else "+"
+        chunks.append(("-" if c < 0 else "") + body if not chunks else f" {sign} {body}")
+    return "".join(chunks) or "0"
+
+
+# -- graded-lex order -----------------------------------------------------------
+
+
+@given(polynomials())
+def test_order_matches_the_reference(p):
+    assert canonical_text(p) == expected_text(p)
+    if p:
+        leading, coefficient = p.leading()
+        assert reference_key(leading) == max(reference_key(m) for m, _ in p.items())
+        assert coefficient == p.coefficient(leading)
+
+
+@given(st.lists(monomials(), min_size=2, max_size=8, unique=True))
+def test_sort_key_matches_the_reference(ms):
+    assert sorted(ms, key=Monomial.sort_key) == sorted(ms, key=reference_key)
+
+
+def test_order_examples_across_field_positions():
+    assert canonical_text(apoly(12) + xpoly(1)) == "x1 + a12"
+    assert canonical_text(apoly(12) ** 2 + xpoly(1)) == "a12^2 + x1"
+    assert canonical_text(ypoly(3) * apoly(1) + xpoly(7) * apoly(2)) == "x7*a2 + y3*a1"
+    assert canonical_text(tpoly() + xpoly(1) ** 2) == "x1^2 + t"
+
+
+# -- the degree limit -------------------------------------------------------------
+
+
+def test_products_and_quotients_at_the_limit():
+    below = xpoly(1) ** (MAX_DEGREE - 1)
+    top = mul(below, xpoly(1))
+    assert canonical_text(top) == f"x1^{MAX_DEGREE}"
+    assert top.degree() == MAX_DEGREE
+    assert exact_div(top, below) == xpoly(1)
+    assert exact_div(top, xpoly(1)) == below
+
+    half = (MAX_DEGREE - 1) // 2  # 63: fields next to each other, both near the limit
+    p = xpoly(1) ** half * apoly(12) ** half + tpoly()
+    q = xpoly(1) - ypoly(3)
+    product = p * q
+    assert canonical_text(product) == (
+        f"x1^{half + 1}*a12^{half} - x1^{half}*y3*a12^{half} + t*x1 - t*y3"
+    )
+    assert exact_div(product, q) == p
+    assert exact_div(product, p) == q
+    assert parse_poly(canonical_text(product)) == product
+
+    merged = substitute_family(xpoly(1) ** 100 * apoly(1) ** 27, Family.X, Family.A, 0)
+    assert merged == apoly(1) ** MAX_DEGREE
+
+
+def test_degree_overflow_is_raised_not_carried():
+    top = xpoly(1) ** MAX_DEGREE
+    with pytest.raises(DegreeOverflow):
+        top * xpoly(2)
+    with pytest.raises(DegreeOverflow):
+        xpoly(1) ** (MAX_DEGREE + 1)
+    with pytest.raises(DegreeOverflow):
+        Monomial.of({xvar(1): MAX_DEGREE + 1})
+    with pytest.raises(DegreeOverflow):
+        Monomial.of({xvar(1): 100}).mul(Monomial.of({yvar(1): 28}))
+    with pytest.raises(DegreeOverflow):
+        parse_poly(f"x1^{MAX_DEGREE + 1}")
+    wide = xpoly(1) ** 100 + 1
+    with pytest.raises(DegreeOverflow):
+        mul(wide, wide, degree_cap=200)
+    # a cap within the limit keeps every formed product within it
+    assert mul(wide, wide, degree_cap=MAX_DEGREE) == 2 * xpoly(1) ** 100 + 1
+    assert mul(top, top, degree_cap=3) == Polynomial.zero()
+
+
+# -- heap division against the max() scan -------------------------------------------
+
+
+@given(polynomials(), polynomials(max_terms=4))
+def test_heap_division_matches_scan_division(p, d):
+    if d.is_zero():
+        return
+    product = p * d
+    assert exact_div(product, d) == scan_div(product, d) == p
+
+
+@given(polynomials(), polynomials(max_terms=4))
+def test_heap_division_fails_where_scan_division_fails(p, d):
+    if d.is_zero():
+        return
+    try:
+        expected = scan_div(p, d)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            exact_div(p, d)
+    else:
+        assert exact_div(p, d) == expected

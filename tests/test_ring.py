@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -148,9 +150,33 @@ def test_canonical_text_examples():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ["", "x0", "x1 +x2", "x1^1", "x1**2", "2x1"]:
+    for bad in ["", "x0", "x1 +x2", "x1^1", "x1**2", "2x1", " x1", "x1 "]:
         with pytest.raises(ValueError):
             parse_poly(bad)
+    # text that parses but is not canonical is refused with its canonical form
+    non_canonical = {
+        "1*x1": "x1",
+        "0*x1": "0",
+        "-0": "0",
+        "x2 + x1": "x1 + x2",
+        "x1 + x1": "2*x1",
+        "01*x1": "x1",
+        "x1*x1": "x1^2",
+    }
+    for bad, canonical in non_canonical.items():
+        with pytest.raises(ValueError, match=re.escape(repr(canonical))):
+            parse_poly(bad)
+
+
+def test_bool_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Polynomial({Monomial(): True})
+    with pytest.raises(TypeError):
+        Polynomial.const(True)
+    with pytest.raises(TypeError):
+        Polynomial.term(Monomial.of({xvar(1): 1}), False)
+    assert Polynomial.const(1) == 1
+    assert Polynomial.const(1) != True  # noqa: E712 - a bool is not a ring element
 
 
 # -- properties ----------------------------------------------------------------
