@@ -16,6 +16,7 @@ the command to FILE (read them with `python -m pstats FILE`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,39 +62,18 @@ def cmd_schur(args) -> int:
     return 0
 
 
-def _or_default(value, default):
-    return default if value is None else value
-
-
 def _run_verifier(args) -> identities.CheckReport:
-    name = args.identity
+    identity = identities.IDENTITIES[args.identity]
 
-    def need_shape():
-        if args.shape is None:
-            raise _UsageError(f"verify {name} needs --shape")
-        return _partition_arg(args.shape)
+    def value(option: str, default):
+        given = getattr(args, option)
+        if given is not None:
+            return _partition_arg(given) if option == "shape" else given
+        if default is identities.REQUIRED:
+            raise _UsageError(f"verify {identity.name} needs --{option.replace('_', '-')}")
+        return default
 
-    if name == "main-lemma":
-        return identities.verify_main_lemma(_or_default(args.m, 6), _or_default(args.n, 6))
-    if name == "corollary":
-        return identities.verify_corollary(_or_default(args.n, 4), _or_default(args.m, 5))
-    if name == "vandermonde":
-        return identities.verify_vandermonde(_or_default(args.n, 3))
-    if name == "jacobi-trudi":
-        return identities.verify_jacobi_trudi(need_shape(), _or_default(args.n, 3))
-    if name == "bialternant":
-        return identities.verify_bialternant(need_shape(), _or_default(args.n, 3))
-    if name == "cauchy":
-        return identities.verify_cauchy(_or_default(args.n, 2), _or_default(args.degree_cap, 4))
-    if name == "dual-cauchy":
-        return identities.verify_dual_cauchy(_or_default(args.n, 2), _or_default(args.m, 2))
-    if name == "dual-determinant":
-        return identities.verify_dual_determinant(_or_default(args.n, 2), _or_default(args.m, 2))
-    if name == "factorial-schur":
-        return identities.verify_factorial_schur(need_shape(), _or_default(args.n, 3))
-    if name == "newton":
-        return identities.verify_newton(_or_default(args.power, 8))
-    raise _UsageError(f"unknown identity {name!r}")
+    return identity.run(**{option: value(option, d) for option, d in identity.options.items()})
 
 
 def cmd_verify(args) -> int:
@@ -120,28 +100,22 @@ def cmd_suite(args) -> int:
         except (OSError, ValueError) as exc:
             raise _UsageError(f"bad config file: {exc}") from None
     if args.only is not None:
-        bad = [name for name in args.only if name not in identities.IDENTITY_NAMES]
-        if bad:
-            raise _UsageError(f"unknown identity names: {bad}")
-        config.only = args.only
+        config = dataclasses.replace(config, only=args.only)
     reports = identities.run_suite(config)
     print(identities.reports_to_json(reports))
     return 0 if identities.all_verified(reports) else 1
 
 
 def _preset_configuration(args):
+    n = args.n
+    if n < 1:
+        raise _UsageError("--n must be >= 1")
     if args.preset == "vandermonde":
-        n = _or_default(args.n, 2)
-        if n < 1:
-            raise _UsageError("--n must be >= 1")
         return lgv.vandermonde_scheme(n), *lgv.vandermonde_endpoints(n)
     if args.preset == "schur":
         if args.shape is None:
             raise _UsageError("the schur preset needs --shape")
         shape = _partition_arg(args.shape)
-        n = _or_default(args.n, 2)
-        if n < 1:
-            raise _UsageError("--n must be >= 1")
         if len(shape) > n:
             raise _UsageError(f"shape {args.shape} has more than {n} rows")
         width = (shape[0] if shape else 0) + n
@@ -153,10 +127,7 @@ def _preset_configuration(args):
 def cmd_paths(args) -> int:
     scheme, sources, sinks = _preset_configuration(args)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
-    signed = Polynomial.zero()
-    for system in systems:
-        signed = signed + system.sign * lgv.system_weight(scheme, system)
-    text = canonical_text(signed)
+    text = canonical_text(lgv.signed_sum(scheme, systems))
     if args.json:
         print(json.dumps({"systems": len(systems), "signed_sum": text}))
     else:
@@ -200,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur.set_defaults(func=cmd_schur)
 
     p_verify = sub.add_parser("verify", help="verify one identity")
-    p_verify.add_argument("identity", choices=list(identities.IDENTITY_NAMES))
+    p_verify.add_argument("identity", choices=list(identities.IDENTITIES))
     p_verify.add_argument("--shape", help='partition, e.g. "[2,1]"')
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--m", type=int)
@@ -223,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render path systems as SVG")
     for p in (p_paths, p_render):
         p.add_argument("--preset", choices=["vandermonde", "schur"], required=True)
-        p.add_argument("--n", type=int)
+        p.add_argument("--n", type=int, default=2)
         p.add_argument("--shape", help="partition (schur preset)")
         p.add_argument("--json", action="store_true")
     p_paths.set_defaults(func=cmd_paths)

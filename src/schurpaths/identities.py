@@ -15,16 +15,15 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, lgv, symfun
 from .combinat import partition, partition_text
 from .lgv import Point, TooLarge
 from .ring import (
     Family,
-    IndexUnderflow,
     Monomial,
     Polynomial,
     canonical_text,
@@ -44,20 +43,6 @@ _EVAL_POINTS = 10
 _EVAL_SEED = 20240915
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
-
-IDENTITY_NAMES = (
-    "main-lemma",
-    "corollary",
-    "vandermonde",
-    "jacobi-trudi",
-    "bialternant",
-    "cauchy",
-    "dual-cauchy",
-    "dual-determinant",
-    "factorial-schur",
-    "newton",
-)
-
 
 @dataclass
 class CheckReport:
@@ -124,8 +109,12 @@ class _Checker:
         return True
 
 
+def _elapsed_ms(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
 def _finish(identity: str, params: dict[str, str], checker: _Checker, t0: float) -> CheckReport:
-    elapsed = int((time.perf_counter() - t0) * 1000)
+    elapsed = _elapsed_ms(t0)
     if checker.ok():
         return CheckReport(identity, params, VERIFIED, elapsed_ms=elapsed)
     where, lhs, rhs = checker.failure
@@ -189,6 +178,8 @@ def verify_main_lemma(m_max: int = 6, n_max: int = 6, corrupt_weights: bool = Fa
 def verify_corollary(n_max: int = 4, m_max: int = 5) -> CheckReport:
     """Truncated path-weight DP equals x_t^(m-1) for all 1 <= t < n <= n_max."""
     t0 = time.perf_counter()
+    if n_max < 2 or m_max < 1:
+        raise ValueError("corollary check needs n_max >= 2 and m_max >= 1")
     checker = _Checker()
     for n in range(2, n_max + 1):
         scheme = lgv.schur_weighted_scheme(n=n, col_bound=m_max, truncated=True)
@@ -232,10 +223,7 @@ def verify_vandermonde(n: int, brute_force: bool | None = None) -> CheckReport:
         checker.eq(
             Polynomial.const(len(systems)), Polynomial.const(1), side="unique-system-count"
         )
-        signed = Polynomial.zero()
-        for system in systems:
-            signed = signed + system.sign * lgv.system_weight(scheme, system)
-        checker.eq(signed, product, side="signed-sum-vs-product")
+        checker.eq(lgv.signed_sum(scheme, systems), product, side="signed-sum-vs-product")
     return _finish("vandermonde", params, checker, t0)
 
 
@@ -423,24 +411,16 @@ def verify_factorial_schur(shape: Sequence[int], n: int) -> CheckReport:
     shape = partition(shape)
     if len(shape) > n:
         raise ValueError(f"shape {shape} has more than {n} rows")
-    params = {"shape": partition_text(shape), "n": str(n)}
     checker = _Checker()
-    try:
-        tableaux_side = combinat.factorial_schur_tableaux(shape, n)
-    except IndexUnderflow as exc:
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return CheckReport(
-            "factorial-schur",
-            {**params, "error": str(exc)},
-            ERROR,
-            elapsed_ms=elapsed,
-        )
+    tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)
     checker.eq(tableaux_side, quotient_side, side="tableaux-vs-quotient")
     plain = combinat.schur_tableaux(shape, n)
     checker.eq(substitute_zero(tableaux_side, Family.A, 1), plain, side="tableaux-at-a0")
     checker.eq(substitute_zero(quotient_side, Family.A, 1), plain, side="quotient-at-a0")
-    return _finish("factorial-schur", params, checker, t0)
+    return _finish(
+        "factorial-schur", {"shape": partition_text(shape), "n": str(n)}, checker, t0
+    )
 
 
 def verify_newton(n_power: int) -> CheckReport:
@@ -460,12 +440,117 @@ def verify_newton(n_power: int) -> CheckReport:
     return _finish("newton", {"n_power": str(n_power)}, checker, t0)
 
 
-# -- the suite ----------------------------------------------------------------
+# -- the identity table and the suite -------------------------------------------
+
+REQUIRED = object()  # an option without a default (`verify` needs it given)
+
+
+class Group(NamedTuple):
+    """Suite points that yield one report.
+
+    Without a summary the group is one point and its report is the group's.
+    With one, the points run in order until one is not VERIFIED, whose report
+    is the group's; if all are, a VERIFIED report carries the summary.
+    """
+
+    points: list[dict[str, object]]
+    summary: dict[str, str] | None = None
+
+
+class Identity(NamedTuple):
+    """One identity: its verifier call, its `verify` options and its suite grid.
+
+    `run` takes the options as keywords (suite points may add `corrupt`, a
+    negative control) and calls its verifier through the module global, so
+    that wrappers installed on the module see every call.  `options` maps
+    each option to its default or to REQUIRED; `grid` lists a config's groups.
+    """
+
+    name: str
+    run: Callable[..., CheckReport]
+    options: dict[str, object]
+    grid: Callable[["SuiteConfig"], list[Group]]
+
+
+def _point(**options: object) -> Group:
+    return Group([options])
+
+
+def _shape_row(n: int, max_size: int, **options: object) -> Group:
+    """Every shape of size <= max_size in n variables, as one report."""
+    shapes = [s for s in combinat.partitions_in_box(n, max_size) if sum(s) <= max_size]
+    return Group(
+        [{"shape": shape, "n": n, **options} for shape in shapes],
+        {"n": str(n), "max_size": str(max_size), "shapes": str(len(shapes))},
+    )
+
+
+IDENTITIES: dict[str, Identity] = {
+    name: Identity(name, run, options, grid)
+    for name, run, options, grid in [
+        ("main-lemma",
+         lambda m, n, corrupt=None: verify_main_lemma(m, n, corrupt == "weights"),
+         {"m": 6, "n": 6},
+         lambda c: [_point(m=6, n=6, corrupt=c.corrupt)]),
+        ("corollary",
+         lambda n, m: verify_corollary(n, m),
+         {"n": 4, "m": 5},
+         lambda c: [_point(n=4, m=5)]),
+        ("vandermonde",
+         lambda n: verify_vandermonde(n),
+         {"n": 3},
+         lambda c: [_point(n=n) for n in range(1, 6)]),
+        ("jacobi-trudi",
+         lambda shape, n, corrupt=None: verify_jacobi_trudi(shape, n, corrupt == "determinant"),
+         {"shape": REQUIRED, "n": 3},
+         lambda c: [
+             _shape_row(n, c.max_partition_size, corrupt=c.corrupt)
+             for n in range(1, c.max_n + 1)
+         ]),
+        ("bialternant",
+         lambda shape, n: verify_bialternant(shape, n),
+         {"shape": REQUIRED, "n": 3},
+         lambda c: [_shape_row(n, c.max_partition_size) for n in range(1, c.max_n + 1)]),
+        ("cauchy",
+         lambda n, degree_cap: verify_cauchy(n, degree_cap),
+         {"n": 2, "degree_cap": 4},
+         lambda c: [_point(n=n, degree_cap=c.cauchy_cap) for n in range(1, min(2, c.max_n) + 1)]),
+        ("dual-cauchy",
+         lambda n, m: verify_dual_cauchy(n, m),
+         {"n": 2, "m": 2},
+         lambda c: [
+             _point(n=n, m=m) for n in range(1, c.dual_max + 1) for m in range(1, c.dual_max + 1)
+         ]),
+        ("dual-determinant",
+         lambda n, m: verify_dual_determinant(n, m),
+         {"n": 2, "m": 2},
+         lambda c: [
+             _point(n=n, m=total - n) for total in range(2, c.dual_max + 3) for n in range(1, total)
+         ]),
+        ("factorial-schur",
+         lambda shape, n: verify_factorial_schur(shape, n),
+         {"shape": REQUIRED, "n": 3},
+         lambda c: [
+             _shape_row(n, min(4, c.max_partition_size)) for n in range(1, min(3, c.max_n) + 1)
+         ]),
+        ("newton",
+         lambda power: verify_newton(power),
+         {"power": 8},
+         lambda c: [
+             Group([{"power": k} for k in range(c.newton_max + 1)], {"n_max": str(c.newton_max)})
+         ]),
+    ]
+}
 
 
 @dataclass
 class SuiteConfig:
-    """Size bounds for the full verification suite."""
+    """Size bounds for the full verification suite, checked on construction.
+
+    Every field but `corrupt` is a key of the suite's JSON config file.
+    `corrupt` selects a negative control: "weights" corrupts main-lemma's
+    path weights, "determinant" flips the Jacobi-Trudi orientation.
+    """
 
     max_partition_size: int = 6
     max_n: int = 4
@@ -473,153 +558,61 @@ class SuiteConfig:
     dual_max: int = 3
     newton_max: int = 8
     only: list[str] | None = None
-    corrupt: str | None = None  # None, "weights" or "determinant": negative controls
+    corrupt: str | None = None
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and (
+                not isinstance(value, int) or isinstance(value, bool) or value < 0
+            ):
+                raise ValueError(f"config key {field.name} must be a non-negative int")
+        if self.only is not None:
+            if not isinstance(self.only, (list, tuple)) or not all(
+                isinstance(name, str) for name in self.only
+            ):
+                raise ValueError("config key 'only' must be a list of identity names")
+            bad = [name for name in self.only if name not in IDENTITIES]
+            if bad:
+                raise ValueError(f"unknown identity names in 'only': {bad}")
+        if self.corrupt not in (None, "weights", "determinant"):
+            raise ValueError(f"unknown negative control {self.corrupt!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        allowed = {
-            "max_partition_size",
-            "max_n",
-            "cauchy_cap",
-            "dual_max",
-            "newton_max",
-            "only",
-        }
-        unknown = set(data) - allowed
+        unknown = set(data) - ({field.name for field in fields(cls)} - {"corrupt"})
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config = cls()
-        for key in allowed - {"only"}:
-            if key in data:
-                value = data[key]
-                if not isinstance(value, int) or value < 0:
-                    raise ValueError(f"config key {key} must be a non-negative int")
-                setattr(config, key, value)
-        if "only" in data:
-            only = data["only"]
-            if not isinstance(only, list) or not all(isinstance(s, str) for s in only):
-                raise ValueError("config key 'only' must be a list of identity names")
-            bad = [s for s in only if s not in IDENTITY_NAMES]
-            if bad:
-                raise ValueError(f"unknown identity names in 'only': {bad}")
-            config.only = only
-        return config
+        return cls(**data)
 
 
-def _shapes_grid(n: int, max_size: int) -> list[tuple[int, ...]]:
-    return [
-        shape
-        for shape in combinat.partitions_in_box(n, max_size)
-        if sum(shape) <= max_size
-    ]
-
-
-def _grid_entry(
-    identity: str,
-    base_params: dict[str, str],
-    shapes: Sequence[tuple[int, ...]],
-    point_check: Callable[[Sequence[int]], CheckReport],
-) -> CheckReport:
+def _run_group(identity: Identity, group: Group) -> CheckReport:
+    """One report for a group; an exception in a check becomes an ERROR report."""
     t0 = time.perf_counter()
-    for shape in shapes:
-        report = point_check(shape)
-        if report.status != VERIFIED:
-            report.identity = identity
-            report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-            return report
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return CheckReport(
-        identity,
-        {**base_params, "shapes": str(len(shapes))},
-        VERIFIED,
-        elapsed_ms=elapsed,
-    )
+    try:
+        for point in group.points:
+            report = identity.run(**point)
+            if group.summary is None:
+                return report
+            if report.status != VERIFIED:
+                report.elapsed_ms = _elapsed_ms(t0)
+                return report
+    except Exception as exc:
+        params = group.summary or {k: str(v) for k, v in group.points[0].items() if v is not None}
+        params = {**params, "error": f"{type(exc).__name__}: {exc}"}
+        return CheckReport(identity.name, params, ERROR, elapsed_ms=_elapsed_ms(t0))
+    return CheckReport(identity.name, dict(group.summary), VERIFIED, elapsed_ms=_elapsed_ms(t0))
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
-    """Run every verifier over its parameter grid, in a deterministic order."""
+    """Run every selected identity over its grid, in table order."""
     config = config or SuiteConfig()
-    selected = IDENTITY_NAMES if config.only is None else tuple(config.only)
-    corrupt_weights = config.corrupt == "weights"
-    corrupt_determinant = config.corrupt == "determinant"
-    reports: list[CheckReport] = []
-
-    def wanted(name: str) -> bool:
-        return name in selected
-
-    if wanted("main-lemma"):
-        reports.append(verify_main_lemma(6, 6, corrupt_weights=corrupt_weights))
-    if wanted("corollary"):
-        reports.append(verify_corollary(4, 5))
-    if wanted("vandermonde"):
-        for n in range(1, 6):
-            reports.append(verify_vandermonde(n))
-    if wanted("jacobi-trudi"):
-        for n in range(1, config.max_n + 1):
-            reports.append(
-                _grid_entry(
-                    "jacobi-trudi",
-                    {"n": str(n), "max_size": str(config.max_partition_size)},
-                    _shapes_grid(n, config.max_partition_size),
-                    lambda shape, n=n: verify_jacobi_trudi(
-                        shape, n, flip_orientation=corrupt_determinant
-                    ),
-                )
-            )
-    if wanted("bialternant"):
-        for n in range(1, config.max_n + 1):
-            reports.append(
-                _grid_entry(
-                    "bialternant",
-                    {"n": str(n), "max_size": str(config.max_partition_size)},
-                    _shapes_grid(n, config.max_partition_size),
-                    lambda shape, n=n: verify_bialternant(shape, n),
-                )
-            )
-    if wanted("cauchy"):
-        for n in range(1, min(2, config.max_n) + 1):
-            reports.append(verify_cauchy(n, config.cauchy_cap))
-    if wanted("dual-cauchy"):
-        for n in range(1, config.dual_max + 1):
-            for m in range(1, config.dual_max + 1):
-                reports.append(verify_dual_cauchy(n, m))
-    if wanted("dual-determinant"):
-        pairs = [
-            (n, m)
-            for total in range(2, config.dual_max + 3)
-            for n in range(1, total)
-            for m in (total - n,)
-        ]
-        for n, m in pairs:
-            reports.append(verify_dual_determinant(n, m))
-    if wanted("factorial-schur"):
-        for n in range(1, min(3, config.max_n) + 1):
-            reports.append(
-                _grid_entry(
-                    "factorial-schur",
-                    {"n": str(n), "max_size": str(min(4, config.max_partition_size))},
-                    _shapes_grid(n, min(4, config.max_partition_size)),
-                    lambda shape, n=n: verify_factorial_schur(shape, n),
-                )
-            )
-    if wanted("newton"):
-        t0 = time.perf_counter()
-        for n_power in range(0, config.newton_max + 1):
-            report = verify_newton(n_power)
-            if report.status != VERIFIED:
-                report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-                reports.append(report)
-                break
-        else:
-            reports.append(
-                CheckReport(
-                    "newton",
-                    {"n_max": str(config.newton_max)},
-                    VERIFIED,
-                    elapsed_ms=int((time.perf_counter() - t0) * 1000),
-                )
-            )
-    return reports
+    return [
+        _run_group(identity, group)
+        for identity in IDENTITIES.values()
+        if config.only is None or identity.name in config.only
+        for group in identity.grid(config)
+    ]
 
 
 def all_verified(reports: Sequence[CheckReport]) -> bool:

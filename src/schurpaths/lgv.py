@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import symfun
 from .combinat import partition
@@ -113,21 +113,29 @@ def in_bounds(scheme: Scheme, p: Point) -> bool:
     return row_bound is None or p.row <= row_bound
 
 
-def _require_in_bounds(scheme: Scheme, p: Point) -> None:
-    if not in_bounds(scheme, p):
-        raise OutOfBounds(f"point {tuple(p)} outside the {scheme.kind.value} window")
+def _window(scheme: Scheme, a: Point, b: Point) -> tuple[Point, Point, int] | None:
+    """(a, b, last usable column) for paths a -> b; None when there is no path.
+
+    Raises OutOfBounds when an endpoint lies outside the window.  Paths on
+    the monotone schemes never go left, so they stop at b's column.
+    """
+    a, b = Point(*a), Point(*b)
+    for p in (a, b):
+        if not in_bounds(scheme, p):
+            raise OutOfBounds(f"point {tuple(p)} outside the {scheme.kind.value} window")
+    if b.row < a.row:
+        return None
+    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
+    if monotone and b.col < a.col:
+        return None
+    return a, b, min(scheme.col_bound, b.col) if monotone else scheme.col_bound
 
 
-def _xp(index: int, truncate_at: int | None) -> Polynomial:
+def _truncated(var, index: int, truncate_at: int | None) -> Polynomial:
+    """var(index) (xpoly or ypoly), or 0 when the truncation removes it."""
     if truncate_at is not None and index >= truncate_at:
         return Polynomial.zero()
-    return xpoly(index)
-
-
-def _yp(index: int, truncate_at: int | None) -> Polynomial:
-    if truncate_at is not None and index >= truncate_at:
-        return Polynomial.zero()
-    return ypoly(index)
+    return var(index)
 
 
 def _moves_right(scheme: Scheme, row: int) -> bool:
@@ -135,17 +143,18 @@ def _moves_right(scheme: Scheme, row: int) -> bool:
 
 
 def _horizontal_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
+    cut = scheme.truncate_at
     if to.col == frm.col + 1:
         if scheme.kind == SchemeKind.JACOBI_TRUDI:
             return xpoly(frm.row)
-        first = _xp(frm.row, scheme.truncate_at)
-        second = _xp(frm.col + frm.row, scheme.truncate_at)
+        first = _truncated(xpoly, frm.row, cut)
+        second = _truncated(xpoly, frm.col + frm.row, cut)
         if scheme.corrupt_weights and scheme.kind == SchemeKind.SCHUR_WEIGHTED:
             return first + second
         return first - second
     # leftward step in the doubled upper half; row n+k mirrors row n+1-k
     mirrored = 2 * scheme.n + 1 - frm.row
-    return _yp(mirrored, scheme.truncate_at) - _yp(to.col + mirrored, scheme.truncate_at)
+    return _truncated(ypoly, mirrored, cut) - _truncated(ypoly, to.col + mirrored, cut)
 
 
 def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
@@ -156,39 +165,37 @@ def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
     raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
 
 
-def _sweep_row(
-    scheme: Scheme, row: int, values: dict[int, Polynomial], max_col: int
-) -> None:
-    """Propagate the horizontal moves of one row through `values` in place."""
-    cap = scheme.degree_cap
-    if _moves_right(scheme, row):
-        for col in range(2, max_col + 1):
-            incoming = values.get(col - 1)
-            if incoming is None:
+def _path_sum(scheme: Scheme, a: Point, b: Point, one, step):
+    """Sum over all paths a -> b, by dynamic programming row by row.
+
+    `one` is the value of the empty path and step(value, frm, to) the value
+    carried over the horizontal edge frm -> to; vertical edges carry values
+    unchanged.  Zero values are dropped, so the result is None when no path
+    contributes.
+    """
+    window = _window(scheme, a, b)
+    if window is None:
+        return None
+    a, b, max_col = window
+    values = {a.col: one}
+    for row in range(a.row, b.row + 1):
+        if _moves_right(scheme, row):
+            edges = [(col - 1, col) for col in range(2, max_col + 1)]
+        else:
+            edges = [(col + 1, col) for col in range(max_col - 1, 0, -1)]
+        for frm, to in edges:
+            incoming = values.get(frm)
+            if not incoming:
                 continue
-            weight = _horizontal_weight(scheme, Point(col - 1, row), Point(col, row))
-            step = mul(incoming, weight, cap)
-            if step.is_zero():
+            moved = step(incoming, Point(frm, row), Point(to, row))
+            if not moved:
                 continue
-            total = values.get(col, Polynomial.zero()) + step
-            if total.is_zero():
-                values.pop(col, None)
+            total = values[to] + moved if to in values else moved
+            if total:
+                values[to] = total
             else:
-                values[col] = total
-    else:
-        for col in range(max_col - 1, 0, -1):
-            incoming = values.get(col + 1)
-            if incoming is None:
-                continue
-            weight = _horizontal_weight(scheme, Point(col + 1, row), Point(col, row))
-            step = mul(incoming, weight, cap)
-            if step.is_zero():
-                continue
-            total = values.get(col, Polynomial.zero()) + step
-            if total.is_zero():
-                values.pop(col, None)
-            else:
-                values[col] = total
+                del values[to]
+    return values.get(b.col)
 
 
 def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
@@ -196,50 +203,17 @@ def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
 
     Dynamic programming row by row; 0 when no path exists, 1 when a = b.
     """
-    a, b = Point(*a), Point(*b)
-    _require_in_bounds(scheme, a)
-    _require_in_bounds(scheme, b)
-    if b.row < a.row:
-        return Polynomial.zero()
-    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
-    if monotone and b.col < a.col:
-        return Polynomial.zero()
-    max_col = min(scheme.col_bound, b.col) if monotone else scheme.col_bound
-    values: dict[int, Polynomial] = {a.col: Polynomial.one()}
-    _sweep_row(scheme, a.row, values, max_col)
-    for row in range(a.row + 1, b.row + 1):
-        values = dict(values)  # vertical steps carry weight 1
-        _sweep_row(scheme, row, values, max_col)
-    return values.get(b.col, Polynomial.zero())
+    cap = scheme.degree_cap
+
+    def step(value: Polynomial, frm: Point, to: Point) -> Polynomial:
+        return mul(value, _horizontal_weight(scheme, frm, to), cap)
+
+    return _path_sum(scheme, a, b, Polynomial.one(), step) or Polynomial.zero()
 
 
 def path_count(scheme: Scheme, a: Point, b: Point) -> int:
     """Number of directed paths from a to b inside the working window."""
-    a, b = Point(*a), Point(*b)
-    _require_in_bounds(scheme, a)
-    _require_in_bounds(scheme, b)
-    if b.row < a.row:
-        return 0
-    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
-    if monotone and b.col < a.col:
-        return 0
-    max_col = min(scheme.col_bound, b.col) if monotone else scheme.col_bound
-    counts: dict[int, int] = {a.col: 1}
-
-    def sweep(row: int) -> None:
-        if _moves_right(scheme, row):
-            for col in range(2, max_col + 1):
-                if counts.get(col - 1):
-                    counts[col] = counts.get(col, 0) + counts[col - 1]
-        else:
-            for col in range(max_col - 1, 0, -1):
-                if counts.get(col + 1):
-                    counts[col] = counts.get(col, 0) + counts[col + 1]
-
-    sweep(a.row)
-    for row in range(a.row + 1, b.row + 1):
-        sweep(row)
-    return counts.get(b.col, 0)
+    return _path_sum(scheme, a, b, 1, lambda count, frm, to: count) or 0
 
 
 @dataclass(frozen=True)
@@ -259,15 +233,10 @@ def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]
     Depth-first, horizontal move tried before vertical, so the order is
     deterministic.  a = b yields the single empty path of weight 1.
     """
-    a, b = Point(*a), Point(*b)
-    _require_in_bounds(scheme, a)
-    _require_in_bounds(scheme, b)
-    if b.row < a.row:
+    window = _window(scheme, a, b)
+    if window is None:
         return
-    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
-    if monotone and b.col < a.col:
-        return
-    max_col = min(scheme.col_bound, b.col) if monotone else scheme.col_bound
+    a, b, max_col = window
     cap = scheme.degree_cap
     trail: list[Point] = [a]
 
@@ -298,16 +267,6 @@ def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]
         yield from walk(a)
     finally:
         walk = None  # break the closure's self-reference (see nonintersecting_systems)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -363,7 +322,7 @@ def nonintersecting_systems(
             yield PathSystem(
                 paths=tuple(path for _, path in chosen),
                 sigma=sigma,
-                sign=_perm_sign(sigma),
+                sign=symfun._permutation_sign(sigma),
             )
             return
         for j in range(n):
@@ -385,14 +344,20 @@ def nonintersecting_systems(
         assign = None
 
 
+def signed_sum(scheme: Scheme, systems: Iterable[PathSystem]) -> Polynomial:
+    """The sum of sign(sigma) * weight over the given path systems."""
+    total = Polynomial.zero()
+    for system in systems:
+        weight = system_weight(scheme, system)
+        total = total + weight if system.sign == 1 else total - weight
+    return total
+
+
 def nonintersecting_sum(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> Polynomial:
     """The signed brute-force side of the LGV lemma."""
-    total = Polynomial.zero()
-    for system in nonintersecting_systems(scheme, sources, sinks):
-        total = total + system.sign * system_weight(scheme, system)
-    return total
+    return signed_sum(scheme, nonintersecting_systems(scheme, sources, sinks))
 
 
 def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> Polynomial:
@@ -457,14 +422,16 @@ def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
     scheme = jacobi_trudi_scheme(n=n, col_bound=width)
     sources, sinks = schur_endpoints(shape, n)
     identity = tuple(range(n))
-    total = Polynomial.zero()
-    for system in nonintersecting_systems(scheme, sources, sinks):
-        if system.sigma != identity:
-            raise AssertionError(
-                f"non-identity pairing {system.sigma} in a Schur path system"
-            )
-        total = total + system_weight(scheme, system)
-    return total
+
+    def checked(systems: Iterable[PathSystem]) -> Iterator[PathSystem]:
+        for system in systems:
+            if system.sigma != identity:
+                raise AssertionError(
+                    f"non-identity pairing {system.sigma} in a Schur path system"
+                )
+            yield system
+
+    return signed_sum(scheme, checked(nonintersecting_systems(scheme, sources, sinks)))
 
 
 def vandermonde_scheme(n: int) -> Scheme:

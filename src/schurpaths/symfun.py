@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
+from .combinat import partition
 from .ring import (
     Polynomial,
     Variable,
@@ -120,18 +121,6 @@ def det(matrix: PolyMatrix) -> Polynomial:
     return _det_bareiss(matrix)
 
 
-def _checked_partition(shape: Sequence[int]) -> tuple[int, ...]:
-    tup = tuple(int(p) for p in shape)
-    for left, right in zip(tup, tup[1:]):
-        if left < right:
-            raise ValueError(f"shape must be weakly decreasing, got {tup}")
-    if tup and tup[-1] < 0:
-        raise ValueError(f"shape parts must be non-negative, got {tup}")
-    while tup and tup[-1] == 0:
-        tup = tup[:-1]
-    return tup
-
-
 def complete_homogeneous(k: int, n: int) -> Polynomial:
     """h_k: the sum of all degree-k monomials in x1..xn.
 
@@ -154,7 +143,7 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
     (S_(1,1) = h1^2 - h2); the printed transpose-like orientation with
     h_{lambda_i + i - j} fails already at lambda = (2,1).
     """
-    shape = _checked_partition(shape)
+    shape = partition(shape)
     if len(shape) > n:
         raise ValueError(f"shape {shape} has more than {n} rows")
     r = len(shape)
@@ -171,7 +160,7 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
 
 def alternant(shape: Sequence[int], n: int) -> Polynomial:
     """det(x_i^(lambda_j + n - j)) with lambda padded to length n."""
-    shape = _checked_partition(shape)
+    shape = partition(shape)
     if len(shape) > n:
         raise ValueError(f"shape {shape} has more than {n} rows")
     padded = shape + (0,) * (n - len(shape))
@@ -221,7 +210,7 @@ def falling_power(v: Variable, k: int) -> Polynomial:
 
 def factorial_alternant(shape: Sequence[int], n: int) -> Polynomial:
     """det of the n x n matrix with entry (i,j) = (x_j | a)^(lambda_i + n - i)."""
-    shape = _checked_partition(shape)
+    shape = partition(shape)
     if len(shape) > n:
         raise ValueError(f"shape {shape} has more than {n} rows")
     padded = shape + (0,) * (n - len(shape))

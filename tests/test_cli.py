@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from schurpaths.cli import main
+from schurpaths.identities import IDENTITIES, REQUIRED, SuiteConfig
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,28 @@ def test_verify_json_golden(capsys):
     )
 
 
+def test_verify_corollary_empty_grid_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "corollary", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "n_max >= 2" in err
+
+
+def test_every_table_identity_is_accepted_everywhere(tmp_path, capsys):
+    small = {"max_partition_size": 1, "max_n": 1, "cauchy_cap": 1, "dual_max": 1, "newton_max": 1}
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(small))
+    for name, identity in IDENTITIES.items():
+        shape = ["--shape", "[1]"] if REQUIRED in identity.options.values() else []
+        code, out, _ = run_cli(capsys, "verify", name, *shape)
+        assert code == 0, name
+        assert out.startswith(f"{name} [") and out.endswith("]: VERIFIED\n")
+        code, out, _ = run_cli(capsys, "suite", "--config", str(config), "--only", name)
+        assert code == 0, name
+        assert {report["identity"] for report in json.loads(out)} == {name}
+        assert SuiteConfig.from_dict({"only": [name]}).only == [name]
+
+
 # -- suite ------------------------------------------------------------------------
 
 
@@ -137,6 +160,29 @@ def test_suite_rejects_corrupted_config(tmp_path, capsys):
     config.write_text(json.dumps({"bogus": 1}))
     code, _, _ = run_cli(capsys, "suite", "--config", str(config))
     assert code == 2
+    config.write_text(json.dumps({"max_n": True, "dual_max": False}))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(config), "--only", "dual-cauchy")
+    assert (code, out) == (2, "")
+
+
+def test_suite_error_report_keeps_the_whole_array(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"cauchy_cap": 300}))
+    code, out, _ = run_cli(
+        capsys, "suite", "--config", str(config), "--only", "cauchy", "--only", "newton"
+    )
+    assert code == 1
+    reports = json.loads(out)
+    assert [(r["identity"], r["status"]) for r in reports] == [
+        ("cauchy", "ERROR"),
+        ("cauchy", "ERROR"),
+        ("newton", "VERIFIED"),
+    ]
+    assert reports[1]["params"] == {
+        "n": "2",
+        "degree_cap": "300",
+        "error": "TooLarge: the truncated partition list would explode",
+    }
 
 
 def test_suite_unknown_only_exits_two(capsys):

@@ -40,6 +40,11 @@ def test_main_lemma_negative_control():
 
 def test_corollary_verifier():
     assert verify_corollary(4, 5).status == VERIFIED
+    # n_max < 2 or m_max < 1 leaves no equality to check
+    for n_max, m_max in [(1, 5), (0, 5), (4, 0)]:
+        with pytest.raises(ValueError):
+            verify_corollary(n_max, m_max)
+    assert verify_corollary(2, 1).status == VERIFIED
 
 
 def test_vandermonde_verifier():
@@ -148,6 +153,18 @@ def test_suite_config_validation():
         SuiteConfig.from_dict({"bogus": 1})
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"only": ["nosuch"]})
+    # bools are ints to Python, but not sizes
+    for data in ({"max_n": True}, {"dual_max": False}, {"max_n": True, "dual_max": False}):
+        with pytest.raises(ValueError):
+            SuiteConfig.from_dict(data)
+    with pytest.raises(ValueError):
+        SuiteConfig.from_dict({"only": "newton"})
+    with pytest.raises(ValueError):
+        SuiteConfig.from_dict({"corrupt": "weights"})  # negative controls are not config keys
+    with pytest.raises(ValueError):
+        SuiteConfig(corrupt="wieghts")  # a mistyped control must not run the positive suite
+    for corrupt in (None, "weights", "determinant"):
+        assert SuiteConfig(corrupt=corrupt).corrupt == corrupt
 
 
 def test_suite_small_run_is_deterministic():
@@ -162,6 +179,28 @@ def test_suite_small_run_is_deterministic():
     assert "vandermonde" in names and "dual-determinant" in names
     parsed = json.loads(reports_to_json(reports))
     assert all(entry["status"] == "VERIFIED" for entry in parsed)
+    assert [(r.identity, r.params) for r in reports] == [
+        ("main-lemma", {"m_max": "6", "n_max": "6"}),
+        ("corollary", {"n_max": "4", "m_max": "5"}),
+        ("vandermonde", {"n": "1", "brute_force": "true", "systems": "1"}),
+        ("vandermonde", {"n": "2", "brute_force": "true", "systems": "1"}),
+        ("vandermonde", {"n": "3", "brute_force": "true", "systems": "1"}),
+        ("vandermonde", {"n": "4", "brute_force": "false"}),
+        ("vandermonde", {"n": "5", "brute_force": "false"}),
+        ("jacobi-trudi", {"n": "1", "max_size": "2", "shapes": "3"}),
+        ("jacobi-trudi", {"n": "2", "max_size": "2", "shapes": "4"}),
+        ("bialternant", {"n": "1", "max_size": "2", "shapes": "3"}),
+        ("bialternant", {"n": "2", "max_size": "2", "shapes": "4"}),
+        ("cauchy", {"n": "1", "degree_cap": "2"}),
+        ("cauchy", {"n": "2", "degree_cap": "2"}),
+        ("dual-cauchy", {"n": "1", "m": "1", "partitions": "2"}),
+        ("dual-determinant", {"n": "1", "m": "1", "epsilon": "-1"}),
+        ("dual-determinant", {"n": "1", "m": "2", "epsilon": "+1"}),
+        ("dual-determinant", {"n": "2", "m": "1", "epsilon": "+1"}),
+        ("factorial-schur", {"n": "1", "max_size": "2", "shapes": "3"}),
+        ("factorial-schur", {"n": "2", "max_size": "2", "shapes": "4"}),
+        ("newton", {"n_max": "2"}),
+    ]
 
 
 def test_suite_only_filter_and_empty_grid():
@@ -169,6 +208,34 @@ def test_suite_only_filter_and_empty_grid():
     reports = run_suite(config)
     assert [r.identity for r in reports] == ["newton"]
     assert run_suite(SuiteConfig(only=[])) == []
+
+
+def test_suite_turns_exceptions_into_error_reports():
+    # n=1 needs degree 2 * 300 > 127; n=2 refuses its partition list
+    reports = run_suite(SuiteConfig(only=["cauchy"], cauchy_cap=300))
+    assert [r.status for r in reports] == [ERROR, ERROR]
+    assert [r.params["n"] for r in reports] == ["1", "2"]
+    assert all(r.params["degree_cap"] == "300" for r in reports)
+    assert reports[0].params["error"].startswith("DegreeOverflow: ")
+    assert reports[1].params["error"] == "TooLarge: the truncated partition list would explode"
+    assert not all_verified(reports)
+    data = json.loads(reports_to_json(reports))
+    assert list(data[0]) == ["identity", "params", "status", "elapsed_ms"]
+
+
+def test_suite_error_in_an_aggregated_row_carries_its_summary(monkeypatch):
+    def broken(shape, n):
+        raise RuntimeError("boom")
+
+    # the table looks its verifier up when it runs, so the patch (like the
+    # bench tracer's wrappers) sees every call
+    monkeypatch.setattr(identities, "verify_bialternant", broken)
+    reports = run_suite(SuiteConfig(max_partition_size=1, max_n=2, only=["bialternant"]))
+    assert [(r.identity, r.status) for r in reports] == [("bialternant", ERROR)] * 2
+    assert [r.params for r in reports] == [
+        {"n": str(n), "max_size": "1", "shapes": "2", "error": "RuntimeError: boom"}
+        for n in (1, 2)
+    ]
 
 
 def test_suite_negative_controls_produce_mismatch():
