@@ -62,15 +62,28 @@ def cmd_schur(args) -> int:
     return 0
 
 
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
 def _run_verifier(args) -> identities.CheckReport:
     identity = identities.IDENTITIES[args.identity]
+    every_option = {option for other in identities.IDENTITIES.values() for option in other.options}
+    unused = sorted(
+        option
+        for option in every_option - identity.options.keys()
+        if getattr(args, option) is not None
+    )
+    if unused:
+        flags = ", ".join(map(_flag, unused))
+        raise _UsageError(f"verify {identity.name} does not take {flags}")
 
     def value(option: str, default):
         given = getattr(args, option)
         if given is not None:
             return _partition_arg(given) if option == "shape" else given
         if default is identities.REQUIRED:
-            raise _UsageError(f"verify {identity.name} needs --{option.replace('_', '-')}")
+            raise _UsageError(f"verify {identity.name} needs {_flag(option)}")
         return default
 
     return identity.run(**{option: value(option, d) for option, d in identity.options.items()})
@@ -111,6 +124,8 @@ def _preset_configuration(args):
     if n < 1:
         raise _UsageError("--n must be >= 1")
     if args.preset == "vandermonde":
+        if args.shape is not None:
+            raise _UsageError("the vandermonde preset takes no --shape")
         return lgv.vandermonde_scheme(n), *lgv.vandermonde_endpoints(n)
     if args.preset == "schur":
         if args.shape is None:

@@ -285,6 +285,16 @@ def system_weight(scheme: Scheme, system: PathSystem) -> Polynomial:
     return weight
 
 
+def _permutation_sign(perm: Sequence[int]) -> int:
+    inversions = sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
 def nonintersecting_systems(
     scheme: Scheme,
     sources: Sequence[Point],
@@ -322,7 +332,7 @@ def nonintersecting_systems(
             yield PathSystem(
                 paths=tuple(path for _, path in chosen),
                 sigma=sigma,
-                sign=symfun._permutation_sign(sigma),
+                sign=_permutation_sign(sigma),
             )
             return
         for j in range(n):

@@ -1,14 +1,15 @@
 """Determinantal symmetric functions over the exact polynomial ring.
 
 Complete homogeneous polynomials, determinants of polynomial matrices
-(Leibniz expansion at desk sizes, fraction-free Bareiss elimination beyond),
-alternants, the Vandermonde product, the bialternant and factorial-Schur
-quotients, falling factorial powers, and divided differences of powers.
+(division-free Laplace expansion memoised over column subsets: n * 2^(n-1)
+products for an n x n matrix), alternants, the Vandermonde product, the
+bialternant and factorial-Schur quotients, falling factorial powers, and
+divided differences of powers.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .combinat import partition
@@ -24,11 +25,6 @@ from .ring import (
     xvar,
     Family,
 )
-
-# Leibniz expansion is allocation-light up to this size; Bareiss keeps
-# intermediates polynomial beyond it.
-_LEIBNIZ_MAX = 6
-
 
 class NotSquare(ValueError):
     """det was given a non-square matrix."""
@@ -64,61 +60,35 @@ class PolyMatrix:
         return self.entries[i * self.n_cols : (i + 1) * self.n_cols]
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _det_leibniz(matrix: PolyMatrix) -> Polynomial:
-    n = matrix.n_rows
-    total = Polynomial.zero()
-    for perm in permutations(range(n)):
-        product = Polynomial.const(_permutation_sign(perm))
-        for i in range(n):
-            product = product * matrix.entry(i, perm[i])
-            if product.is_zero():
-                break
-        total = total + product
-    return total
-
-
-def _det_bareiss(matrix: PolyMatrix) -> Polynomial:
-    """Fraction-free elimination; every division is exact by construction."""
-    n = matrix.n_rows
-    if n == 0:
-        return Polynomial.one()
-    rows = [list(matrix.row(i)) for i in range(n)]
-    sign = 1
-    previous_pivot = Polynomial.one()
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not rows[r][k].is_zero()), None)
-        if pivot_row is None:
-            return Polynomial.zero()
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
-                rows[i][j] = exact_div(numerator, previous_pivot)
-            rows[i][k] = Polynomial.zero()
-        previous_pivot = rows[k][k]
-    result = rows[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
 def det(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant over the polynomial ring."""
-    if matrix.n_rows != matrix.n_cols:
-        raise NotSquare(f"matrix is {matrix.n_rows}x{matrix.n_cols}")
-    if matrix.n_rows <= _LEIBNIZ_MAX:
-        return _det_leibniz(matrix)
-    return _det_bareiss(matrix)
+    """Exact determinant by Laplace expansion memoised over column subsets.
+
+    Division-free, with n * 2^(n-1) entry-by-minor products for an n x n
+    matrix.  After row i is taken, `minors` maps each column bitmask of
+    size n - i to the minor on rows i..n-1 and those columns; expanding
+    along row i, entry (i, j) enters with the sign given by the parity of
+    the chosen columns below j.
+    """
+    n = matrix.n_rows
+    if n != matrix.n_cols:
+        raise NotSquare(f"matrix is {n}x{matrix.n_cols}")
+    minors = {0: Polynomial.one()}
+    for i in reversed(range(n)):
+        row = matrix.row(i)
+        negated = [-entry for entry in row]
+        grown: dict[int, Polynomial] = {}
+        for cols, minor in minors.items():
+            odd = False
+            for j in range(n):
+                bit = 1 << j
+                if cols & bit:
+                    odd = not odd
+                elif row[j]:
+                    term = (negated if odd else row)[j] * minor
+                    key = cols | bit
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = {cols: minor for cols, minor in grown.items() if minor}
+    return minors.get((1 << n) - 1, Polynomial.zero())
 
 
 def complete_homogeneous(k: int, n: int) -> Polynomial:

@@ -83,6 +83,17 @@ def test_verify_missing_shape_is_usage_error(capsys):
     assert "--shape" in err
 
 
+def test_verify_refuses_options_the_identity_does_not_take(capsys):
+    code, out, err = run_cli(capsys, "verify", "newton", "--n", "3", "--shape", "[9,9]")
+    assert code == 2
+    assert out == ""
+    assert "verify newton does not take --n, --shape" in err
+    code, out, err = run_cli(capsys, "verify", "vandermonde", "--degree-cap", "4")
+    assert code == 2
+    assert out == ""
+    assert "verify vandermonde does not take --degree-cap" in err
+
+
 def test_verify_json_golden(capsys):
     code, out, _ = run_cli(capsys, "verify", "newton", "--power", "2", "--json")
     assert code == 0
@@ -206,6 +217,17 @@ def test_paths_schur_preset(capsys):
     )
     assert code == 0
     assert out == "systems: 2\nsigned sum: x1 + x2\n"
+
+
+def test_vandermonde_preset_refuses_a_shape(tmp_path, capsys):
+    for argv in (["paths"], ["render", "--out", str(tmp_path / "figure.svg")]):
+        code, out, err = run_cli(
+            capsys, *argv, "--preset", "vandermonde", "--n", "2", "--shape", "[5]"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the vandermonde preset takes no --shape" in err
+    assert not (tmp_path / "figure.svg").exists()
 
 
 def test_paths_json(capsys):

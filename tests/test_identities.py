@@ -97,7 +97,7 @@ def test_dual_determinant_epsilon_values():
     assert verify_dual_determinant(2, 1).params["epsilon"] == "+1"
     assert verify_dual_determinant(1, 2).params["epsilon"] == "+1"
     assert verify_dual_determinant(2, 2).params["epsilon"] == "+1"
-    for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]:
+    for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (4, 3), (3, 4)]:
         assert verify_dual_determinant(n, m).status == VERIFIED
 
 
