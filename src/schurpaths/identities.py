@@ -2,9 +2,10 @@
 
 Every verifier computes its two sides through disjoint code paths: tableau
 sums live in `combinat`, determinants and quotients in `symfun`, and path
-dynamic programming / brute-force path systems in `lgv`; the only shared
-layer is the exact polynomial ring.  A verifier that fed one side into the
-other would be vacuous, so the dependency direction is part of the design.
+dynamic programming, row-by-row and brute-force path-system sums in `lgv`;
+the only shared layer is the exact polynomial ring.  A verifier that fed
+one side into the other would be vacuous, so the dependency direction is
+part of the design.
 
 On top of the symbolic comparison, every successful check re-evaluates both
 sides at random integer points as a guard against canonicalization bugs.
@@ -144,11 +145,6 @@ def _xy_component(p: Polynomial, d: int) -> Polynomial:
     )
 
 
-def _lgv_affordable(shape: Sequence[int], n: int) -> bool:
-    # brute-force path systems stay cheap in this range
-    return sum(shape) <= 4 and n <= 3
-
-
 # -- individual verifiers ----------------------------------------------------
 
 
@@ -258,8 +254,7 @@ def verify_jacobi_trudi(
         _flipped_jacobi_trudi(shape, n) if flip_orientation else symfun.jacobi_trudi(shape, n)
     )
     checker.eq(det_side, tableaux_side, side="determinant-vs-tableaux")
-    if _lgv_affordable(shape, n):
-        checker.eq(lgv.schur_via_lgv(shape, n), tableaux_side, side="lgv-vs-tableaux")
+    checker.eq(lgv.schur_via_lgv(shape, n), tableaux_side, side="lgv-vs-tableaux")
     return _finish(
         "jacobi-trudi", {"shape": partition_text(shape), "n": str(n)}, checker, t0
     )
@@ -280,8 +275,7 @@ def verify_bialternant(shape: Sequence[int], n: int) -> CheckReport:
 
     det_primed = lgv.lgv_det(scheme, primed, sinks)
     checker.eq(det_primed, tableaux_side, step="primed-det-vs-tableaux")
-    if _lgv_affordable(shape, n):
-        checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
+    checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
     det_mixed = lgv.lgv_det(scheme, double_primed, sinks)
     det_change = lgv.lgv_det(scheme, double_primed, primed)

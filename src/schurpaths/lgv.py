@@ -15,9 +15,14 @@ horizontal) drive everything:
   scheme's total degree bound, which realizes the truncated power-series
   ring.
 
-e_weight is a dynamic-programming sum over all directed paths;
+e_weight is a dynamic-programming sum over all directed paths.  The other
+side of the LGV lemma, the sum over non-intersecting path systems, has two
+implementations: schur_via_lgv sums the systems between the Schur endpoints
+row by row (a transfer matrix over the columns the paths occupy), and
 nonintersecting_systems enumerates tuples of pairwise vertex-disjoint paths
-by brute force, which is the other side of the LGV lemma.
+by brute force.  The brute force serves the `paths` and `render` commands,
+which need the systems themselves, the Vandermonde check and the tests,
+where it is the oracle for the row-by-row sum.
 """
 
 from __future__ import annotations
@@ -419,11 +424,25 @@ def schur_endpoints(shape: Sequence[int], n: int) -> tuple[list[Point], list[Poi
 
 
 def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
-    """The Schur polynomial as a sum over non-intersecting path systems.
+    """The Schur polynomial as the sum over non-intersecting path systems.
 
-    Every discovered system must have the identity pairing (the crossing
-    argument); this is asserted rather than assumed.  Returns 0 when the
-    shape has more than n rows.
+    The systems join the Schur endpoints on the Jacobi-Trudi scheme and are
+    summed row by row, not enumerated (the transfer-matrix method, Stanley,
+    EC1 4.7).  A state is the strictly increasing tuple of columns that the
+    n paths occupy, starting at the source columns.  On each row path k
+    covers the columns c_k..d_k and then goes up; d_k stays at or left of
+    sink k, since paths never go left.  The paths are vertex-disjoint
+    exactly when d_k < c_{k+1}, and disjoint paths keep their order, so
+    each system pairs source k with sink k and has sign +1.  The paths of a
+    row move one at a time, lowest first, so the bound c_{k+1} - 1 still
+    reads the old column of path k + 1.  Only the state at the sink columns
+    is kept after row n.  Returns 0 when the shape has more than n rows.
+
+    States that differ only in c_k share their moves of path k, so their
+    sums arrive by one sweep from left to right: the sum ending at d is the
+    sum ending at d - 1 times the step weight from d - 1 to d, plus the
+    state that starts at d.  Each move's weight is thereby the product of
+    the scheme's step weights over its interval.
     """
     shape = partition(shape)
     if len(shape) > n:
@@ -431,17 +450,31 @@ def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
     width = (shape[0] if shape else 0) + n
     scheme = jacobi_trudi_scheme(n=n, col_bound=width)
     sources, sinks = schur_endpoints(shape, n)
-    identity = tuple(range(n))
-
-    def checked(systems: Iterable[PathSystem]) -> Iterator[PathSystem]:
-        for system in systems:
-            if system.sigma != identity:
-                raise AssertionError(
-                    f"non-identity pairing {system.sigma} in a Schur path system"
-                )
-            yield system
-
-    return signed_sum(scheme, checked(nonintersecting_systems(scheme, sources, sinks)))
+    ends = tuple(b.col for b in sinks)
+    states = {tuple(a.col for a in sources): Polynomial.one()}
+    for row in range(1, n + 1):
+        steps = {
+            c: _horizontal_weight(scheme, Point(c, row), Point(c + 1, row))
+            for c in range(1, width)
+        }
+        for k in range(n):
+            starts: dict[tuple[int, ...], dict[int, Polynomial]] = {}
+            for state, value in states.items():
+                starts.setdefault(state[:k] + state[k + 1 :], {})[state[k]] = value
+            states = {}
+            for others, start in starts.items():
+                last = ends[k] if k == n - 1 else min(ends[k], others[k] - 1)
+                d = min(start)
+                total = start[d]
+                while True:
+                    states[others[:k] + (d,) + others[k:]] = total
+                    if d == last:
+                        break
+                    total = mul(total, steps[d], scheme.degree_cap)
+                    d += 1
+                    if d in start:
+                        total = total + start[d]
+    return states.get(ends, Polynomial.zero())
 
 
 def vandermonde_scheme(n: int) -> Scheme:

@@ -184,9 +184,26 @@ def test_schur_via_lgv_examples():
 def test_schur_via_lgv_matches_tableaux():
     for n in (1, 2, 3):
         for shape in partitions_in_box(n, 4):
-            if sum(shape) > 4:
-                continue
             assert schur_via_lgv(shape, n) == schur_tableaux(shape, n)
+    # about 100 s by brute-force enumeration of the path systems
+    assert schur_via_lgv((2, 2, 1, 1, 1), 7) == schur_tableaux((2, 2, 1, 1, 1), 7)
+
+
+def test_schur_via_lgv_matches_brute_force_systems():
+    # the transfer-matrix route against the brute-force enumeration on the
+    # same scheme and endpoints; the enumeration also confirms the crossing
+    # argument, under which every system pairs source k with sink k
+    rng = random.Random(7321)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = rng.randint(0, n)
+        shape = tuple(sorted((rng.randint(1, 3) for _ in range(rows)), reverse=True))
+        width = (shape[0] if shape else 0) + n
+        scheme = jacobi_trudi_scheme(n=n, col_bound=width)
+        sources, sinks = schur_endpoints(shape, n)
+        systems = list(nonintersecting_systems(scheme, sources, sinks))
+        assert all(system.sigma == tuple(range(n)) for system in systems), shape
+        assert schur_via_lgv(shape, n) == nonintersecting_sum(scheme, sources, sinks), (shape, n)
 
 
 def test_bialternant_endpoints_quoted():
