@@ -6,8 +6,8 @@ paths (count non-intersecting path systems and their signed sum), render
 (write the systems as an SVG figure).
 
 Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal
-(a brute-force enumeration that is too large, or a degree beyond the ring's
-packed-monomial limit), 2 = usage or config error.
+(paths or render on more than 10^6 path systems, or a degree beyond the
+ring's packed-monomial limit), 2 = usage or config error.
 
 `--profile FILE`, given before the command, writes cProfile statistics of
 the command to FILE (read them with `python -m pstats FILE`).
@@ -23,6 +23,9 @@ import sys
 from . import combinat, identities, lgv, symfun
 from .combinat import parse_partition
 from .ring import DegreeOverflow, Polynomial, canonical_text
+
+
+_MAX_SYSTEMS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -120,39 +123,43 @@ def cmd_suite(args) -> int:
 
 
 def _preset_configuration(args):
+    """The preset's scheme, sources, sinks and system count; TooLarge above _MAX_SYSTEMS."""
     n = args.n
     if n < 1:
         raise _UsageError("--n must be >= 1")
     if args.preset == "vandermonde":
         if args.shape is not None:
             raise _UsageError("the vandermonde preset takes no --shape")
-        return lgv.vandermonde_scheme(n), *lgv.vandermonde_endpoints(n)
-    if args.preset == "schur":
+        scheme, (sources, sinks) = lgv.vandermonde_scheme(n), lgv.vandermonde_endpoints(n)
+    else:
         if args.shape is None:
             raise _UsageError("the schur preset needs --shape")
         shape = _partition_arg(args.shape)
         if len(shape) > n:
             raise _UsageError(f"shape {args.shape} has more than {n} rows")
-        width = (shape[0] if shape else 0) + n
-        scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=width)
-        return scheme, *lgv.schur_endpoints(shape, n)
-    raise _UsageError(f"unknown preset {args.preset!r}")
+        scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=(shape[0] if shape else 0) + n)
+        sources, sinks = lgv.schur_endpoints(shape, n)
+    count = lgv.nonintersecting_count(scheme, sources, sinks)
+    if count > _MAX_SYSTEMS:
+        raise lgv.TooLarge(
+            f"{count} non-intersecting path systems, more than the limit of {_MAX_SYSTEMS}"
+        )
+    return scheme, sources, sinks, count
 
 
 def cmd_paths(args) -> int:
-    scheme, sources, sinks = _preset_configuration(args)
-    systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
-    text = canonical_text(lgv.signed_sum(scheme, systems))
+    scheme, sources, sinks, count = _preset_configuration(args)
+    text = canonical_text(lgv.nonintersecting_sum(scheme, sources, sinks))
     if args.json:
-        print(json.dumps({"systems": len(systems), "signed_sum": text}))
+        print(json.dumps({"systems": count, "signed_sum": text}))
     else:
-        print(f"systems: {len(systems)}")
+        print(f"systems: {count}")
         print(f"signed sum: {text}")
     return 0
 
 
 def cmd_render(args) -> int:
-    scheme, sources, sinks = _preset_configuration(args)
+    scheme, sources, sinks, _ = _preset_configuration(args)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
     svg = lgv.path_systems_svg(scheme, sources, sinks, systems)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_suite.set_defaults(func=cmd_suite)
 
-    p_paths = sub.add_parser("paths", help="enumerate non-intersecting path systems")
+    p_paths = sub.add_parser("paths", help="count non-intersecting path systems and sum them")
     p_render = sub.add_parser("render", help="render path systems as SVG")
     for p in (p_paths, p_render):
         p.add_argument("--preset", choices=["vandermonde", "schur"], required=True)

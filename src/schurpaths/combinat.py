@@ -49,10 +49,6 @@ def parse_partition(text: str) -> Partition:
     return partition(parts)
 
 
-def size(shape: Partition) -> int:
-    return sum(shape)
-
-
 def rows(shape: Partition) -> int:
     return sum(1 for p in shape if p > 0)
 

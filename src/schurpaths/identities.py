@@ -1,11 +1,11 @@
 """Executable identity checks, each producing a structured CheckReport.
 
 Every verifier computes its two sides through disjoint code paths: tableau
-sums live in `combinat`, determinants and quotients in `symfun`, and path
-dynamic programming, row-by-row and brute-force path-system sums in `lgv`;
-the only shared layer is the exact polynomial ring.  A verifier that fed
-one side into the other would be vacuous, so the dependency direction is
-part of the design.
+sums live in `combinat`, determinants and quotients in `symfun`, and the
+path-weight dynamic programming and the row-by-row walk over
+non-intersecting path systems in `lgv`; the only shared layer is the exact
+polynomial ring.  A verifier that fed one side into the other would be
+vacuous, so the dependency direction is part of the design.
 
 On top of the symbolic comparison, every successful check re-evaluates both
 sides at random integer points as a guard against canonicalization bugs.
@@ -193,12 +193,11 @@ def verify_corollary(n_max: int = 4, m_max: int = 5) -> CheckReport:
     )
 
 
-def verify_vandermonde(n: int, brute_force: bool | None = None) -> CheckReport:
-    """Product form vs determinant of powers vs (optionally) brute-force LGV sum."""
+def verify_vandermonde(n: int) -> CheckReport:
+    """Product form vs determinant of powers vs the signed sum over the path systems."""
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
-    brute = (n <= 3) if brute_force is None else brute_force
     checker = _Checker()
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)
@@ -212,15 +211,11 @@ def verify_vandermonde(n: int, brute_force: bool | None = None) -> CheckReport:
             )
     checker.eq(symfun.alternant((), n), product, side="alternant-vs-product")
     checker.eq(lgv.lgv_det(scheme, sources, sinks), product, side="lgv-det-vs-product")
-    params = {"n": str(n), "brute_force": str(brute).lower()}
-    if brute:
-        systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
-        params["systems"] = str(len(systems))
-        checker.eq(
-            Polynomial.const(len(systems)), Polynomial.const(1), side="unique-system-count"
-        )
-        checker.eq(lgv.signed_sum(scheme, systems), product, side="signed-sum-vs-product")
-    return _finish("vandermonde", params, checker, t0)
+    systems = lgv.nonintersecting_count(scheme, sources, sinks)
+    checker.eq(Polynomial.const(systems), Polynomial.const(1), side="unique-system-count")
+    signed_sum = lgv.nonintersecting_sum(scheme, sources, sinks)
+    checker.eq(signed_sum, product, side="signed-sum-vs-product")
+    return _finish("vandermonde", {"n": str(n), "systems": str(systems)}, checker, t0)
 
 
 def _flipped_jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:

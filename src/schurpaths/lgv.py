@@ -16,20 +16,17 @@ horizontal) drive everything:
   ring.
 
 e_weight is a dynamic-programming sum over all directed paths.  The other
-side of the LGV lemma, the sum over non-intersecting path systems, has two
-implementations: schur_via_lgv sums the systems between the Schur endpoints
-row by row (a transfer matrix over the columns the paths occupy), and
-nonintersecting_systems enumerates tuples of pairwise vertex-disjoint paths
-by brute force.  The brute force serves the `paths` and `render` commands,
-which need the systems themselves, the Vandermonde check and the tests,
-where it is the oracle for the row-by-row sum.
+side of the LGV lemma, the non-intersecting path systems, is walked row by
+row by one transfer matrix, _sweep_systems, generic over the value it
+carries: it gives their signed sum (nonintersecting_sum, schur_via_lgv),
+their number and the systems themselves (enumerate_paths is one pair).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
 from .combinat import partition
@@ -41,7 +38,7 @@ class OutOfBounds(ValueError):
 
 
 class TooLarge(RuntimeError):
-    """A brute-force enumeration was refused to keep desk-scale runs bounded."""
+    """A computation was refused to keep desk-scale runs bounded (CLI exit code 1)."""
 
 
 class SchemeKind(Enum):
@@ -118,22 +115,13 @@ def in_bounds(scheme: Scheme, p: Point) -> bool:
     return row_bound is None or p.row <= row_bound
 
 
-def _window(scheme: Scheme, a: Point, b: Point) -> tuple[Point, Point, int] | None:
-    """(a, b, last usable column) for paths a -> b; None when there is no path.
-
-    Raises OutOfBounds when an endpoint lies outside the window.  Paths on
-    the monotone schemes never go left, so they stop at b's column.
-    """
-    a, b = Point(*a), Point(*b)
-    for p in (a, b):
+def _in_window(scheme: Scheme, points: Sequence[Point]) -> list[Point]:
+    """The points as Points; OutOfBounds when one lies outside the scheme's window."""
+    points = [Point(*p) for p in points]
+    for p in points:
         if not in_bounds(scheme, p):
             raise OutOfBounds(f"point {tuple(p)} outside the {scheme.kind.value} window")
-    if b.row < a.row:
-        return None
-    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
-    if monotone and b.col < a.col:
-        return None
-    return a, b, min(scheme.col_bound, b.col) if monotone else scheme.col_bound
+    return points
 
 
 def _truncated(var, index: int, truncate_at: int | None) -> Polynomial:
@@ -176,12 +164,14 @@ def _path_sum(scheme: Scheme, a: Point, b: Point, one, step):
     `one` is the value of the empty path and step(value, frm, to) the value
     carried over the horizontal edge frm -> to; vertical edges carry values
     unchanged.  Zero values are dropped, so the result is None when no path
-    contributes.
+    contributes.  Paths on the monotone schemes never go left, so they stop
+    at b's column.
     """
-    window = _window(scheme, a, b)
-    if window is None:
+    a, b = _in_window(scheme, (a, b))
+    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
+    if b.row < a.row or monotone and b.col < a.col:
         return None
-    a, b, max_col = window
+    max_col = min(scheme.col_bound, b.col) if monotone else scheme.col_bound
     values = {a.col: one}
     for row in range(a.row, b.row + 1):
         if _moves_right(scheme, row):
@@ -228,51 +218,6 @@ class LatticePath:
     vertices: tuple[Point, ...]
     weight: Polynomial
 
-    def vertex_set(self) -> frozenset[Point]:
-        return frozenset(self.vertices)
-
-
-def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:
-    """Yield every directed path from a to b exactly once.
-
-    Depth-first, horizontal move tried before vertical, so the order is
-    deterministic.  a = b yields the single empty path of weight 1.
-    """
-    window = _window(scheme, a, b)
-    if window is None:
-        return
-    a, b, max_col = window
-    cap = scheme.degree_cap
-    trail: list[Point] = [a]
-
-    def moves(p: Point) -> list[Point]:
-        out = []
-        if _moves_right(scheme, p.row):
-            if p.col < max_col:
-                out.append(Point(p.col + 1, p.row))
-        elif p.col > 1:
-            out.append(Point(p.col - 1, p.row))
-        if p.row < b.row:
-            out.append(Point(p.col, p.row + 1))
-        return out
-
-    def walk(p: Point) -> Iterator[LatticePath]:
-        if p == b:
-            weight = Polynomial.one()
-            for frm, to in zip(trail, trail[1:]):
-                weight = mul(weight, _edge_weight(scheme, frm, to), cap)
-            yield LatticePath(tuple(trail), weight)
-            return
-        for q in moves(p):
-            trail.append(q)
-            yield from walk(q)
-            trail.pop()
-
-    try:
-        yield from walk(a)
-    finally:
-        walk = None  # break the closure's self-reference (see nonintersecting_systems)
-
 
 @dataclass(frozen=True)
 class PathSystem:
@@ -291,88 +236,181 @@ def system_weight(scheme: Scheme, system: PathSystem) -> Polynomial:
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
     return -1 if inversions % 2 else 1
 
 
-def nonintersecting_systems(
-    scheme: Scheme,
-    sources: Sequence[Point],
-    sinks: Sequence[Point],
-    max_paths_per_pair: int = 1_000_000,
-) -> Iterator[PathSystem]:
-    """Enumerate all tuples of pairwise vertex-disjoint paths, brute force.
+def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict:
+    """Sum the non-intersecting systems sources -> sinks row by row, by sigma.
 
-    Refuses with TooLarge when any single source/sink pair admits more than
-    max_paths_per_pair directed paths.
+    The transfer-matrix method (Stanley, EC1 4.7) on the path systems of
+    Gessel and Viennot (1985).  As in _path_sum the value is generic: `one`
+    for the empty system, step(value, weight) over a horizontal edge of that
+    weight, `+` to join two partial systems; mark(value, cols, srcs), if
+    given, sees each state that survives a row.  Returns {sigma: value}.
+
+    A state is the increasing tuple of the active paths' columns, their
+    sources, and sigma so far (the sink of each finished path, else None).
+    A path joins at its source; a state whose column there is taken dies.
+    On each row a path covers the columns from where it stands to its exit,
+    then goes up.  It ends at the first sink it reaches, whose vertex
+    belongs to the path ending there, and every sink of the row must end a
+    path.  Paths are vertex-disjoint exactly when their intervals on each
+    row are; they move one at a time, so a path exits before the old column
+    of the next one in its direction of travel (right, or left on the upper
+    rows of the Cauchy doubled scheme).  States that differ only in the
+    column of path k share its moves, so one sweep gives them all: the sum
+    ending at d is the sum one column back times that step's weight, plus
+    the state starting at d.  On monotone schemes two bounds drop dead
+    states.  Path k of m (from the left, from 0) stays at or left of the
+    (m - k)-th largest column among the sinks not yet reached.  Once all
+    paths have joined and the sinks left share one row, path k ends there
+    at the k-th of their columns, s_k; as no path passes where the next one
+    stood, path k + j stands at or right of s_k + j with j rows to go.
     """
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
-    n = len(sources)
-    sources = [Point(*p) for p in sources]
-    sinks = [Point(*p) for p in sinks]
-    for a in sources:
-        for b in sinks:
-            if path_count(scheme, a, b) > max_paths_per_pair:
-                raise TooLarge(
-                    f"more than {max_paths_per_pair} paths from {tuple(a)} to {tuple(b)}"
-                )
-    table: list[list[list[tuple[LatticePath, frozenset[Point]]]]] = [
-        [
-            [(p, p.vertex_set()) for p in enumerate_paths(scheme, sources[i], sinks[j])]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    chosen: list[tuple[int, LatticePath]] = []
+    sources, sinks = _in_window(scheme, sources), _in_window(scheme, sinks)
+    monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
+    joins: dict[int, list[tuple[int, int]]] = {}
+    ends: dict[int, dict[int, int]] = {}
+    for i, a in enumerate(sources):
+        joins.setdefault(a.row, []).append((a.col, i))
+    for j, b in enumerate(sinks):
+        ends.setdefault(b.row, {})[b.col] = j
+    rows, last = joins.keys() | ends.keys(), max(ends, default=0)
+    tops = sorted((b.col for b in sinks), reverse=True)  # the sinks not yet reached
+    # (sources of the active paths, sigma) -> {columns of the active paths: value}
+    groups = {((), (None,) * len(sources)): {(): one}}
+    for row in range(min(rows, default=1), max(rows, default=0) + 1):
+        joining, exits = joins.get(row), ends.get(row, {})
+        single = monotone and row >= max(joins, default=0) and ends.keys() - range(row) == {last}
+        to_go = last - row if single else None
+        if joining:
+            joined: dict = {}
+            for (srcs, sigma), states in groups.items():
+                for cols, value in states.items():
+                    # a taken column leaves two paths on one vertex; the moves drop that state
+                    cols, srcs_now = zip(*sorted([*zip(cols, srcs), *joining]))
+                    joined.setdefault((srcs_now, sigma), {})[cols] = value
+            groups = joined
+        forward, first = (1, min) if _moves_right(scheme, row) else (-1, max)
+        weights: dict[int, Polynomial] = {}
+        for key, states in groups.items():
+            m = len(key[0])
+            for k in range(m) if forward == 1 else range(m - 1, -1, -1):
+                if monotone and m - k > len(tops):  # fewer sinks remain than paths to end
+                    states = {}
+                    break
+                bound = tops[m - k - 1] if monotone else scheme.col_bound if forward == 1 else 1
+                low = tops[m - 1 - k + to_go] + to_go if to_go is not None and k >= to_go else 0
+                starts: dict[tuple[int, ...], dict] = {}
+                for cols, value in states.items():
+                    starts.setdefault(cols[:k] + cols[k + 1 :], {})[cols[k]] = value
+                states = {}
+                for others, start in starts.items():
+                    if forward == 1:
+                        far = bound if k == m - 1 else min(bound, others[k] - 1)
+                    else:
+                        far = bound if k == 0 else others[k - 1] + 1
+                    total = None
+                    for d in range(first(start), far + forward, forward):
+                        if d in start:
+                            total = start[d] if total is None else total + start[d]
+                        elif total is None:
+                            continue
+                        if d >= low:
+                            states[others[:k] + (d,) + others[k:]] = total
+                        if d != far:
+                            if d not in weights:
+                                edge = Point(d, row), Point(d + forward, row)
+                                weights[d] = _horizontal_weight(scheme, *edge)
+                            total = step(total, weights[d])
+            groups[key] = states
+        if exits or mark is not None:
+            finished: dict = {}
+            for (srcs, sigma), states in groups.items():
+                for cols, value in states.items():
+                    ended = {s: exits[c] for c, s in zip(cols, srcs) if c in exits}
+                    if len(ended) == len(exits):
+                        rest = [(c, s) for c, s in zip(cols, srcs) if c not in exits]
+                        done = tuple(ended.get(s, j) for s, j in enumerate(sigma))
+                        value = value if mark is None else mark(value, cols, srcs)
+                        key = (tuple(s for _, s in rest), done)
+                        finished.setdefault(key, {})[tuple(c for c, _ in rest)] = value
+            groups = finished
+            tops = sorted((b.col for b in sinks if b.row > row), reverse=True)
+    return {sigma: states[()] for (srcs, sigma), states in groups.items() if not srcs}
 
-    def assign(i: int, used_sinks: set[int], occupied: frozenset[Point]) -> Iterator[PathSystem]:
-        if i == n:
-            sigma = tuple(j for j, _ in chosen)
-            yield PathSystem(
-                paths=tuple(path for _, path in chosen),
-                sigma=sigma,
-                sign=_permutation_sign(sigma),
-            )
-            return
-        for j in range(n):
-            if j in used_sinks:
-                continue
-            for path, vertex_set in table[i][j]:
-                if occupied.isdisjoint(vertex_set):
-                    chosen.append((j, path))
-                    used_sinks.add(j)
-                    yield from assign(i + 1, used_sinks, occupied | vertex_set)
-                    used_sinks.discard(j)
-                    chosen.pop()
 
-    try:
-        yield from assign(0, set(), frozenset())
-    finally:
-        # assign refers to itself through its closure; breaking that cycle
-        # frees the path table now instead of at the next cyclic collection
-        assign = None
-
-
-def signed_sum(scheme: Scheme, systems: Iterable[PathSystem]) -> Polynomial:
-    """The sum of sign(sigma) * weight over the given path systems."""
-    total = Polynomial.zero()
-    for system in systems:
-        weight = system_weight(scheme, system)
-        total = total + weight if system.sign == 1 else total - weight
-    return total
+def nonintersecting_count(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> int:
+    """The number of non-intersecting path systems sources -> sinks."""
+    return sum(_sweep_systems(scheme, sources, sinks, 1, lambda count, weight: count).values())
 
 
 def nonintersecting_sum(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> Polynomial:
-    """The signed brute-force side of the LGV lemma."""
-    return signed_sum(scheme, nonintersecting_systems(scheme, sources, sinks))
+    """The path-system side of the LGV lemma: sign(sigma) * weight summed over the systems."""
+    cap = scheme.degree_cap
+    step = mul if cap is None else lambda value, weight: mul(value, weight, cap)
+    sums = _sweep_systems(scheme, sources, sinks, Polynomial.one(), step)
+    signed = [value if _permutation_sign(sigma) == 1 else -value for sigma, value in sums.items()]
+    return sum(signed[1:], signed[0]) if signed else Polynomial.zero()
+
+
+def nonintersecting_systems(
+    scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
+) -> Iterator[PathSystem]:
+    """Yield every tuple of pairwise vertex-disjoint paths sources -> sinks.
+
+    The row-by-row walk carries each state's partial systems as their exits.
+    """
+    sources = [Point(*p) for p in sources]
+
+    def mark(histories, cols, srcs):
+        return [(history, tuple(zip(srcs, cols))) for history in histories]
+
+    found = _sweep_systems(scheme, sources, sinks, [None], lambda value, weight: value, mark)
+    traced: dict[tuple, LatticePath] = {}  # each path once, by its source and exits
+    systems = []
+    for sigma, histories in found.items():
+        for history in histories:
+            exits: list[tuple[int, ...]] = [()] * len(sources)
+            while history is not None:
+                history, row_exits = history
+                for source, col in row_exits:
+                    exits[source] = (col, *exits[source])
+            for path in zip(sources, exits):
+                traced[path] = traced.get(path) or _path_through(scheme, *path)
+            paths = tuple(traced[path] for path in zip(sources, exits))
+            systems.append(PathSystem(paths, sigma, _permutation_sign(sigma)))
+    # depth-first order: per source its sink, then its moves (0 horizontal, 1 vertical)
+    yield from sorted(systems, key=lambda system: [
+        (j, [to.row - frm.row for frm, to in zip(path.vertices, path.vertices[1:])])
+        for j, path in zip(system.sigma, system.paths)
+    ])
+
+
+def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...]) -> LatticePath:
+    """The path from a that leaves its r-th row at column exits[r]."""
+    vertices = [a]
+    for r, exit_col in enumerate(exits):
+        col, row = vertices[-1]
+        if r:
+            row += 1
+            vertices.append(Point(col, row))
+        way = 1 if exit_col > col else -1
+        vertices += [Point(c, row) for c in range(col + way, exit_col + way, way)]
+    weight = Polynomial.one()
+    for frm, to in zip(vertices, vertices[1:]):
+        weight = mul(weight, _edge_weight(scheme, frm, to), scheme.degree_cap)
+    return LatticePath(tuple(vertices), weight)
+
+
+def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:
+    """Every path from a to b once, depth-first: the one-pair case of nonintersecting_systems."""
+    yield from (system.paths[0] for system in nonintersecting_systems(scheme, [a], [b]))
 
 
 def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> Polynomial:
@@ -380,7 +418,7 @@ def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) ->
 
     On a degree-capped scheme the determinant is taken in the capped ring
     (truncating afterwards is the same thing), matching the capped
-    brute-force side.
+    path-system side.
     """
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
@@ -427,54 +465,15 @@ def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
     """The Schur polynomial as the sum over non-intersecting path systems.
 
     The systems join the Schur endpoints on the Jacobi-Trudi scheme and are
-    summed row by row, not enumerated (the transfer-matrix method, Stanley,
-    EC1 4.7).  A state is the strictly increasing tuple of columns that the
-    n paths occupy, starting at the source columns.  On each row path k
-    covers the columns c_k..d_k and then goes up; d_k stays at or left of
-    sink k, since paths never go left.  The paths are vertex-disjoint
-    exactly when d_k < c_{k+1}, and disjoint paths keep their order, so
-    each system pairs source k with sink k and has sign +1.  The paths of a
-    row move one at a time, lowest first, so the bound c_{k+1} - 1 still
-    reads the old column of path k + 1.  Only the state at the sink columns
-    is kept after row n.  Returns 0 when the shape has more than n rows.
-
-    States that differ only in c_k share their moves of path k, so their
-    sums arrive by one sweep from left to right: the sum ending at d is the
-    sum ending at d - 1 times the step weight from d - 1 to d, plus the
-    state that starts at d.  Each move's weight is thereby the product of
-    the scheme's step weights over its interval.
+    summed row by row, not enumerated (see _sweep_systems).  Disjoint paths
+    keep their order, so each system pairs source k with sink k and has sign
+    +1.  Returns 0 when the shape has more than n rows.
     """
     shape = partition(shape)
     if len(shape) > n:
         return Polynomial.zero()
-    width = (shape[0] if shape else 0) + n
-    scheme = jacobi_trudi_scheme(n=n, col_bound=width)
-    sources, sinks = schur_endpoints(shape, n)
-    ends = tuple(b.col for b in sinks)
-    states = {tuple(a.col for a in sources): Polynomial.one()}
-    for row in range(1, n + 1):
-        steps = {
-            c: _horizontal_weight(scheme, Point(c, row), Point(c + 1, row))
-            for c in range(1, width)
-        }
-        for k in range(n):
-            starts: dict[tuple[int, ...], dict[int, Polynomial]] = {}
-            for state, value in states.items():
-                starts.setdefault(state[:k] + state[k + 1 :], {})[state[k]] = value
-            states = {}
-            for others, start in starts.items():
-                last = ends[k] if k == n - 1 else min(ends[k], others[k] - 1)
-                d = min(start)
-                total = start[d]
-                while True:
-                    states[others[:k] + (d,) + others[k:]] = total
-                    if d == last:
-                        break
-                    total = mul(total, steps[d], scheme.degree_cap)
-                    d += 1
-                    if d in start:
-                        total = total + start[d]
-    return states.get(ends, Polynomial.zero())
+    scheme = jacobi_trudi_scheme(n=n, col_bound=(shape[0] if shape else 0) + n)
+    return nonintersecting_sum(scheme, *schur_endpoints(shape, n))
 
 
 def vandermonde_scheme(n: int) -> Scheme:
@@ -533,6 +532,8 @@ def cauchy_entry(n: int, i: int, j: int, series_cap: int) -> Polynomial:
 # -- SVG export -------------------------------------------------------------
 
 _PATH_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_CELL = 40  # pixels between lattice lines
+_MARGIN = 48  # pixels around each system's grid
 
 
 def path_systems_svg(
@@ -540,8 +541,6 @@ def path_systems_svg(
     sources: Sequence[Point],
     sinks: Sequence[Point],
     systems: Sequence[PathSystem],
-    cell: int = 40,
-    margin: int = 48,
 ) -> str:
     """Render path systems as one combined SVG, stacked vertically.
 
@@ -555,23 +554,23 @@ def path_systems_svg(
             points.extend(path.vertices)
     max_col = max([p.col for p in points] + [2])
     max_row = max([p.row for p in points] + [2])
-    grid_w = (max_col - 1) * cell
-    grid_h = (max_row - 1) * cell
-    block_h = grid_h + 2 * margin + 16
-    width = grid_w + 2 * margin
-    height = block_h * max(len(systems), 1)
+    grid_w = (max_col - 1) * _CELL
+    grid_h = (max_row - 1) * _CELL
+    block_h = grid_h + 2 * _MARGIN + 16
+    width = grid_w + 2 * _MARGIN
+    blocks = max(len(systems), 1)
+    height = block_h * blocks
 
     def sx(col: int) -> int:
-        return margin + (col - 1) * cell
+        return _MARGIN + (col - 1) * _CELL
 
     def sy(row: int, offset: int) -> int:
-        return offset + margin + (max_row - row) * cell
+        return offset + _MARGIN + (max_row - row) * _CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    blocks = max(len(systems), 1)
     for block in range(blocks):
         offset = block * block_h
         parts.append('<g font-family="sans-serif" font-size="12">')
@@ -598,7 +597,7 @@ def path_systems_svg(
                 )
             sign = "+1" if system.sign == 1 else "-1"
             parts.append(
-                f'<text x="{margin}" y="{offset + block_h - 8}">'
+                f'<text x="{_MARGIN}" y="{offset + block_h - 8}">'
                 f"system {block + 1}: sign {sign}</text>"
             )
         for index, p in enumerate(sources):

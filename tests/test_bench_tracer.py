@@ -1,0 +1,33 @@
+"""The bench harness's tracer must still find every function it wraps."""
+
+import importlib
+import inspect
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    targets = [(module, attribute) for module, attribute, _, _ in tracing.TARGETS]
+    targets += [(module, attribute) for module, attribute, _, _ in tracing.GENERATORS]
+
+    def lookup(module, attribute):
+        owner = importlib.import_module(f"schurpaths.{module}")
+        *path, last = attribute.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        return vars(owner)[last]
+
+    originals = {target: lookup(*target) for target in targets}
+    # the tracer wraps these as generators, whose yields it counts
+    for module, attribute, _, _ in tracing.GENERATORS:
+        assert inspect.isgeneratorfunction(originals[module, attribute])
+    tracer = tracing.Tracer()
+    tracer.install()  # raises KeyError if a traced function is missing
+    try:
+        assert all(lookup(*target) is not originals[target] for target in targets)
+    finally:
+        tracer.uninstall()
+    assert all(lookup(*target) is originals[target] for target in targets)

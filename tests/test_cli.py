@@ -62,7 +62,7 @@ def test_schur_bad_shape_is_usage_error(capsys):
 def test_verify_vandermonde_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "vandermonde", "--n", "3")
     assert code == 0
-    assert out == "vandermonde [n=3 brute_force=true systems=1]: VERIFIED\n"
+    assert out == "vandermonde [n=3 systems=1]: VERIFIED\n"
 
 
 def test_verify_cauchy_exit_zero(capsys):
@@ -217,6 +217,13 @@ def test_paths_schur_preset(capsys):
     )
     assert code == 0
     assert out == "systems: 2\nsigned sum: x1 + x2\n"
+    # one system, though 1,184,040 paths join its outermost source and sink;
+    # the path-system walk drops the dead states that would fill memory
+    code, out, _ = run_cli(
+        capsys, "paths", "--preset", "schur", "--shape", "[14,14,14,14,14,14,14,14]", "--n", "8"
+    )
+    assert code == 0
+    assert out == "systems: 1\nsigned sum: " + "*".join(f"x{i}^14" for i in range(1, 9)) + "\n"
 
 
 def test_vandermonde_preset_refuses_a_shape(tmp_path, capsys):
@@ -265,6 +272,20 @@ def test_paths_refuses_explosive_configuration(capsys):
     )
     assert code == 1
     assert "refused" in err
+
+
+def test_render_refuses_explosive_configuration(tmp_path, capsys):
+    # [50] at n=12 has 418,094,152,866 systems; the refusal names the count
+    # and the limit, and writes no file
+    out_file = tmp_path / "figure.svg"
+    code, out, err = run_cli(
+        capsys, "render", "--preset", "schur", "--shape", "[50]", "--n", "12",
+        "--out", str(out_file),
+    )
+    assert code == 1
+    assert out == ""
+    assert "refused" in err and "418094152866" in err and "1000000" in err
+    assert not out_file.exists()
 
 
 def test_no_command_prints_help(capsys):

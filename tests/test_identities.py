@@ -48,12 +48,10 @@ def test_corollary_verifier():
 
 
 def test_vandermonde_verifier():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         report = verify_vandermonde(n)
         assert report.status == VERIFIED
-        assert report.params["systems"] == "1"
-    assert verify_vandermonde(4).status == VERIFIED
-    assert verify_vandermonde(4).params["brute_force"] == "false"
+        assert report.params == {"n": str(n), "systems": "1"}
 
 
 def test_jacobi_trudi_verifier():
@@ -182,11 +180,11 @@ def test_suite_small_run_is_deterministic():
     assert [(r.identity, r.params) for r in reports] == [
         ("main-lemma", {"m_max": "6", "n_max": "6"}),
         ("corollary", {"n_max": "4", "m_max": "5"}),
-        ("vandermonde", {"n": "1", "brute_force": "true", "systems": "1"}),
-        ("vandermonde", {"n": "2", "brute_force": "true", "systems": "1"}),
-        ("vandermonde", {"n": "3", "brute_force": "true", "systems": "1"}),
-        ("vandermonde", {"n": "4", "brute_force": "false"}),
-        ("vandermonde", {"n": "5", "brute_force": "false"}),
+        ("vandermonde", {"n": "1", "systems": "1"}),
+        ("vandermonde", {"n": "2", "systems": "1"}),
+        ("vandermonde", {"n": "3", "systems": "1"}),
+        ("vandermonde", {"n": "4", "systems": "1"}),
+        ("vandermonde", {"n": "5", "systems": "1"}),
         ("jacobi-trudi", {"n": "1", "max_size": "2", "shapes": "3"}),
         ("jacobi-trudi", {"n": "2", "max_size": "2", "shapes": "4"}),
         ("bialternant", {"n": "1", "max_size": "2", "shapes": "3"}),

@@ -3,11 +3,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from lgv_oracle import brute_force_sum, brute_force_systems
 from schurpaths.combinat import partitions_in_box, schur_tableaux
 from schurpaths.lgv import (
     OutOfBounds,
     Point,
-    TooLarge,
     bialternant_endpoints,
     cauchy_doubled_scheme,
     cauchy_endpoints,
@@ -18,6 +18,7 @@ from schurpaths.lgv import (
     jacobi_trudi_scheme,
     lemma_product,
     lgv_det,
+    nonintersecting_count,
     nonintersecting_systems,
     nonintersecting_sum,
     path_count,
@@ -190,20 +191,16 @@ def test_schur_via_lgv_matches_tableaux():
 
 
 def test_schur_via_lgv_matches_brute_force_systems():
-    # the transfer-matrix route against the brute-force enumeration on the
-    # same scheme and endpoints; the enumeration also confirms the crossing
-    # argument, under which every system pairs source k with sink k
-    rng = random.Random(7321)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        rows = rng.randint(0, n)
-        shape = tuple(sorted((rng.randint(1, 3) for _ in range(rows)), reverse=True))
-        width = (shape[0] if shape else 0) + n
-        scheme = jacobi_trudi_scheme(n=n, col_bound=width)
-        sources, sinks = schur_endpoints(shape, n)
-        systems = list(nonintersecting_systems(scheme, sources, sinks))
-        assert all(system.sigma == tuple(range(n)) for system in systems), shape
-        assert schur_via_lgv(shape, n) == nonintersecting_sum(scheme, sources, sinks), (shape, n)
+    # every shape in the n x 3 box against the brute-force oracle on the same
+    # scheme and endpoints; the oracle also confirms the crossing argument,
+    # under which every system pairs source k with sink k
+    for n in (1, 2, 3, 4):
+        for shape in partitions_in_box(n, 3):
+            scheme = jacobi_trudi_scheme(n=n, col_bound=(shape[0] if shape else 0) + n)
+            sources, sinks = schur_endpoints(shape, n)
+            systems = _matches_oracle(scheme, sources, sinks)
+            assert all(system.sigma == tuple(range(n)) for system in systems), shape
+            assert schur_via_lgv(shape, n) == brute_force_sum(scheme, systems), (shape, n)
 
 
 def test_bialternant_endpoints_quoted():
@@ -323,14 +320,54 @@ def test_lgv_lemma_on_schur_configurations():
             )
 
 
-def test_too_large_guard():
-    scheme = jacobi_trudi_scheme(n=2, col_bound=30)
-    with pytest.raises(TooLarge):
-        list(
-            nonintersecting_systems(
-                scheme, [Point(1, 1)], [Point(30, 25)], max_paths_per_pair=1000
-            )
-        )
+# -- the row-by-row machine against the brute-force oracle ---------------------------
+
+
+def _matches_oracle(scheme, sources, sinks) -> list:
+    """Assert that systems, count and signed sum equal the oracle's; return the systems."""
+    expected = brute_force_systems(scheme, sources, sinks)
+    assert list(nonintersecting_systems(scheme, sources, sinks)) == expected
+    assert nonintersecting_count(scheme, sources, sinks) == len(expected)
+    assert nonintersecting_sum(scheme, sources, sinks) == brute_force_sum(scheme, expected)
+    return expected
+
+
+def test_systems_match_oracle_on_vandermonde():
+    for n in (1, 2, 3, 4):
+        assert len(_matches_oracle(vandermonde_scheme(n), *vandermonde_endpoints(n))) == 1
+
+
+def test_systems_match_oracle_on_random_monotone_configurations():
+    # unsorted sources on rows 1-2 and sinks on rows 2-3, so that systems with
+    # several permutations and negative signs occur
+    rng = random.Random(606)
+    builders = [
+        lambda bound: jacobi_trudi_scheme(n=3, col_bound=bound),
+        lambda bound: schur_weighted_scheme(n=3, col_bound=bound),
+        lambda bound: schur_weighted_scheme(n=3, col_bound=bound, truncated=True),
+    ]
+    signs, sigmas = set(), 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        scheme = rng.choice(builders)(rng.randint(max(n, 2), 4))
+        columns = range(1, scheme.col_bound + 1)
+        sources = rng.sample([Point(c, r) for c in columns for r in (1, 2)], n)
+        sinks = rng.sample([Point(c, r) for c in columns for r in (2, 3)], n)
+        systems = _matches_oracle(scheme, sources, sinks)
+        signs |= {system.sign for system in systems}
+        sigmas += len({system.sigma for system in systems}) > 1
+    assert signs == {1, -1} and sigmas > 0
+
+
+def test_systems_match_oracle_on_random_doubled_configurations():
+    rng = random.Random(909)
+    for _ in range(50):
+        n = rng.randint(1, 2)
+        scheme = cauchy_doubled_scheme(n, rng.choice((2, 4)))
+        size = rng.randint(1, n)
+        sources = [Point(1, r) for r in rng.sample(range(1, n + 1), size)]
+        sinks = [Point(1, r) for r in rng.sample(range(n + 1, 2 * n + 1), size)]
+        _matches_oracle(scheme, sources, sinks)
 
 
 def test_path_weights_are_edge_products():
