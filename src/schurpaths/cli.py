@@ -28,17 +28,6 @@ from .ring import DegreeOverflow, Polynomial, canonical_text
 _MAX_SYSTEMS = 1_000_000
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _partition_arg(text: str):
-    try:
-        return parse_partition(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if len(shape) > n:
         return Polynomial.zero()
@@ -50,13 +39,13 @@ def _schur_by_method(shape, n: int, method: str) -> Polynomial:
         return symfun.bialternant(shape, n)
     if method == "lgv":
         return lgv.schur_via_lgv(shape, n)
-    raise _UsageError(f"unknown method {method!r}")
+    raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_schur(args) -> int:
-    shape = _partition_arg(args.shape)
+    shape = parse_partition(args.shape)
     if args.n < 1:
-        raise _UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     text = canonical_text(_schur_by_method(shape, args.n, args.method))
     if args.json:
         print(json.dumps({"schur": text}))
@@ -79,17 +68,17 @@ def _run_verifier(args) -> identities.CheckReport:
     )
     if unused:
         flags = ", ".join(map(_flag, unused))
-        raise _UsageError(f"verify {identity.name} does not take {flags}")
+        raise ValueError(f"verify {identity.name} does not take {flags}")
 
     def value(option: str, default):
         given = getattr(args, option)
         if given is not None:
-            return _partition_arg(given) if option == "shape" else given
+            return parse_partition(given) if option == "shape" else given
         if default is identities.REQUIRED:
-            raise _UsageError(f"verify {identity.name} needs {_flag(option)}")
+            raise ValueError(f"verify {identity.name} needs {_flag(option)}")
         return default
 
-    return identity.run(**{option: value(option, d) for option, d in identity.options.items()})
+    return identity.check(**{option: value(option, d) for option, d in identity.options.items()})
 
 
 def cmd_verify(args) -> int:
@@ -114,7 +103,7 @@ def cmd_suite(args) -> int:
                 raise ValueError("config must be a JSON object")
             config = identities.SuiteConfig.from_dict(data)
         except (OSError, ValueError) as exc:
-            raise _UsageError(f"bad config file: {exc}") from None
+            raise ValueError(f"bad config file: {exc}") from None
     if args.only is not None:
         config = dataclasses.replace(config, only=args.only)
     reports = identities.run_suite(config)
@@ -126,18 +115,16 @@ def _preset_configuration(args):
     """The preset's scheme, sources, sinks and system count; TooLarge above _MAX_SYSTEMS."""
     n = args.n
     if n < 1:
-        raise _UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if args.preset == "vandermonde":
         if args.shape is not None:
-            raise _UsageError("the vandermonde preset takes no --shape")
+            raise ValueError("the vandermonde preset takes no --shape")
         scheme, (sources, sinks) = lgv.vandermonde_scheme(n), lgv.vandermonde_endpoints(n)
     else:
         if args.shape is None:
-            raise _UsageError("the schur preset needs --shape")
-        shape = _partition_arg(args.shape)
-        if len(shape) > n:
-            raise _UsageError(f"shape {args.shape} has more than {n} rows")
-        scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=(shape[0] if shape else 0) + n)
+            raise ValueError("the schur preset needs --shape")
+        shape = combinat.fit_shape(parse_partition(args.shape), n)
+        scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=shape[0] + n)
         sources, sinks = lgv.schur_endpoints(shape, n)
     count = lgv.nonintersecting_count(scheme, sources, sinks)
     if count > _MAX_SYSTEMS:
@@ -161,7 +148,7 @@ def cmd_paths(args) -> int:
 def cmd_render(args) -> int:
     scheme, sources, sinks, _ = _preset_configuration(args)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
-    svg = lgv.path_systems_svg(scheme, sources, sinks, systems)
+    svg = lgv.path_systems_svg(sources, sinks, systems)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg + "\n")
     if args.json:
@@ -245,7 +232,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (lgv.TooLarge, DegreeOverflow) as exc:

@@ -49,8 +49,15 @@ def parse_partition(text: str) -> Partition:
     return partition(parts)
 
 
-def rows(shape: Partition) -> int:
-    return sum(1 for p in shape if p > 0)
+def fit_shape(parts: Iterable[int], n: int) -> tuple[int, ...]:
+    """Validate a shape as `partition` does and pad it with zeros to length n.
+
+    Every route to s_lambda(x_1..x_n) needs at most n rows; more are refused.
+    """
+    shape = partition(parts)
+    if len(shape) > n:
+        raise ValueError(f"shape {shape} has more than {n} rows")
+    return shape + (0,) * (n - len(shape))
 
 
 def conjugate(shape: Partition) -> Partition:
@@ -92,7 +99,7 @@ def ssyt_enumerate(shape: Partition, n: int) -> Iterator[Tableau]:
     when the shape has more than n rows.
     """
     shape = partition(shape)
-    if rows(shape) > n:
+    if len(shape) > n:
         return
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
     grid = [[0] * width for width in shape]

@@ -4,15 +4,22 @@ Every verifier computes its two sides through disjoint code paths: tableau
 sums live in `combinat`, determinants and quotients in `symfun`, and the
 path-weight dynamic programming and the row-by-row walk over
 non-intersecting path systems in `lgv`; the only shared layer is the exact
-polynomial ring.  A verifier that fed one side into the other would be
-vacuous, so the dependency direction is part of the design.
+polynomial ring, besides the input validation of `combinat.partition` and
+`combinat.fit_shape`, which computes nothing.  A verifier that fed one side
+into the other would be vacuous, so the dependency direction is part of the
+design.
 
 On top of the symbolic comparison, every successful check re-evaluates both
 sides at random integer points as a guard against canonicalization bugs.
+
+`IDENTITIES` lists each verifier with its suite grid.  A verifier's
+parameters are its `verify` options, each named and defaulted once in its
+signature, and its reports name their params by the same options.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -21,7 +28,7 @@ from math import comb
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, lgv, symfun
-from .combinat import partition, partition_text
+from .combinat import fit_shape, partition, partition_text
 from .lgv import Point, TooLarge
 from .ring import (
     Family,
@@ -148,52 +155,46 @@ def _xy_component(p: Polynomial, d: int) -> Polynomial:
 # -- individual verifiers ----------------------------------------------------
 
 
-def verify_main_lemma(m_max: int = 6, n_max: int = 6, corrupt_weights: bool = False) -> CheckReport:
-    """Path-weight DP against the closed product form over a full (m, n) grid."""
+def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) -> CheckReport:
+    """Path-weight DP against the closed product form at every sink of the m x n grid."""
     t0 = time.perf_counter()
     checker = _Checker()
     scheme = lgv.schur_weighted_scheme(
-        n=n_max, col_bound=m_max, truncated=False, corrupt_weights=corrupt_weights
+        n=n, col_bound=m, truncated=False, corrupt_weights=corrupt_weights
     )
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
+    for col in range(1, m + 1):
+        for row in range(1, n + 1):
             if not checker.eq(
-                lgv.e_weight(scheme, Point(1, 1), Point(m, n)),
-                lgv.lemma_product(m, n),
-                m=m,
-                n=n,
+                lgv.e_weight(scheme, Point(1, 1), Point(col, row)),
+                lgv.lemma_product(col, row),
+                sink=f"({col},{row})",
             ):
                 break
         if not checker.ok():
             break
-    return _finish(
-        "main-lemma", {"m_max": str(m_max), "n_max": str(n_max)}, checker, t0
-    )
+    return _finish("main-lemma", {"m": str(m), "n": str(n)}, checker, t0)
 
 
-def verify_corollary(n_max: int = 4, m_max: int = 5) -> CheckReport:
-    """Truncated path-weight DP equals x_t^(m-1) for all 1 <= t < n <= n_max."""
+def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
+    """Truncated DP from (1, t) to (col, row) equals x_t^(col-1), 1 <= t < row <= n, col <= m."""
     t0 = time.perf_counter()
-    if n_max < 2 or m_max < 1:
-        raise ValueError("corollary check needs n_max >= 2 and m_max >= 1")
+    if n < 2 or m < 1:
+        raise ValueError("corollary check needs n >= 2 and m >= 1")
     checker = _Checker()
-    for n in range(2, n_max + 1):
-        scheme = lgv.schur_weighted_scheme(n=n, col_bound=m_max, truncated=True)
-        for t in range(1, n):
-            for m in range(1, m_max + 1):
+    for row in range(2, n + 1):
+        scheme = lgv.schur_weighted_scheme(n=row, col_bound=m, truncated=True)
+        for t in range(1, row):
+            for col in range(1, m + 1):
                 checker.eq(
-                    lgv.e_weight(scheme, Point(1, t), Point(m, n)),
-                    lgv.corollary_power(t, m, n),
+                    lgv.e_weight(scheme, Point(1, t), Point(col, row)),
+                    lgv.corollary_power(t, col, row),
                     t=t,
-                    m=m,
-                    n=n,
+                    sink=f"({col},{row})",
                 )
-    return _finish(
-        "corollary", {"n_max": str(n_max), "m_max": str(m_max)}, checker, t0
-    )
+    return _finish("corollary", {"n": str(n), "m": str(m)}, checker, t0)
 
 
-def verify_vandermonde(n: int) -> CheckReport:
+def verify_vandermonde(n: int = 3) -> CheckReport:
     """Product form vs determinant of powers vs the signed sum over the path systems."""
     t0 = time.perf_counter()
     if n < 1:
@@ -238,7 +239,7 @@ def _flipped_jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
 
 
 def verify_jacobi_trudi(
-    shape: Sequence[int], n: int, flip_orientation: bool = False
+    shape: Sequence[int], n: int = 3, *, flip_orientation: bool = False
 ) -> CheckReport:
     """Determinant of complete homogeneous polynomials vs the tableau sum."""
     t0 = time.perf_counter()
@@ -255,14 +256,12 @@ def verify_jacobi_trudi(
     )
 
 
-def verify_bialternant(shape: Sequence[int], n: int) -> CheckReport:
+def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """The full reduction chain from path systems to the alternant quotient."""
     t0 = time.perf_counter()
     shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
+    padded = fit_shape(shape, n)
     checker = _Checker()
-    padded = shape + (0,) * (n - len(shape))
     width = (shape[0] if shape else 0) + n
     scheme = lgv.schur_weighted_scheme(n=n, col_bound=width, truncated=True)
     double_primed, primed, sinks = lgv.bialternant_endpoints(shape, n)
@@ -292,7 +291,7 @@ def verify_bialternant(shape: Sequence[int], n: int) -> CheckReport:
     )
 
 
-def verify_cauchy(n: int, degree_cap: int) -> CheckReport:
+def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     """Degree-graded Cauchy identity on the doubled graph.
 
     Compares the (d, d)-bidegree components of det(e(a_i, b_j)) and of
@@ -332,7 +331,7 @@ def verify_cauchy(n: int, degree_cap: int) -> CheckReport:
     )
 
 
-def verify_dual_cauchy(n: int, m: int) -> CheckReport:
+def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
     """Product of (1 + x_i y_j) vs the conjugate-paired Schur expansion."""
     t0 = time.perf_counter()
     if n < 1 or m < 1:
@@ -368,7 +367,7 @@ def _dual_matrix(n: int, m: int) -> symfun.PolyMatrix:
     return symfun.PolyMatrix.from_rows(rows)
 
 
-def verify_dual_determinant(n: int, m: int) -> CheckReport:
+def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
     """det of the mixed power matrix vs the signed triple product.
 
     The global sign is epsilon(n, m) = (-1)^(n*m), fixed empirically from
@@ -394,12 +393,10 @@ def verify_dual_determinant(n: int, m: int) -> CheckReport:
     )
 
 
-def verify_factorial_schur(shape: Sequence[int], n: int) -> CheckReport:
+def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     """Factorial tableau sum vs the falling-power determinant quotient."""
     t0 = time.perf_counter()
     shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
     checker = _Checker()
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)
@@ -412,21 +409,21 @@ def verify_factorial_schur(shape: Sequence[int], n: int) -> CheckReport:
     )
 
 
-def verify_newton(n_power: int) -> CheckReport:
-    """Newton expansion collapses to t^n; table entries match the h oracle."""
+def verify_newton(power: int = 8) -> CheckReport:
+    """Newton expansion collapses to t^power; table entries match the h oracle."""
     t0 = time.perf_counter()
-    if n_power < 0:
-        raise ValueError("newton check needs n_power >= 0")
+    if power < 0:
+        raise ValueError("newton check needs power >= 0")
     checker = _Checker()
-    checker.eq(symfun.newton_expand(n_power), tpoly() ** n_power, side="expansion")
-    for k in range(1, n_power + 2):
+    checker.eq(symfun.newton_expand(power), tpoly() ** power, side="expansion")
+    for k in range(1, power + 2):
         checker.eq(
-            symfun.divided_difference(n_power, k),
-            symfun.complete_homogeneous(n_power - k + 1, k),
+            symfun.divided_difference(power, k),
+            symfun.complete_homogeneous(power - k + 1, k),
             side="table-entry",
             k=k,
         )
-    return _finish("newton", {"n_power": str(n_power)}, checker, t0)
+    return _finish("newton", {"power": str(power)}, checker, t0)
 
 
 # -- the identity table and the suite -------------------------------------------
@@ -437,6 +434,8 @@ REQUIRED = object()  # an option without a default (`verify` needs it given)
 class Group(NamedTuple):
     """Suite points that yield one report.
 
+    A point names the options it sets, the verifier's defaults giving the
+    rest, and a negative-control flag only when the config selects it.
     Without a summary the group is one point and its report is the group's.
     With one, the points run in order until one is not VERIFIED, whose report
     is the group's; if all are, a VERIFIED report carries the summary.
@@ -447,18 +446,31 @@ class Group(NamedTuple):
 
 
 class Identity(NamedTuple):
-    """One identity: its verifier call, its `verify` options and its suite grid.
+    """One identity: its verifier, its `verify` options and its suite grid.
 
-    `run` takes the options as keywords (suite points may add `corrupt`, a
-    negative control) and calls its verifier through the module global, so
-    that wrappers installed on the module see every call.  `options` maps
-    each option to its default or to REQUIRED; `grid` lists a config's groups.
+    `options` is read off the verifier's signature: each parameter that is not
+    keyword-only is an option, named as in the verifier's reports, with its
+    default or REQUIRED; the keyword-only parameters are negative-control
+    flags.  `check` calls the verifier through the module global, so that
+    wrappers installed on the module see every call.  `grid` lists a
+    config's groups.
     """
 
     name: str
-    run: Callable[..., CheckReport]
+    verifier: Callable[..., CheckReport]
     options: dict[str, object]
     grid: Callable[["SuiteConfig"], list[Group]]
+
+    def check(self, **options: object) -> CheckReport:
+        return globals()[self.verifier.__name__](**options)
+
+
+def _options(verifier: Callable[..., CheckReport]) -> dict[str, object]:
+    return {
+        p.name: REQUIRED if p.default is p.empty else p.default
+        for p in inspect.signature(verifier).parameters.values()
+        if p.kind is not p.KEYWORD_ONLY
+    }
 
 
 def _point(**options: object) -> Group:
@@ -475,61 +487,38 @@ def _shape_row(n: int, max_size: int, **options: object) -> Group:
 
 
 IDENTITIES: dict[str, Identity] = {
-    name: Identity(name, run, options, grid)
-    for name, run, options, grid in [
-        ("main-lemma",
-         lambda m, n, corrupt=None: verify_main_lemma(m, n, corrupt == "weights"),
-         {"m": 6, "n": 6},
-         lambda c: [_point(m=6, n=6, corrupt=c.corrupt)]),
-        ("corollary",
-         lambda n, m: verify_corollary(n, m),
-         {"n": 4, "m": 5},
-         lambda c: [_point(n=4, m=5)]),
-        ("vandermonde",
-         lambda n: verify_vandermonde(n),
-         {"n": 3},
-         lambda c: [_point(n=n) for n in range(1, 6)]),
-        ("jacobi-trudi",
-         lambda shape, n, corrupt=None: verify_jacobi_trudi(shape, n, corrupt == "determinant"),
-         {"shape": REQUIRED, "n": 3},
-         lambda c: [
-             _shape_row(n, c.max_partition_size, corrupt=c.corrupt)
-             for n in range(1, c.max_n + 1)
-         ]),
-        ("bialternant",
-         lambda shape, n: verify_bialternant(shape, n),
-         {"shape": REQUIRED, "n": 3},
-         lambda c: [_shape_row(n, c.max_partition_size) for n in range(1, c.max_n + 1)]),
-        ("cauchy",
-         lambda n, degree_cap: verify_cauchy(n, degree_cap),
-         {"n": 2, "degree_cap": 4},
-         lambda c: [_point(n=n, degree_cap=c.cauchy_cap) for n in range(1, min(2, c.max_n) + 1)]),
-        ("dual-cauchy",
-         lambda n, m: verify_dual_cauchy(n, m),
-         {"n": 2, "m": 2},
-         lambda c: [
-             _point(n=n, m=m) for n in range(1, c.dual_max + 1) for m in range(1, c.dual_max + 1)
-         ]),
-        ("dual-determinant",
-         lambda n, m: verify_dual_determinant(n, m),
-         {"n": 2, "m": 2},
-         lambda c: [
-             _point(n=n, m=total - n) for total in range(2, c.dual_max + 3) for n in range(1, total)
-         ]),
-        ("factorial-schur",
-         lambda shape, n: verify_factorial_schur(shape, n),
-         {"shape": REQUIRED, "n": 3},
-         lambda c: [
-             _shape_row(n, min(4, c.max_partition_size)) for n in range(1, min(3, c.max_n) + 1)
-         ]),
-        ("newton",
-         lambda power: verify_newton(power),
-         {"power": 8},
-         lambda c: [
-             Group([{"power": k} for k in range(c.newton_max + 1)], {"n_max": str(c.newton_max)})
-         ]),
+    name: Identity(name, verifier, _options(verifier), grid)
+    for name, verifier, grid in [
+        ("main-lemma", verify_main_lemma, lambda c: [_point(**c.control("corrupt_weights"))]),
+        ("corollary", verify_corollary, lambda c: [_point()]),
+        ("vandermonde", verify_vandermonde, lambda c: [_point(n=n) for n in range(1, 6)]),
+        ("jacobi-trudi", verify_jacobi_trudi, lambda c: [
+            _shape_row(n, c.max_partition_size, **c.control("flip_orientation"))
+            for n in range(1, c.max_n + 1)
+        ]),
+        ("bialternant", verify_bialternant, lambda c: [
+            _shape_row(n, c.max_partition_size) for n in range(1, c.max_n + 1)
+        ]),
+        ("cauchy", verify_cauchy, lambda c: [
+            _point(n=n, degree_cap=c.cauchy_cap) for n in range(1, min(2, c.max_n) + 1)
+        ]),
+        ("dual-cauchy", verify_dual_cauchy, lambda c: [
+            _point(n=n, m=m) for n in range(1, c.dual_max + 1) for m in range(1, c.dual_max + 1)
+        ]),
+        ("dual-determinant", verify_dual_determinant, lambda c: [
+            _point(n=n, m=total - n) for total in range(2, c.dual_max + 3) for n in range(1, total)
+        ]),
+        ("factorial-schur", verify_factorial_schur, lambda c: [
+            _shape_row(n, min(4, c.max_partition_size)) for n in range(1, min(3, c.max_n) + 1)
+        ]),
+        ("newton", verify_newton, lambda c: [
+            Group([{"power": k} for k in range(c.newton_max + 1)], {"n_max": str(c.newton_max)})
+        ]),
     ]
 }
+
+# `SuiteConfig.corrupt` values and the keyword-only verifier flags they set
+_CONTROLS = {"weights": "corrupt_weights", "determinant": "flip_orientation"}
 
 
 @dataclass
@@ -564,8 +553,12 @@ class SuiteConfig:
             bad = [name for name in self.only if name not in IDENTITIES]
             if bad:
                 raise ValueError(f"unknown identity names in 'only': {bad}")
-        if self.corrupt not in (None, "weights", "determinant"):
+        if self.corrupt not in (None, *_CONTROLS):
             raise ValueError(f"unknown negative control {self.corrupt!r}")
+
+    def control(self, flag: str) -> dict[str, bool]:
+        """`{flag: True}` if `corrupt` selects that negative control, else `{}`."""
+        return {flag: True} if _CONTROLS.get(self.corrupt) == flag else {}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -580,14 +573,15 @@ def _run_group(identity: Identity, group: Group) -> CheckReport:
     t0 = time.perf_counter()
     try:
         for point in group.points:
-            report = identity.run(**point)
+            report = identity.check(**point)
             if group.summary is None:
                 return report
             if report.status != VERIFIED:
                 report.elapsed_ms = _elapsed_ms(t0)
                 return report
     except Exception as exc:
-        params = group.summary or {k: str(v) for k, v in group.points[0].items() if v is not None}
+        point = {**identity.options, **group.points[0]}
+        params = group.summary or {k: str(v) for k, v in point.items() if v is not REQUIRED}
         params = {**params, "error": f"{type(exc).__name__}: {exc}"}
         return CheckReport(identity.name, params, ERROR, elapsed_ms=_elapsed_ms(t0))
     return CheckReport(identity.name, dict(group.summary), VERIFIED, elapsed_ms=_elapsed_ms(t0))

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
-from .combinat import partition
+from .combinat import fit_shape, partition
 from .ring import Polynomial, mul, truncate, xpoly, ypoly
 
 
@@ -452,10 +452,7 @@ def corollary_power(t: int, m: int, n: int) -> Polynomial:
 
 def schur_endpoints(shape: Sequence[int], n: int) -> tuple[list[Point], list[Point]]:
     """Sources (i, 1) and sinks b_j = (j + lambda_{n+1-j}, n) on row n."""
-    shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
-    padded = shape + (0,) * (n - len(shape))
+    padded = fit_shape(shape, n)
     sources = [Point(i, 1) for i in range(1, n + 1)]
     sinks = [Point(j + padded[n - j], n) for j in range(1, n + 1)]
     return sources, sinks
@@ -498,9 +495,6 @@ def bialternant_endpoints(
     run; a''_i = (1, n-i+1) pushes it to the first column; b is the Schur
     sink list.
     """
-    shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
     double_primed = [Point(1, n - i + 1) for i in range(1, n + 1)]
     primed = [Point(i, n - i + 1) for i in range(1, n + 1)]
     _, sinks = schur_endpoints(shape, n)
@@ -537,7 +531,6 @@ _MARGIN = 48  # pixels around each system's grid
 
 
 def path_systems_svg(
-    scheme: Scheme,
     sources: Sequence[Point],
     sinks: Sequence[Point],
     systems: Sequence[PathSystem],

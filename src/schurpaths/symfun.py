@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .combinat import partition
+from .combinat import fit_shape
 from .ring import (
     Polynomial,
     Variable,
@@ -113,10 +113,8 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
     (S_(1,1) = h1^2 - h2); the printed transpose-like orientation with
     h_{lambda_i + i - j} fails already at lambda = (2,1).
     """
-    shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
-    r = len(shape)
+    shape = fit_shape(shape, n)
+    r = n - shape.count(0)
     if r == 0:
         return Polynomial.one()
     matrix = PolyMatrix.from_rows(
@@ -130,10 +128,7 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
 
 def alternant(shape: Sequence[int], n: int) -> Polynomial:
     """det(x_i^(lambda_j + n - j)) with lambda padded to length n."""
-    shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
-    padded = shape + (0,) * (n - len(shape))
+    padded = fit_shape(shape, n)
     matrix = PolyMatrix.from_rows(
         [
             [xpoly(i + 1) ** (padded[j] + n - (j + 1)) for j in range(n)]
@@ -180,10 +175,7 @@ def falling_power(v: Variable, k: int) -> Polynomial:
 
 def factorial_alternant(shape: Sequence[int], n: int) -> Polynomial:
     """det of the n x n matrix with entry (i,j) = (x_j | a)^(lambda_i + n - i)."""
-    shape = partition(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
-    padded = shape + (0,) * (n - len(shape))
+    padded = fit_shape(shape, n)
     matrix = PolyMatrix.from_rows(
         [
             [falling_power(xvar(j + 1), padded[i] + n - (i + 1)) for j in range(n)]

@@ -66,9 +66,8 @@ def test_criterion_03_vandermonde():
     for n in range(1, 6):
         report = verify_vandermonde(n)
         passed = passed and report.status == VERIFIED
-        if n <= 3:
-            passed = passed and report.params.get("systems") == "1"
-    _report(3, "Vandermonde three ways (brute force n<=3, dets n<=5)", passed, time.perf_counter() - start, 30)
+        passed = passed and report.params.get("systems") == "1"
+    _report(3, "Vandermonde three ways and one path system, n<=5", passed, time.perf_counter() - start, 30)
 
 
 def test_criterion_04_four_way_schur():

@@ -31,3 +31,22 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(lookup(*target) is originals[target] for target in targets)
+
+
+def test_tracer_sees_every_verifier_call(monkeypatch):
+    # `verify` and `suite` reach the verifiers through the module globals the tracer wraps
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    from schurpaths import cli
+    from schurpaths.identities import SuiteConfig, run_suite
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        stat = tracer.stats["identities.verify_main_lemma"]
+        assert cli.main(["verify", "main-lemma", "--m", "2", "--n", "2"]) == 0
+        assert stat["calls"] == 1
+        run_suite(SuiteConfig(only=["main-lemma"]))
+        assert stat["calls"] == 2
+    finally:
+        tracer.uninstall()

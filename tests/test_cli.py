@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from schurpaths import identities, lgv, symfun
 from schurpaths.cli import main
 from schurpaths.identities import IDENTITIES, REQUIRED, SuiteConfig
 
@@ -42,6 +43,24 @@ def test_schur_too_many_rows_is_zero(capsys):
         )
         assert code == 0
         assert out == "0\n"
+
+
+def test_shape_with_too_many_rows_is_refused_with_one_message(capsys):
+    message = "shape (1, 1, 1) has more than 2 rows"
+    for site in (
+        symfun.jacobi_trudi,
+        symfun.alternant,
+        symfun.factorial_alternant,
+        lgv.schur_endpoints,
+        lgv.bialternant_endpoints,
+        identities.verify_bialternant,
+        identities.verify_factorial_schur,
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            site((1, 1, 1), 2)
+    code, out, err = run_cli(capsys, "paths", "--preset", "schur", "--shape", "[1,1,1]", "--n", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # `schur` still prints 0 there by every method: test_schur_too_many_rows_is_zero
 
 
 def test_schur_json(capsys):
@@ -102,7 +121,7 @@ def test_verify_json_golden(capsys):
         "{\n"
         '  "identity": "newton",\n'
         '  "params": {\n'
-        '    "n_power": "2"\n'
+        '    "power": "2"\n'
         "  },\n"
         '  "status": "VERIFIED",\n'
         '  "elapsed_ms": 0\n'
@@ -114,7 +133,7 @@ def test_verify_corollary_empty_grid_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "corollary", "--n", "1")
     assert code == 2
     assert out == ""
-    assert "n_max >= 2" in err
+    assert "n >= 2" in err
 
 
 def test_every_table_identity_is_accepted_everywhere(tmp_path, capsys):

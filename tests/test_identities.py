@@ -40,10 +40,10 @@ def test_main_lemma_negative_control():
 
 def test_corollary_verifier():
     assert verify_corollary(4, 5).status == VERIFIED
-    # n_max < 2 or m_max < 1 leaves no equality to check
-    for n_max, m_max in [(1, 5), (0, 5), (4, 0)]:
+    # n < 2 or m < 1 leaves no equality to check
+    for n, m in [(1, 5), (0, 5), (4, 0)]:
         with pytest.raises(ValueError):
-            verify_corollary(n_max, m_max)
+            verify_corollary(n, m)
     assert verify_corollary(2, 1).status == VERIFIED
 
 
@@ -178,8 +178,8 @@ def test_suite_small_run_is_deterministic():
     parsed = json.loads(reports_to_json(reports))
     assert all(entry["status"] == "VERIFIED" for entry in parsed)
     assert [(r.identity, r.params) for r in reports] == [
-        ("main-lemma", {"m_max": "6", "n_max": "6"}),
-        ("corollary", {"n_max": "4", "m_max": "5"}),
+        ("main-lemma", {"m": "6", "n": "6"}),
+        ("corollary", {"n": "4", "m": "5"}),
         ("vandermonde", {"n": "1", "systems": "1"}),
         ("vandermonde", {"n": "2", "systems": "1"}),
         ("vandermonde", {"n": "3", "systems": "1"}),
@@ -234,6 +234,33 @@ def test_suite_error_in_an_aggregated_row_carries_its_summary(monkeypatch):
         {"n": str(n), "max_size": "1", "shapes": "2", "error": "RuntimeError: boom"}
         for n in (1, 2)
     ]
+
+
+@pytest.mark.parametrize(
+    "name, verifier",
+    [
+        ("main-lemma", "verify_main_lemma"),
+        ("corollary", "verify_corollary"),
+        ("vandermonde", "verify_vandermonde"),
+        ("cauchy", "verify_cauchy"),
+        ("dual-cauchy", "verify_dual_cauchy"),
+        ("dual-determinant", "verify_dual_determinant"),
+    ],
+)
+def test_error_and_verified_reports_name_params_alike(monkeypatch, name, verifier):
+    config = SuiteConfig(max_n=2, cauchy_cap=2, dual_max=2, only=[name])
+    verified = run_suite(config)
+    assert all_verified(verified)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(identities, verifier, broken)
+    errors = run_suite(config)
+    assert [r.status for r in errors] == [ERROR] * len(verified)
+    for error, report in zip(errors, verified):
+        assert error.params.pop("error") == "RuntimeError: boom"
+        assert error.params.items() <= report.params.items()
 
 
 def test_suite_negative_controls_produce_mismatch():

@@ -388,7 +388,7 @@ def test_svg_is_wellformed_with_one_polyline_per_path():
     scheme = vandermonde_scheme(2)
     sources, sinks = vandermonde_endpoints(2)
     systems = list(nonintersecting_systems(scheme, sources, sinks))
-    svg = path_systems_svg(scheme, sources, sinks, systems)
+    svg = path_systems_svg(sources, sinks, systems)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
@@ -398,8 +398,7 @@ def test_svg_is_wellformed_with_one_polyline_per_path():
 
 
 def test_svg_renders_empty_system_list():
-    scheme = vandermonde_scheme(2)
     sources, sinks = vandermonde_endpoints(2)
-    svg = path_systems_svg(scheme, sources, sinks, [])
+    svg = path_systems_svg(sources, sinks, [])
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
