@@ -9,8 +9,11 @@ polynomial ring, besides the input validation of `combinat.partition` and
 into the other would be vacuous, so the dependency direction is part of the
 design.
 
-On top of the symbolic comparison, every successful check re-evaluates both
-sides at random integer points as a guard against canonicalization bugs.
+Both sides of a symbolic comparison come out of the ring, so a fault in the
+ring that both share can leave them equal and wrong.  Each verifier
+therefore also anchors every closed form it compares against: `eval_int` of
+the ring's value at one fixed integer point must equal the integer that
+`intcheck`, which uses no ring code, computes for that closed form.
 
 `IDENTITIES` lists each verifier with its suite grid.  A verifier's
 parameters are its `verify` options, each named and defaulted once in its
@@ -21,13 +24,12 @@ from __future__ import annotations
 
 import inspect
 import json
-import random
 import time
 from dataclasses import dataclass, fields
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
-from . import combinat, lgv, symfun
+from . import combinat, intcheck, lgv, symfun
 from .combinat import fit_shape, partition, partition_text
 from .lgv import Point, TooLarge
 from .ring import (
@@ -47,8 +49,6 @@ VERIFIED = "VERIFIED"
 MISMATCH = "MISMATCH"
 ERROR = "ERROR"
 
-_EVAL_POINTS = 10
-_EVAL_SEED = 20240915
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 
@@ -89,20 +89,23 @@ def _mismatch_texts(lhs: Polynomial, rhs: Polynomial) -> tuple[str, str]:
     return canonical_text(lhs_cut), canonical_text(rhs_cut)
 
 
-def _eval_crosscheck(lhs: Polynomial, rhs: Polynomial, rng: random.Random) -> None:
-    variables = lhs.variables() | rhs.variables()
-    for _ in range(_EVAL_POINTS):
-        assignment = {v: rng.randint(-9, 9) for v in variables}
-        if eval_int(lhs, assignment) != eval_int(rhs, assignment):
-            raise RuntimeError("symbolically equal polynomials evaluated differently")
+# the coordinate of each variable at the fixed point of `intcheck`
+_COORDINATE = {
+    Family.T: lambda index: intcheck.T,
+    Family.X: intcheck.x,
+    Family.Y: intcheck.y,
+    Family.A: intcheck.a,
+}
 
 
 class _Checker:
-    """Accumulates equality checks; remembers the first failure."""
+    """Accumulates equality checks and anchors; remembers the first failure.
+
+    A failure is its `where` labels and the texts of the two sides.
+    """
 
     def __init__(self) -> None:
-        self.rng = random.Random(_EVAL_SEED)
-        self.failure: tuple[dict[str, str], Polynomial, Polynomial] | None = None
+        self.failure: tuple[dict[str, str], str, str] | None = None
 
     def ok(self) -> bool:
         return self.failure is None
@@ -111,9 +114,20 @@ class _Checker:
         if self.failure is not None:
             return False
         if lhs != rhs:
-            self.failure = ({k: str(v) for k, v in where.items()}, lhs, rhs)
+            self.failure = ({k: str(v) for k, v in where.items()}, *_mismatch_texts(lhs, rhs))
             return False
-        _eval_crosscheck(lhs, rhs, self.rng)
+        return True
+
+    def anchor(self, name: str, value: Polynomial, expected: int, **where: object) -> bool:
+        """`value` at the fixed point must be `expected`, an `intcheck` closed form."""
+        if self.failure is not None:
+            return False
+        point = {v: _COORDINATE[v.family](v.index) for v in value.variables()}
+        got = eval_int(value, point)
+        if got != expected:
+            labels = {"anchor": name, **where}
+            self.failure = ({k: str(v) for k, v in labels.items()}, str(got), str(expected))
+            return False
         return True
 
 
@@ -125,8 +139,7 @@ def _finish(identity: str, params: dict[str, str], checker: _Checker, t0: float)
     elapsed = _elapsed_ms(t0)
     if checker.ok():
         return CheckReport(identity, params, VERIFIED, elapsed_ms=elapsed)
-    where, lhs, rhs = checker.failure
-    lhs_text, rhs_text = _mismatch_texts(lhs, rhs)
+    where, lhs_text, rhs_text = checker.failure
     return CheckReport(
         identity,
         {**params, **where},
@@ -164,11 +177,10 @@ def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) 
     )
     for col in range(1, m + 1):
         for row in range(1, n + 1):
-            if not checker.eq(
-                lgv.e_weight(scheme, Point(1, 1), Point(col, row)),
-                lgv.lemma_product(col, row),
-                sink=f"({col},{row})",
-            ):
+            product, sink = lgv.lemma_product(col, row), f"({col},{row})"
+            checker.eq(lgv.e_weight(scheme, Point(1, 1), Point(col, row)), product, sink=sink)
+            expected = intcheck.lemma_product(col, row)
+            if not checker.anchor("lemma-product", product, expected, sink=sink):
                 break
         if not checker.ok():
             break
@@ -185,12 +197,10 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
         scheme = lgv.schur_weighted_scheme(n=row, col_bound=m, truncated=True)
         for t in range(1, row):
             for col in range(1, m + 1):
-                checker.eq(
-                    lgv.e_weight(scheme, Point(1, t), Point(col, row)),
-                    lgv.corollary_power(t, col, row),
-                    t=t,
-                    sink=f"({col},{row})",
-                )
+                power, sink = lgv.corollary_power(t, col, row), f"({col},{row})"
+                weight = lgv.e_weight(scheme, Point(1, t), Point(col, row))
+                checker.eq(weight, power, t=t, sink=sink)
+                checker.anchor("power", power, intcheck.x(t) ** (col - 1), t=t, sink=sink)
     return _finish("corollary", {"n": str(n), "m": str(m)}, checker, t0)
 
 
@@ -205,12 +215,11 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     sources, sinks = lgv.vandermonde_endpoints(n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            checker.eq(
-                lgv.e_weight(scheme, sources[i - 1], sinks[j - 1]),
-                xpoly(i) ** (n - j),
-                entry=f"({i},{j})",
-            )
+            power, entry = xpoly(i) ** (n - j), f"({i},{j})"
+            checker.eq(lgv.e_weight(scheme, sources[i - 1], sinks[j - 1]), power, entry=entry)
+            checker.anchor("power", power, intcheck.x(i) ** (n - j), entry=entry)
     checker.eq(symfun.alternant((), n), product, side="alternant-vs-product")
+    checker.anchor("vandermonde", product, intcheck.vandermonde(intcheck.xs(n)))
     checker.eq(lgv.lgv_det(scheme, sources, sinks), product, side="lgv-det-vs-product")
     systems = lgv.nonintersecting_count(scheme, sources, sinks)
     checker.eq(Polynomial.const(systems), Polynomial.const(1), side="unique-system-count")
@@ -251,6 +260,7 @@ def verify_jacobi_trudi(
     )
     checker.eq(det_side, tableaux_side, side="determinant-vs-tableaux")
     checker.eq(lgv.schur_via_lgv(shape, n), tableaux_side, side="lgv-vs-tableaux")
+    checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     return _finish(
         "jacobi-trudi", {"shape": partition_text(shape), "n": str(n)}, checker, t0
     )
@@ -269,22 +279,28 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
 
     det_primed = lgv.lgv_det(scheme, primed, sinks)
     checker.eq(det_primed, tableaux_side, step="primed-det-vs-tableaux")
+    checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
     det_mixed = lgv.lgv_det(scheme, double_primed, sinks)
     det_change = lgv.lgv_det(scheme, double_primed, primed)
     checker.eq(det_mixed, det_change * det_primed, step="determinant-factorization")
     checker.eq(det_change, symfun.vandermonde(n), step="change-det-vs-vandermonde")
+    checker.anchor("vandermonde", det_change, intcheck.vandermonde(intcheck.xs(n)))
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
+            exponent, entry = padded[j - 1] + n - j, f"({i},{j})"
+            power = xpoly(i) ** exponent
             checker.eq(
                 lgv.e_weight(scheme, double_primed[n - i], sinks[n - j]),
-                xpoly(i) ** (padded[j - 1] + n - j),
+                power,
                 step="power-entry",
-                entry=f"({i},{j})",
+                entry=entry,
             )
+            checker.anchor("power", power, intcheck.x(i) ** exponent, entry=entry)
     checker.eq(det_mixed, symfun.alternant(shape, n), step="mixed-det-vs-alternant")
+    checker.anchor("alternant", det_mixed, intcheck.alternant(shape, n))
     checker.eq(symfun.bialternant(shape, n), tableaux_side, step="quotient-vs-tableaux")
     return _finish(
         "bialternant", {"shape": partition_text(shape), "n": str(n)}, checker, t0
@@ -312,10 +328,15 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
             geometric = Polynomial.zero()
             for k in range(degree_cap + 1):
                 geometric = geometric + (xpoly(i + 1) * ypoly(j + 1)) ** k
-            checker.eq(entries[i][j], geometric, step="entry-vs-geometric", entry=f"({i + 1},{j + 1})")
+            entry = f"({i + 1},{j + 1})"
+            checker.eq(entries[i][j], geometric, step="entry-vs-geometric", entry=entry)
+            expected = intcheck.geometric(i + 1, j + 1, degree_cap)
+            checker.anchor("geometric", geometric, expected, entry=entry)
     lhs = symfun.det(symfun.PolyMatrix.from_rows(entries))
     vdm_x = symfun.vandermonde(n)
     vdm_y = _to_y(vdm_x)
+    checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
+    checker.anchor("vandermonde-y", vdm_y, intcheck.vandermonde(intcheck.ys(n)))
     series = Polynomial.zero()
     for shape in combinat.partitions_in_box(n, degree_cap):
         if sum(shape) > degree_cap:
@@ -348,6 +369,7 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
             combinat.schur_tableaux(combinat.conjugate(shape), m)
         )
     checker.eq(lhs, rhs, side="product-vs-schur-sum")
+    checker.anchor("product", lhs, intcheck.dual_product(n, m))
     return _finish(
         "dual-cauchy",
         {"n": str(n), "m": str(m), "partitions": str(len(box))},
@@ -385,6 +407,7 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
             product = product * (Polynomial.one() + xpoly(i) * ypoly(j))
     epsilon = -1 if (n * m) % 2 else 1
     checker.eq(determinant, epsilon * product, side="det-vs-signed-product")
+    checker.anchor("signed-product", epsilon * product, intcheck.dual_determinant(n, m))
     return _finish(
         "dual-determinant",
         {"n": str(n), "m": str(m), "epsilon": f"{epsilon:+d}"},
@@ -401,9 +424,11 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)
     checker.eq(tableaux_side, quotient_side, side="tableaux-vs-quotient")
+    checker.anchor("factorial-schur", tableaux_side, intcheck.factorial_schur(shape, n))
     plain = combinat.schur_tableaux(shape, n)
     checker.eq(substitute_zero(tableaux_side, Family.A, 1), plain, side="tableaux-at-a0")
     checker.eq(substitute_zero(quotient_side, Family.A, 1), plain, side="quotient-at-a0")
+    checker.anchor("schur", plain, intcheck.schur(shape, n))
     return _finish(
         "factorial-schur", {"shape": partition_text(shape), "n": str(n)}, checker, t0
     )
@@ -415,14 +440,14 @@ def verify_newton(power: int = 8) -> CheckReport:
     if power < 0:
         raise ValueError("newton check needs power >= 0")
     checker = _Checker()
-    checker.eq(symfun.newton_expand(power), tpoly() ** power, side="expansion")
+    expansion = tpoly() ** power
+    checker.eq(symfun.newton_expand(power), expansion, side="expansion")
+    checker.anchor("t-power", expansion, intcheck.T**power)
     for k in range(1, power + 2):
-        checker.eq(
-            symfun.divided_difference(power, k),
-            symfun.complete_homogeneous(power - k + 1, k),
-            side="table-entry",
-            k=k,
-        )
+        h = symfun.complete_homogeneous(power - k + 1, k)
+        checker.eq(symfun.divided_difference(power, k), h, side="table-entry", k=k)
+        expected = intcheck.complete_homogeneous(power - k + 1, k)
+        checker.anchor("complete-homogeneous", h, expected, k=k)
     return _finish("newton", {"power": str(power)}, checker, t0)
 
 

@@ -263,10 +263,8 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
     ending at d is the sum one column back times that step's weight, plus
     the state starting at d.  On monotone schemes two bounds drop dead
     states.  Path k of m (from the left, from 0) stays at or left of the
-    (m - k)-th largest column among the sinks not yet reached.  Once all
-    paths have joined and the sinks left share one row, path k ends there
-    at the k-th of their columns, s_k; as no path passes where the next one
-    stood, path k + j stands at or right of s_k + j with j rows to go.
+    (m - k)-th largest column among the sinks not yet reached, and at or
+    right of the floor that _exit_floors gives it.
     """
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
@@ -278,14 +276,13 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
         joins.setdefault(a.row, []).append((a.col, i))
     for j, b in enumerate(sinks):
         ends.setdefault(b.row, {})[b.col] = j
-    rows, last = joins.keys() | ends.keys(), max(ends, default=0)
+    rows = joins.keys() | ends.keys()
+    floors = _exit_floors(joins, ends) if monotone else {}
     tops = sorted((b.col for b in sinks), reverse=True)  # the sinks not yet reached
     # (sources of the active paths, sigma) -> {columns of the active paths: value}
     groups = {((), (None,) * len(sources)): {(): one}}
     for row in range(min(rows, default=1), max(rows, default=0) + 1):
         joining, exits = joins.get(row), ends.get(row, {})
-        single = monotone and row >= max(joins, default=0) and ends.keys() - range(row) == {last}
-        to_go = last - row if single else None
         if joining:
             joined: dict = {}
             for (srcs, sigma), states in groups.items():
@@ -296,14 +293,15 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
             groups = joined
         forward, first = (1, min) if _moves_right(scheme, row) else (-1, max)
         weights: dict[int, Polynomial] = {}
+        row_floor = floors.get(row, [])
         for key, states in groups.items():
             m = len(key[0])
+            floor = row_floor if len(row_floor) == m else [0] * m
             for k in range(m) if forward == 1 else range(m - 1, -1, -1):
                 if monotone and m - k > len(tops):  # fewer sinks remain than paths to end
                     states = {}
                     break
                 bound = tops[m - k - 1] if monotone else scheme.col_bound if forward == 1 else 1
-                low = tops[m - 1 - k + to_go] + to_go if to_go is not None and k >= to_go else 0
                 starts: dict[tuple[int, ...], dict] = {}
                 for cols, value in states.items():
                     starts.setdefault(cols[:k] + cols[k + 1 :], {})[cols[k]] = value
@@ -319,7 +317,7 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
                             total = start[d] if total is None else total + start[d]
                         elif total is None:
                             continue
-                        if d >= low:
+                        if d >= floor[k]:
                             states[others[:k] + (d,) + others[k:]] = total
                         if d != far:
                             if d not in weights:
@@ -341,6 +339,35 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
             groups = finished
             tops = sorted((b.col for b in sinks if b.row > row), reverse=True)
     return {sigma: states[()] for (srcs, sigma), states in groups.items() if not srcs}
+
+
+def _exit_floors(joins: dict, ends: dict) -> dict[int, list[int]]:
+    """Row -> the lowest column at which each path can leave it, left to right.
+
+    For a monotone scheme, with `joins` and `ends` as in _sweep_systems.  On
+    the last sink row the paths end at its sinks in order.  Going down a
+    row, the paths joining on the row above take the leftmost places, and a
+    path leaves a row right of where the path to its left leaves the next
+    one, since no path passes where the next one stood, and right of where
+    the path to its left leaves the same row.  The floors hold only while
+    no sink lies below the last sink row and every later source joins at or
+    left of every earlier one, which puts it left of every active path: at
+    its own column a path would stand on it.  Rows outside this stretch are
+    left out.
+    """
+    last = max(ends, default=0)
+    floors = {last: sorted(ends.get(last, {}))}
+    for row in range(last - 1, min(joins, default=last) - 1, -1):
+        joining = [col for col, _ in joins.get(row + 1, [])]
+        earlier = [col for r, cols in joins.items() if r <= row for col, _ in cols]
+        if row in ends or joining and earlier and max(joining) > min(earlier):
+            break
+        above, floor = floors[row + 1], []
+        for i in range(len(above) - len(joining)):
+            left = i + len(joining) - 1  # the path to its left on the row above
+            floor.append(max(above[left] + 1 if left >= 0 else 0, floor[-1] + 1 if floor else 0))
+        floors[row] = floor
+    return floors
 
 
 def nonintersecting_count(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> int:

@@ -2,6 +2,7 @@ import json
 import pstats
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +128,15 @@ def test_verify_json_golden(capsys):
         '  "elapsed_ms": 0\n'
         "}\n"
     )
+
+
+def test_suite_json_golden(capsys):
+    # every report of the default suite, byte for byte apart from its timing;
+    # the golden predates the integer anchors, which must change no VERIFIED output
+    code, out, _ = run_cli(capsys, "suite")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "suite_default.json"
+    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden.read_text()
 
 
 def test_verify_corollary_empty_grid_is_usage_error(capsys):

@@ -283,3 +283,88 @@ def test_error_status_is_reachable():
     with pytest.raises(IndexUnderflow):
         factorial_tableau_weight(((0,),))
     assert ERROR == "ERROR"
+
+
+# -- faults in the shared ring -------------------------------------------------------
+#
+# Both sides of a symbolic comparison come out of the ring, so a ring fault can
+# leave them equal and wrong; the integer anchors of `intcheck` must still see it.
+# No function of the package memoises its results, so each patch takes effect at
+# once.
+
+
+def _group_report(identity: str, group: identities.Group) -> CheckReport:
+    return identities._run_group(identities.IDENTITIES[identity], group)
+
+
+def test_fold_of_x5_onto_x4_is_caught(monkeypatch):
+    from schurpaths import combinat, ring
+    from schurpaths.ring import xvar
+
+    field = ring._field
+    monkeypatch.setattr(ring, "_field", lambda v: field(xvar(4)) if v == xvar(5) else field(v))
+    assert str(combinat.schur_tableaux((1,), 5)) == "x1 + x2 + x3 + 2*x4"  # the fault is live
+    # every route to s_lambda agrees on the folded polynomial; only the anchor sees it
+    for shape in combinat.partitions_in_box(5, 3):
+        if 0 < sum(shape) <= 3:
+            report = verify_jacobi_trudi(shape, 5)
+            assert report.status == MISMATCH, shape
+            assert report.params["anchor"] == "schur"
+            assert report.lhs_text != report.rhs_text
+    # both sides of every vandermonde comparison are the folded ones, the product 0
+    report = verify_vandermonde(5)
+    assert report.status == MISMATCH and report.params["anchor"] == "power"
+    for identity in ("jacobi-trudi", "bialternant", "factorial-schur"):
+        report = _group_report(identity, identities._shape_row(5, 2))
+        assert report.status in (MISMATCH, ERROR), identity
+    assert verify_main_lemma().status == MISMATCH  # its sinks reach x5 too
+    assert verify_jacobi_trudi((), 5).status == VERIFIED  # s_() = 1 does not see x5
+
+
+@pytest.mark.parametrize("fault", ["drop", "double"])
+def test_a_lost_or_doubled_word_in_x_word_sum_is_caught(monkeypatch, fault):
+    from schurpaths import combinat, ring, symfun
+
+    original = ring.x_word_sum
+
+    def faulty(words):
+        # an off-by-one on sums of two or more words: the last one is lost or counted twice
+        words = list(words)
+        if len(words) >= 2:
+            words = words[:-1] if fault == "drop" else words + words[-1:]
+        return original(words)
+
+    for module in (ring, combinat, symfun):
+        monkeypatch.setattr(module, "x_word_sum", faulty)
+    config = SuiteConfig(max_partition_size=2, max_n=3, cauchy_cap=3, dual_max=2, newton_max=3)
+    reports = run_suite(config)
+    users = {"jacobi-trudi", "bialternant", "cauchy", "dual-cauchy", "factorial-schur", "newton"}
+    assert {r.identity for r in reports if r.status != VERIFIED} == users
+    assert all(r.status in (MISMATCH, ERROR) for r in reports if r.status != VERIFIED)
+    # a row at n >= 2 sums at least two tableaux or monomials somewhere
+    for r in reports:
+        if r.identity in users and int(r.params.get("n", "2")) >= 2:
+            assert r.status != VERIFIED, r
+
+
+def test_negative_controls_end_mismatch_on_the_symbolic_comparison():
+    # the anchors come after the comparisons they back, so a control still
+    # reports the polynomials that differ, not an anchor
+    reports = run_suite(SuiteConfig(only=["main-lemma"], corrupt="weights"))
+    assert [r.status for r in reports] == [MISMATCH]
+    assert reports[0].params == {"m": "6", "n": "6", "sink": "(2,1)"}
+    assert (reports[0].lhs_text, reports[0].rhs_text) == ("x2", "-x2")
+    reports = run_suite(SuiteConfig(max_n=3, only=["jacobi-trudi"], corrupt="determinant"))
+    assert MISMATCH in {r.status for r in reports}
+    assert all("anchor" not in r.params for r in reports)
+
+
+def test_a_failing_anchor_reports_both_integers(monkeypatch):
+    from schurpaths import intcheck
+
+    h = intcheck.complete_homogeneous
+    monkeypatch.setattr(intcheck, "complete_homogeneous", lambda k, n: h(k, n) + 1)
+    report = verify_newton(3)
+    assert report.status == MISMATCH
+    assert report.params == {"power": "3", "anchor": "complete-homogeneous", "k": "1"}
+    assert (report.lhs_text, report.rhs_text) == ("-27", "-26")  # x1^3 at x1 = -3

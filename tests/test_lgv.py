@@ -359,6 +359,51 @@ def test_systems_match_oracle_on_random_monotone_configurations():
     assert signs == {1, -1} and sigmas > 0
 
 
+def test_systems_match_oracle_when_later_sources_join_to_the_left():
+    # sources on rows 1-4, each row's columns at or left of the rows below
+    # (as on the Vandermonde and bialternant endpoints), sinks on one row:
+    # the exit floors of the joining paths hold here
+    rng = random.Random(707)
+    found = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        bound = rng.randint(max(n, 2), 5)
+        scheme = schur_weighted_scheme(n=4, col_bound=bound, truncated=rng.random() < 0.5)
+        top = rng.randint(2, 5)
+        sources, col = [], scheme.col_bound
+        for row in sorted(rng.randint(1, top) for _ in range(n)):
+            col = rng.randint(1, col)
+            sources.append(Point(col, row))
+        if len(set(sources)) < n:
+            continue
+        rng.shuffle(sources)
+        sinks = rng.sample([Point(c, top) for c in range(1, scheme.col_bound + 1)], n)
+        found += bool(_matches_oracle(scheme, sources, sinks))
+    assert found > 20
+
+
+def test_vandermonde_walk_carries_one_state_per_row():
+    # later sources join left of every active path, so each row has one live state
+    from schurpaths.lgv import _exit_floors, _sweep_systems
+
+    for n in range(1, 8):
+        scheme = vandermonde_scheme(n)
+        sources, sinks = vandermonde_endpoints(n)
+        seen = []
+
+        def mark(value, cols, srcs):
+            seen.append(cols)
+            return value
+
+        _sweep_systems(scheme, sources, sinks, 1, lambda count, weight: count, mark)
+        assert seen == [tuple(range(n + 1 - row, n + 1)) for row in range(1, n + 1)]
+    joins = {row: [(1, row - 1)] for row in range(1, 4)}
+    assert _exit_floors(joins, {3: {3: 0, 2: 1, 1: 2}}) == {3: [1, 2, 3], 2: [2, 3], 1: [3]}
+    # a source joining right of an earlier one leaves the rows below it unbounded
+    joins = {1: [(1, 0)], 2: [(3, 1)]}
+    assert _exit_floors(joins, {3: {4: 0, 5: 1}}) == {3: [4, 5], 2: [0, 5]}
+
+
 def test_systems_match_oracle_on_random_doubled_configurations():
     rng = random.Random(909)
     for _ in range(50):

@@ -249,3 +249,27 @@ def test_degree_conventions():
 def test_polynomials_are_hashable_values():
     seen = {xpoly(1) + xpoly(2): "sum"}
     assert seen[xpoly(2) + xpoly(1)] == "sum"
+
+
+def test_equality_is_term_map_equality():
+    # the identity checks compare polynomials with ==; it must read every
+    # monomial and coefficient, not a summary that distinct polynomials share
+    x1, x2 = xpoly(1), xpoly(2)
+    pairs = [
+        (x1, x2),  # equal lengths and degrees
+        (x1, 2 * x1),  # equal monomials, so equal variables() and lengths
+        (x1, -x1),
+        (x1 + x2, x1 * x2),  # equal variables()
+        (x1**2, x1),  # equal values at 0 and at 1
+        (x1 - x2, x2 - x1),
+        (Polynomial.const(3), Polynomial.const(-3)),
+    ]
+    for p, q in pairs:
+        assert p != q and not p == q and q != p
+        assert p == Polynomial(p.terms()) and p.terms() != q.terms()
+    # nor may it trust the hash: force one onto both sides of each pair
+    for p, q in pairs:
+        p, q = Polynomial(p.terms()), Polynomial(q.terms())
+        p._hash = q._hash = 12345
+        assert hash(p) == hash(q) and p != q
+    assert x1 + x2 == x2 + x1
