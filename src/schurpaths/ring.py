@@ -546,14 +546,17 @@ def truncate(p: Polynomial, degree_cap: int) -> Polynomial:
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """The exact quotient q with q*d = p.
 
-    Works by repeatedly cancelling the graded-lex leading term of the running
-    remainder against the leading term of d.  The remainder's monomials wait
-    in a max-heap; a monomial whose coefficient cancelled stays there until
-    it is popped and skipped.  Raises NotDivisible as soon as a leading term
-    fails to divide (monomial or integer coefficient), which signals either
-    a bug or a false identity.
+    A divisor u - v of two distinct variables (coefficients +1 and -1, in
+    either order) is divided out in one pass by synthetic division (see
+    _linear_div).  Every other divisor goes through the heap: it repeatedly
+    cancels the graded-lex leading term of the running remainder against the
+    leading term of d.  The remainder's monomials wait in a max-heap; a
+    monomial whose coefficient cancelled stays there until it is popped and
+    skipped.  Both raise NotDivisible when p is no multiple of d, which
+    signals either a bug or a false identity; the heap raises as soon as a
+    leading term fails to divide (monomial or integer coefficient).
 
-    The work happens on graded-lex keys (see _grlex_bytes), on which the
+    The heap works on graded-lex keys (see _grlex_bytes), on which the
     monomial order is integer order and products are still sums.  Every
     remainder and quotient monomial has degree <= deg(p), so nothing can
     carry.
@@ -562,6 +565,10 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p._terms:
         return Polynomial.zero()
+    if len(d._terms) == 2 and sorted(d._terms.values()) == [-1, 1]:
+        (u, cu), (v, _) = d._terms.items()
+        if u & _DEGREE_MASK == v & _DEGREE_MASK == 1:  # both are single variables
+            return _linear_div(p, u, v) if cu == 1 else _linear_div(p, v, u)
     width = _grlex_width(max(max(p._terms), max(d._terms)))
 
     def grlex(key: int) -> int:
@@ -598,6 +605,43 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
             else:
                 remainder[product] = old - q_coeff * c
     return Polynomial._of(quotient, p.degree() - d.degree())
+
+
+def _linear_div(p: Polynomial, u: int, v: int) -> Polynomial:
+    """p / (u - v), where u and v are the keys of two distinct variables.
+
+    Synthetic division: write each term of p as c_a * r * u^a * v^(s-a), with
+    r free of u and v.  Moving u's exponent onto v gives the key of r * v^s,
+    which names the term's group.  Within a group, the quotient coefficient
+    of r * u^(a-1) * v^(s-a) is the running sum c_s + ... + c_a, and p is a
+    multiple of u - v iff every group's sum c_s + ... + c_0 is zero.
+    """
+    step = u - v  # moves one exponent from v's field to u's
+    shift_u = (u - 1).bit_length() - 1
+    groups: dict[int, dict[int, int]] = {}
+    for key, coefficient in p._terms.items():
+        a = key >> shift_u & _DEGREE_MASK
+        group = key - a * step
+        column = groups.get(group)
+        if column is None:
+            groups[group] = {a: coefficient}
+        else:
+            column[a] = coefficient
+    quotient: dict[int, int] = {}
+    for group, column in groups.items():
+        base = group - u  # the quotient key for a, less a * step
+        running = 0
+        for a in range(max(column), 0, -1):
+            running += column.get(a, 0)
+            if running:
+                quotient[base + a * step] = running
+        running += column.get(0, 0)
+        if running:
+            raise NotDivisible(
+                f"dividing by {Monomial._of_key(u).text()} - {Monomial._of_key(v).text()} "
+                f"leaves the remainder term {running}*{Monomial._of_key(group).text()}"
+            )
+    return Polynomial._of(quotient, p.degree() - 1)
 
 
 def _family_mask(family: Family, first_index: int, width: int) -> int:

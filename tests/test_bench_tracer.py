@@ -50,3 +50,21 @@ def test_tracer_sees_every_verifier_call(monkeypatch):
         assert stat["calls"] == 2
     finally:
         tracer.uninstall()
+
+
+def test_tracer_sees_each_vandermonde_factor_divided(monkeypatch):
+    # `symfun` divides through its `exact_div` alias, once per factor x_i - x_j
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    from schurpaths import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        stat = tracer.stats["ring.exact_div"]
+        before = stat["calls"]
+        argv = ["schur", "--shape", "[2,1]", "--n", "3", "--method", "bialternant"]
+        assert cli.main(argv) == 0
+        assert stat["calls"] - before == 3
+    finally:
+        tracer.uninstall()

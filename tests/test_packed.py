@@ -1,8 +1,9 @@
-"""The packed monomial keys: graded-lex order, the degree limit, heap division."""
+"""The packed monomial keys: graded-lex order, the degree limit, heap and synthetic division."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from schurpaths import ring
 from schurpaths.ring import (
     MAX_DEGREE,
     DegreeOverflow,
@@ -123,8 +124,8 @@ def test_products_and_quotients_at_the_limit():
     assert canonical_text(product) == (
         f"x1^{half + 1}*a12^{half} - x1^{half}*y3*a12^{half} + t*x1 - t*y3"
     )
-    assert exact_div(product, q) == p
-    assert exact_div(product, p) == q
+    assert exact_div(product, q) == p  # synthetic division, next to the limit
+    assert exact_div(product, p) == q  # the heap
     assert parse_poly(canonical_text(product)) == product
 
     merged = substitute_family(xpoly(1) ** 100 * apoly(1) ** 27, Family.X, Family.A, 0)
@@ -173,3 +174,63 @@ def test_heap_division_fails_where_scan_division_fails(p, d):
             exact_div(p, d)
     else:
         assert exact_div(p, d) == expected
+
+
+# -- synthetic division by u - v against the max() scan --------------------------------
+
+
+@st.composite
+def linear_divisors(draw):
+    """u - v for two distinct variables of any families, in either sign order."""
+    u, v = draw(st.lists(st.sampled_from(_POOL), min_size=2, max_size=2, unique=True))
+    return Polynomial.variable(u) - Polynomial.variable(v)
+
+
+@given(polynomials(), linear_divisors())
+def test_linear_division_matches_scan_division(p, d):
+    product = p * d
+    assert exact_div(product, d) == scan_div(product, d) == p
+
+
+@given(polynomials(), linear_divisors(), polynomials(max_terms=2))
+def test_linear_division_fails_where_scan_division_fails(p, d, r):
+    for dividend in (p, p * d + r):
+        try:
+            expected = scan_div(dividend, d)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                exact_div(dividend, d)
+        else:
+            assert exact_div(dividend, d) == expected
+
+
+_x1, _x2, _x3 = xpoly(1), xpoly(2), xpoly(3)
+_NEAR_LINEAR = [
+    _x1 + _x2,
+    2 * _x1 - 2 * _x2,
+    _x1 - _x2 + 1,
+    _x1**2 - _x2,
+    _x1 * _x2 - _x3,
+    -_x1 - _x2,
+]
+_LINEAR = [_x1 - _x2, _x2 - _x1, _x1 - ypoly(3), tpoly() - apoly(12)]
+
+
+@pytest.mark.parametrize("d", _NEAR_LINEAR + _LINEAR, ids=canonical_text)
+def test_only_a_difference_of_two_variables_takes_synthetic_division(monkeypatch, d):
+    calls = []
+    linear_div = ring._linear_div
+
+    def spy(*args):
+        calls.append(args)
+        return linear_div(*args)
+
+    monkeypatch.setattr(ring, "_linear_div", spy)
+    p = (_x1 + 2 * ypoly(3) * apoly(1) - tpoly()) * (_x3 - 1)
+    assert exact_div(p * d, d) == scan_div(p * d, d) == p
+    blocked = p * d + _x2**3
+    with pytest.raises(NotDivisible):
+        scan_div(blocked, d)
+    with pytest.raises(NotDivisible):
+        exact_div(blocked, d)
+    assert bool(calls) == (d in _LINEAR)

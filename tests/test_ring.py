@@ -103,6 +103,11 @@ def test_exact_div_examples():
     assert exact_div(xpoly(1) ** 2 - xpoly(2) ** 2, xpoly(1) - xpoly(2)) == xpoly(1) + xpoly(2)
     with pytest.raises(NotDivisible):
         exact_div(xpoly(1), xpoly(2))
+    # a divisor x_i - x_j is divided out by synthetic division, which names it
+    with pytest.raises(NotDivisible, match=r"x1 - x2 leaves the remainder term 1\*x2\^2"):
+        exact_div(xpoly(1) ** 2, xpoly(1) - xpoly(2))
+    with pytest.raises(NotDivisible, match=r"x2 - x1 leaves the remainder term 1\*x1\^2"):
+        exact_div(xpoly(2) ** 2, xpoly(2) - xpoly(1))
     with pytest.raises(NotDivisible):
         exact_div(xpoly(1) + 1, Polynomial.const(2))  # integer coefficient blocks
     with pytest.raises(ZeroDivisionError):

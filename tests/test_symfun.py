@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from schurpaths.combinat import partitions_in_box, schur_tableaux
+from schurpaths.combinat import factorial_schur_tableaux, partitions_in_box, schur_tableaux
+from schurpaths.lgv import schur_via_lgv
 from schurpaths.ring import (
     Family,
     Polynomial,
@@ -181,6 +182,7 @@ def test_bialternant_examples():
     assert bialternant((1,), 2) == xpoly(1) + xpoly(2)
     assert bialternant((), 3) == Polynomial.one()
     assert bialternant((2, 1), 3) == schur_tableaux((2, 1), 3)
+    assert bialternant((2, 2, 1, 1, 1), 7) == schur_via_lgv((2, 2, 1, 1, 1), 7)
 
 
 # -- factorial side -------------------------------------------------------------------
@@ -209,6 +211,13 @@ def test_factorial_schur_quotient_examples():
     assert substitute_zero(factorial_schur_quotient((2, 1), 3), Family.A, 1) == bialternant(
         (2, 1), 3
     )
+
+
+def test_factorial_schur_quotient_matches_tableaux():
+    # at n = 4 the cofactors of x_i^a x_j^b hold a-variables
+    for shape in partitions_in_box(4, 4):
+        if sum(shape) <= 4:
+            assert factorial_schur_quotient(shape, 4) == factorial_schur_tableaux(shape, 4)
 
 
 # -- divided differences ----------------------------------------------------------------
