@@ -4,13 +4,19 @@ Partitions are canonical tuples of weakly decreasing positive ints (trailing
 zeros stripped; the empty partition is ()).  A tableau of shape lambda is a
 tuple of rows, row i holding lambda_i letters from 1..n, weakly increasing
 along rows and strictly increasing down columns.
+
+The Schur polynomial sums x^T over those tableaux strip by strip, by the
+branching rule: the letters <= k of a tableau fill a subshape of lambda, and
+the letter k fills a horizontal strip of it.  The factorial Schur sum
+enumerates the tableaux one by one (`ssyt_enumerate`).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
-from .ring import IndexUnderflow, Polynomial, apoly, x_word_sum, xpoly
+from .ring import IndexUnderflow, Polynomial, apoly, x_shift_sums, x_word_sum, xpoly
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -129,9 +135,39 @@ def tableau_monomial(tableau: Tableau) -> Polynomial:
 def schur_tableaux(shape: Partition, n: int) -> Polynomial:
     """The Schur polynomial as the sum of x^T over all SSYT of the shape.
 
+    Summed by the branching rule (Macdonald, Symmetric Functions, I.(5.11)):
+    the cells of a tableau holding letters <= k form a subshape mu of lambda,
+    and those holding k form a horizontal strip of mu.  A tableau is thus a
+    chain () = mu^0 <= mu^1 <= ... <= mu^n = lambda of horizontal strips, and
+    x^T is the product of x_k^(|mu^k| - |mu^(k-1)|).  After the letter k, each
+    subshape mu maps to the sum of x^T over the fillings of mu by 1..k; the
+    letter k + 1 moves every mu to each nu that adds a strip.  Every monomial
+    is still the content of one tableau, term by term, so no symmetry of
+    s_lambda is assumed (unlike a Kostka-number expansion into monomial
+    symmetric functions).
+
     Returns 1 for the empty shape and 0 when the shape has more than n rows.
     """
-    return x_word_sum(sum(tableau, ()) for tableau in ssyt_enumerate(shape, n))
+    shape = partition(shape)
+    if len(shape) > n:
+        return Polynomial.zero()
+    # subshapes as row lengths padded with zeros to len(shape)
+    sums = {(0,) * len(shape): Polynomial.one()}
+    for letter in range(1, n + 1):
+        # the letters letter+1..n fill at most n - letter cells of each column
+        floor = shape[n - letter :] + (0,) * (n - letter)
+        moves: dict[tuple[int, ...], list[tuple[Polynomial, int]]] = {}
+        for mu, terms in sums.items():
+            # a horizontal strip: mu_i <= nu_i <= mu_(i-1), within lambda and above the floor
+            ranges = [
+                range(max(part, low), min(top, above) + 1)
+                for part, low, top, above in zip(mu, floor, shape, shape[:1] + mu)
+            ]
+            size = sum(mu)
+            for nu in product(*ranges):
+                moves.setdefault(nu, []).append((terms, sum(nu) - size))
+        sums = x_shift_sums(moves, letter)
+    return sums[shape]
 
 
 def factorial_tableau_weight(tableau: Tableau) -> Polynomial:

@@ -495,6 +495,41 @@ def x_word_sum(words: Iterable[Sequence[int]]) -> Polynomial:
     return Polynomial._of(out)
 
 
+def x_shift_sums(
+    moves: Mapping[object, Iterable[tuple[Polynomial, int]]], index: int
+) -> dict[object, Polynomial]:
+    """Map each target of `moves` to the sum of p * x_index^e over its (p, e) summands.
+
+    A summand shifts every key of p by e >= 0 units of x_index, and the
+    shifted terms of one target accumulate in one map.  The unit of x_index
+    is read once per call.
+    """
+    unit = _unit(xvar(index))
+    sums: dict[object, Polynomial] = {}
+    for target, summands in moves.items():
+        out: dict[int, int] = {}
+        get = out.get
+        top = -1
+        for p, exponent in summands:
+            if exponent < 0:
+                raise ValueError(f"x{index} exponents must be non-negative, got {exponent}")
+            if not p._terms:
+                continue
+            degree = p.degree() + exponent
+            if degree > top:
+                _check_degree(degree)
+                top = degree
+            shift = exponent * unit
+            for key, coefficient in p._terms.items():
+                key += shift
+                out[key] = get(key, 0) + coefficient
+        if 0 in out.values():
+            sums[target] = Polynomial._of({k: c for k, c in out.items() if c})
+        else:  # nothing cancelled, so the top degree stays
+            sums[target] = Polynomial._of(out, top)
+    return sums
+
+
 def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomial:
     """Product of p and q.
 

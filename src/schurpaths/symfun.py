@@ -155,9 +155,11 @@ def vandermonde(n: int) -> Polynomial:
     return product
 
 
-def _divide_by_vandermonde(p: Polynomial, n: int) -> Polynomial:
+def divide_by_vandermonde(p: Polynomial, n: int) -> Polynomial:
     """p / prod (x_i - x_j) over 1 <= i < j <= n, one linear factor at a time.
 
+    The quotient of the bialternant and factorial-Schur formulas; a caller
+    that already holds the alternant divides it here without rebuilding it.
     The factors go in i-major order (1,2), (1,3), ..., (2,3), ..., which keeps
     the intermediate quotients small: for the alternant of (3,3,2,2) at n = 8
     it takes 2.8 s, against 7-23 s in j-major, far-first or adjacent-first
@@ -175,7 +177,7 @@ def bialternant(shape: Sequence[int], n: int) -> Polynomial:
     Exact by the quotient identity: a NotDivisible escape here means an
     implementation bug, not a user error.
     """
-    return _divide_by_vandermonde(alternant(shape, n), n)
+    return divide_by_vandermonde(alternant(shape, n), n)
 
 
 def falling_power(v: Variable, k: int) -> Polynomial:
@@ -203,7 +205,7 @@ def factorial_alternant(shape: Sequence[int], n: int) -> Polynomial:
 
 def factorial_schur_quotient(shape: Sequence[int], n: int) -> Polynomial:
     """factorial_alternant(shape, n) / vandermonde(n), one factor x_i - x_j at a time."""
-    return _divide_by_vandermonde(factorial_alternant(shape, n), n)
+    return divide_by_vandermonde(factorial_alternant(shape, n), n)
 
 
 def divided_difference(n_power: int, k: int) -> Polynomial:

@@ -1,9 +1,14 @@
+import ast
+import sys
 from itertools import product
 from math import comb
+from pathlib import Path
+from types import ModuleType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from schurpaths import combinat
 from schurpaths.combinat import (
     conjugate,
     factorial_schur_tableaux,
@@ -17,13 +22,16 @@ from schurpaths.combinat import (
     tableau_monomial,
 )
 from schurpaths.ring import (
+    DegreeOverflow,
     Family,
     Monomial,
     Polynomial,
     apoly,
+    canonical_text,
     eval_int,
     parse_poly,
     substitute_zero,
+    x_word_sum,
     xpoly,
     xvar,
 )
@@ -172,6 +180,64 @@ def test_schur_examples():
     )
     assert schur_tableaux((), 3) == Polynomial.one()
     assert schur_tableaux((1, 1, 1), 2) == Polynomial.zero()
+
+
+def _enumerated_sum(shape, n):
+    """The oracle: x^T summed one enumerated tableau at a time."""
+    return x_word_sum(sum(tableau, ()) for tableau in ssyt_enumerate(shape, n))
+
+
+_SHAPES_UP_TO_8 = [shape for shape in partitions_in_box(8, 8) if sum(shape) <= 8]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_SHAPES_UP_TO_8), st.integers(1, 6))
+@example((), 1)
+@example((), 6)
+@example((8,), 1)
+@example((1, 1), 1)
+@example((2, 1, 1, 1, 1, 1, 1), 6)
+@example((3, 2, 2, 1), 3)
+def test_strip_sum_equals_the_enumerated_tableau_sum(shape, n):
+    # more rows than n gives 0 on both sides, the empty shape 1
+    assert schur_tableaux(shape, n) == _enumerated_sum(shape, n)
+
+
+def test_strip_sum_prints_the_enumerated_bytes():
+    for shape in [(5, 2, 1), (4, 3, 1)]:
+        assert canonical_text(schur_tableaux(shape, 7)) == canonical_text(_enumerated_sum(shape, 7))
+
+
+def test_schur_degree_limit():
+    # the single tableau of (128,) at n = 1 has degree 128; (128, 1) has none
+    with pytest.raises(DegreeOverflow):
+        schur_tableaux((128,), 1)
+    with pytest.raises(DegreeOverflow):
+        schur_tableaux((100, 28), 2)
+    assert schur_tableaux((128, 1), 1) == Polynomial.zero()
+    assert schur_tableaux((127,), 1) == xpoly(1) ** 127
+
+
+def test_combinat_imports_only_the_ring():
+    # the tableau route shares nothing with the other routes but the ring
+    tree = ast.parse(Path(combinat.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Name):
+            assert node.id != "__import__", f"dynamic import at line {node.lineno}"
+    package = [name for name in imported if name.startswith(".") or name.startswith("schurpaths")]
+    assert package == [".ring"], package
+    for name in imported:
+        if name != ".ring":
+            root = name.split(".")[0]
+            assert root == "__future__" or root in sys.stdlib_module_names, name
+            assert root != "importlib", name
+    modules = [value for value in vars(combinat).values() if isinstance(value, ModuleType)]
+    assert not [m for m in modules if m.__name__.startswith("schurpaths")]
 
 
 def test_schur_coefficients_positive_and_count_consistent():

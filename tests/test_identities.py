@@ -323,19 +323,29 @@ def test_fold_of_x5_onto_x4_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["drop", "double"])
 def test_a_lost_or_doubled_word_in_x_word_sum_is_caught(monkeypatch, fault):
+    # h_k sums words through x_word_sum; the tableau sum adds shifted strips
+    # through x_shift_sums.  The same off-by-one goes into both.
     from schurpaths import combinat, ring, symfun
 
-    original = ring.x_word_sum
+    def off_by_one(summands):
+        # on sums of two or more, the last summand is lost or counted twice
+        summands = list(summands)
+        if len(summands) >= 2:
+            summands = summands[:-1] if fault == "drop" else summands + summands[-1:]
+        return summands
 
-    def faulty(words):
-        # an off-by-one on sums of two or more words: the last one is lost or counted twice
-        words = list(words)
-        if len(words) >= 2:
-            words = words[:-1] if fault == "drop" else words + words[-1:]
-        return original(words)
+    word_sum, shift_sums = ring.x_word_sum, ring.x_shift_sums
+
+    def faulty_word_sum(words):
+        return word_sum(off_by_one(words))
+
+    def faulty_shift_sums(moves, index):
+        return shift_sums({target: off_by_one(s) for target, s in moves.items()}, index)
 
     for module in (ring, combinat, symfun):
-        monkeypatch.setattr(module, "x_word_sum", faulty)
+        monkeypatch.setattr(module, "x_word_sum", faulty_word_sum)
+    for module in (ring, combinat):
+        monkeypatch.setattr(module, "x_shift_sums", faulty_shift_sums)
     config = SuiteConfig(max_partition_size=2, max_n=3, cauchy_cap=3, dual_max=2, newton_max=3)
     reports = run_suite(config)
     users = {"jacobi-trudi", "bialternant", "cauchy", "dual-cauchy", "factorial-schur", "newton"}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurpaths.ring import (
+    DegreeOverflow,
     Family,
     IndexUnderflow,
     Monomial,
@@ -22,6 +23,7 @@ from schurpaths.ring import (
     substitute_zero,
     tpoly,
     tvar,
+    x_shift_sums,
     xpoly,
     xvar,
     ypoly,
@@ -97,6 +99,39 @@ def test_mul_examples():
     capped = mul(1 + xpoly(1) * ypoly(1), 1 + xpoly(1) * ypoly(1), degree_cap=2)
     assert capped == parse_poly("2*x1*y1 + 1")
     assert (xpoly(1) + 3) * Polynomial.zero() == Polynomial.zero()
+
+
+def test_x_shift_sums_examples():
+    one = Polynomial.one()
+    moves = {
+        "a": [(one, 1), (xpoly(1), 0)],
+        "b": [(xpoly(2), 2), (xpoly(2) ** 2, 1)],
+        "c": [(xpoly(1) - ypoly(1), 1), (ypoly(1), 1)],
+        "d": [(xpoly(1), 1), (-xpoly(1), 1)],
+        "e": [],
+    }
+    assert x_shift_sums(moves, 2) == {
+        "a": xpoly(1) + xpoly(2),
+        "b": 2 * xpoly(2) ** 3,
+        "c": xpoly(1) * xpoly(2),
+        "d": Polynomial.zero(),
+        "e": Polynomial.zero(),
+    }
+    assert x_shift_sums({}, 1) == {}
+    with pytest.raises(ValueError):
+        x_shift_sums({0: [(one, -1)]}, 1)
+    with pytest.raises(DegreeOverflow):
+        x_shift_sums({0: [(one, 1), (xpoly(1) ** 100, 28)]}, 2)
+
+
+@given(st.lists(st.tuples(polynomials(), st.integers(0, 3)), max_size=4), st.integers(1, 4))
+def test_x_shift_sums_are_sums_of_products(summands, index):
+    total = Polynomial.zero()
+    for p, exponent in summands:
+        total = total + p * xpoly(index) ** exponent
+    shifted = x_shift_sums({"target": summands}, index)["target"]
+    assert shifted == total
+    assert shifted.degree() == max((k.degree() for k, _ in total.items()), default=-1)
 
 
 def test_exact_div_examples():
