@@ -149,8 +149,11 @@ def cmd_render(args) -> int:
     scheme, sources, sinks, _ = _preset_configuration(args)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
     svg = lgv.path_systems_svg(sources, sinks, systems)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(svg + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.json:
         print(json.dumps({"file": args.out, "systems": len(systems)}))
     else:
@@ -224,9 +227,14 @@ def main(argv=None) -> int:
 
     profiler = cProfile.Profile()
     try:
-        return profiler.runcall(_run, args)
+        code = profiler.runcall(_run, args)
     finally:
-        profiler.dump_stats(args.profile)
+        try:
+            profiler.dump_stats(args.profile)
+        except OSError as exc:
+            print(f"error: cannot write {args.profile}: {exc.strerror}", file=sys.stderr)
+            code = 2
+    return code
 
 
 def _run(args) -> int:

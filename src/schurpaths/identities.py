@@ -175,14 +175,12 @@ def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) 
     scheme = lgv.schur_weighted_scheme(
         n=n, col_bound=m, truncated=False, corrupt_weights=corrupt_weights
     )
-    for col in range(1, m + 1):
-        for row in range(1, n + 1):
-            product, sink = lgv.lemma_product(col, row), f"({col},{row})"
-            checker.eq(lgv.e_weight(scheme, Point(1, 1), Point(col, row)), product, sink=sink)
-            expected = intcheck.lemma_product(col, row)
-            if not checker.anchor("lemma-product", product, expected, sink=sink):
-                break
-        if not checker.ok():
+    sinks = [Point(col, row) for col in range(1, m + 1) for row in range(1, n + 1)]
+    for (col, row), weight in zip(sinks, lgv.path_matrix(scheme, [Point(1, 1)], sinks).row(0)):
+        product, sink = lgv.lemma_product(col, row), f"({col},{row})"
+        checker.eq(weight, product, sink=sink)
+        expected = intcheck.lemma_product(col, row)
+        if not checker.anchor("lemma-product", product, expected, sink=sink):
             break
     return _finish("main-lemma", {"m": str(m), "n": str(n)}, checker, t0)
 
@@ -195,11 +193,12 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
     checker = _Checker()
     for row in range(2, n + 1):
         scheme = lgv.schur_weighted_scheme(n=row, col_bound=m, truncated=True)
+        sinks = [Point(col, row) for col in range(1, m + 1)]
+        matrix = lgv.path_matrix(scheme, [Point(1, t) for t in range(1, row)], sinks)
         for t in range(1, row):
             for col in range(1, m + 1):
                 power, sink = lgv.corollary_power(t, col, row), f"({col},{row})"
-                weight = lgv.e_weight(scheme, Point(1, t), Point(col, row))
-                checker.eq(weight, power, t=t, sink=sink)
+                checker.eq(matrix.entry(t - 1, col - 1), power, t=t, sink=sink)
                 checker.anchor("power", power, intcheck.x(t) ** (col - 1), t=t, sink=sink)
     return _finish("corollary", {"n": str(n), "m": str(m)}, checker, t0)
 
@@ -213,14 +212,15 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)
     sources, sinks = lgv.vandermonde_endpoints(n)
+    matrix = lgv.path_matrix(scheme, sources, sinks)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             power, entry = xpoly(i) ** (n - j), f"({i},{j})"
-            checker.eq(lgv.e_weight(scheme, sources[i - 1], sinks[j - 1]), power, entry=entry)
+            checker.eq(matrix.entry(i - 1, j - 1), power, entry=entry)
             checker.anchor("power", power, intcheck.x(i) ** (n - j), entry=entry)
     checker.eq(symfun.alternant((), n), product, side="alternant-vs-product")
     checker.anchor("vandermonde", product, intcheck.vandermonde(intcheck.xs(n)))
-    checker.eq(lgv.lgv_det(scheme, sources, sinks), product, side="lgv-det-vs-product")
+    checker.eq(symfun.det(matrix), product, side="lgv-det-vs-product")
     systems = lgv.nonintersecting_count(scheme, sources, sinks)
     checker.eq(Polynomial.const(systems), Polynomial.const(1), side="unique-system-count")
     signed_sum = lgv.nonintersecting_sum(scheme, sources, sinks)
@@ -238,13 +238,8 @@ def _flipped_jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
     r = len(shape)
     if r == 0:
         return Polynomial.one()
-    matrix = symfun.PolyMatrix.from_rows(
-        [
-            [symfun.complete_homogeneous(shape[i] + i - j, n) for j in range(r)]
-            for i in range(r)
-        ]
-    )
-    return symfun.det(matrix)
+    entries = [symfun.complete_homogeneous(shape[i] + i - j, n) for i in range(r) for j in range(r)]
+    return symfun.det(symfun.PolyMatrix(r, r, entries))
 
 
 def verify_jacobi_trudi(
@@ -282,7 +277,8 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
-    det_mixed = lgv.lgv_det(scheme, double_primed, sinks)
+    mixed = lgv.path_matrix(scheme, double_primed, sinks)
+    det_mixed = symfun.det(mixed)
     det_change = lgv.lgv_det(scheme, double_primed, primed)
     checker.eq(det_mixed, det_change * det_primed, step="determinant-factorization")
     checker.eq(det_change, symfun.vandermonde(n), step="change-det-vs-vandermonde")
@@ -292,12 +288,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
         for j in range(1, n + 1):
             exponent, entry = padded[j - 1] + n - j, f"({i},{j})"
             power = xpoly(i) ** exponent
-            checker.eq(
-                lgv.e_weight(scheme, double_primed[n - i], sinks[n - j]),
-                power,
-                step="power-entry",
-                entry=entry,
-            )
+            checker.eq(mixed.entry(n - i, n - j), power, step="power-entry", entry=entry)
             checker.anchor("power", power, intcheck.x(i) ** exponent, entry=entry)
     alternant = symfun.alternant(shape, n)
     checker.eq(det_mixed, alternant, step="mixed-det-vs-alternant")
@@ -324,17 +315,17 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     checker = _Checker()
     scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
     sources, sinks = lgv.cauchy_endpoints(n)
-    entries = [[lgv.e_weight(scheme, a, b) for b in sinks] for a in sources]
+    matrix = lgv.path_matrix(scheme, sources, sinks)
     for i in range(n):
         for j in range(n):
             geometric = Polynomial.zero()
             for k in range(degree_cap + 1):
                 geometric = geometric + (xpoly(i + 1) * ypoly(j + 1)) ** k
             entry = f"({i + 1},{j + 1})"
-            checker.eq(entries[i][j], geometric, step="entry-vs-geometric", entry=entry)
+            checker.eq(matrix.entry(i, j), geometric, step="entry-vs-geometric", entry=entry)
             expected = intcheck.geometric(i + 1, j + 1, degree_cap)
             checker.anchor("geometric", geometric, expected, entry=entry)
-    lhs = symfun.det(symfun.PolyMatrix.from_rows(entries))
+    lhs = symfun.det(matrix)
     vdm_x = symfun.vandermonde(n)
     vdm_y = _to_y(vdm_x)
     checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
@@ -383,12 +374,11 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
 def _dual_matrix(n: int, m: int) -> symfun.PolyMatrix:
     """The mixed (m+n) x (m+n) matrix: descending x-powers, ascending (-y)-powers."""
     size = n + m
-    rows = []
+    entries = []
     for r in range(1, size + 1):
-        row = [xpoly(c) ** (size - r) for c in range(1, n + 1)]
-        row += [(-ypoly(s)) ** (r - 1) for s in range(1, m + 1)]
-        rows.append(row)
-    return symfun.PolyMatrix.from_rows(rows)
+        entries += [xpoly(c) ** (size - r) for c in range(1, n + 1)]
+        entries += [(-ypoly(s)) ** (r - 1) for s in range(1, m + 1)]
+    return symfun.PolyMatrix(size, size, entries)
 
 
 def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
@@ -577,6 +567,8 @@ class SuiteConfig:
                 isinstance(name, str) for name in self.only
             ):
                 raise ValueError("config key 'only' must be a list of identity names")
+            if not self.only:
+                raise ValueError("config key 'only' must name at least one identity")
             bad = [name for name in self.only if name not in IDENTITIES]
             if bad:
                 raise ValueError(f"unknown identity names in 'only': {bad}")

@@ -15,11 +15,14 @@ horizontal) drive everything:
   scheme's total degree bound, which realizes the truncated power-series
   ring.
 
-e_weight is a dynamic-programming sum over all directed paths.  The other
-side of the LGV lemma, the non-intersecting path systems, is walked row by
-row by one transfer matrix, _sweep_systems, generic over the value it
-carries: it gives their signed sum (nonintersecting_sum, schur_via_lgv),
-their number and the systems themselves (enumerate_paths is one pair).
+One sweep row by row from a source reads the sum over all directed paths
+to each of its sinks (_path_sums).  path_matrix, the matrix e(a_i, b_j),
+runs one sweep per source; e_weight and path_count are the one-sink cases
+of the sweep and lgv_det is the determinant of path_matrix.  The other side
+of the LGV lemma, the non-intersecting path systems, is walked row by row by
+one transfer matrix, _sweep_systems, generic over the value it carries: it
+gives their signed sum (nonintersecting_sum, schur_via_lgv), their number
+and the systems themselves (enumerate_paths is one pair).
 """
 
 from __future__ import annotations
@@ -158,22 +161,24 @@ def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
     raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
 
 
-def _path_sum(scheme: Scheme, a: Point, b: Point, one, step):
-    """Sum over all paths a -> b, by dynamic programming row by row.
+def _path_sums(scheme: Scheme, a: Point, sinks: Sequence[Point], one, step) -> list:
+    """Sum over all paths from a to each sink, in one sweep row by row.
 
     `one` is the value of the empty path and step(value, frm, to) the value
     carried over the horizontal edge frm -> to; vertical edges carry values
-    unchanged.  Zero values are dropped, so the result is None when no path
-    contributes.  Paths on the monotone schemes never go left, so they stop
-    at b's column.
+    unchanged.  A sink reads its value as the sweep leaves its row.  Zero
+    values are dropped, so a sink's value is None when no path contributes,
+    as for a sink below a or left of it on a monotone scheme.  Paths there
+    never go left, so they stop at the rightmost sink's column.
     """
-    a, b = _in_window(scheme, (a, b))
+    a, *sinks = _in_window(scheme, (a, *sinks))
+    ends: dict[int, list[tuple[int, int]]] = {}  # row -> (index, column) of its sinks
+    for j, b in enumerate(sinks):
+        ends.setdefault(b.row, []).append((j, b.col))
     monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
-    if b.row < a.row or monotone and b.col < a.col:
-        return None
-    max_col = min(scheme.col_bound, b.col) if monotone else scheme.col_bound
-    values = {a.col: one}
-    for row in range(a.row, b.row + 1):
+    max_col = max((b.col for b in sinks), default=1) if monotone else scheme.col_bound
+    sums, values = [None] * len(sinks), {a.col: one}
+    for row in range(a.row, max(ends, default=0) + 1):
         if _moves_right(scheme, row):
             edges = [(col - 1, col) for col in range(2, max_col + 1)]
         else:
@@ -190,25 +195,36 @@ def _path_sum(scheme: Scheme, a: Point, b: Point, one, step):
                 values[to] = total
             else:
                 del values[to]
-    return values.get(b.col)
+        for j, col in ends.get(row, ()):
+            sums[j] = values.get(col)
+    return sums
 
 
-def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
-    """Sum of path weights over all directed paths from a to b.
+def path_matrix(
+    scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
+) -> symfun.PolyMatrix:
+    """The matrix e(a_i, b_j) of path-weight sums, one sweep per source.
 
-    Dynamic programming row by row; 0 when no path exists, 1 when a = b.
+    Entry (i, j) is 0 when no path joins a_i to b_j and 1 when a_i = b_j.
     """
     cap = scheme.degree_cap
 
     def step(value: Polynomial, frm: Point, to: Point) -> Polynomial:
         return mul(value, _horizontal_weight(scheme, frm, to), cap)
 
-    return _path_sum(scheme, a, b, Polynomial.one(), step) or Polynomial.zero()
+    one, zero = Polynomial.one(), Polynomial.zero()
+    entries = [value or zero for a in sources for value in _path_sums(scheme, a, sinks, one, step)]
+    return symfun.PolyMatrix(len(sources), len(sinks), entries)
+
+
+def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
+    """Sum of path weights over all directed paths from a to b: path_matrix's 1 x 1 case."""
+    return path_matrix(scheme, [a], [b]).entry(0, 0)
 
 
 def path_count(scheme: Scheme, a: Point, b: Point) -> int:
     """Number of directed paths from a to b inside the working window."""
-    return _path_sum(scheme, a, b, 1, lambda count, frm, to: count) or 0
+    return _path_sums(scheme, a, [b], 1, lambda count, frm, to: count)[0] or 0
 
 
 @dataclass(frozen=True)
@@ -449,10 +465,7 @@ def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) ->
     """
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
-    matrix = symfun.PolyMatrix.from_rows(
-        [[e_weight(scheme, a, b) for b in sinks] for a in sources]
-    )
-    determinant = symfun.det(matrix)
+    determinant = symfun.det(path_matrix(scheme, sources, sinks))
     if scheme.degree_cap is not None:
         determinant = truncate(determinant, scheme.degree_cap)
     return determinant
@@ -535,19 +548,6 @@ def cauchy_endpoints(n: int) -> tuple[list[Point], list[Point]]:
     sources = [Point(1, i) for i in range(1, n + 1)]
     sinks = [Point(1, 2 * n + 1 - j) for j in range(1, n + 1)]
     return sources, sinks
-
-
-def cauchy_entry(n: int, i: int, j: int, series_cap: int) -> Polynomial:
-    """e(a_i, b_j) on the doubled graph: the geometric sum of (x_i y_j)^k.
-
-    series_cap bounds the power k; internally the scheme caps total degree
-    at 2 * series_cap, which keeps exactly the powers k <= series_cap.
-    """
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("endpoint indices must lie in 1..n")
-    scheme = cauchy_doubled_scheme(n, 2 * series_cap)
-    sources, sinks = cauchy_endpoints(n)
-    return e_weight(scheme, sources[i - 1], sinks[j - 1])
 
 
 # -- SVG export -------------------------------------------------------------

@@ -225,6 +225,14 @@ def test_suite_error_report_keeps_the_whole_array(tmp_path, capsys):
     }
 
 
+def test_suite_rejects_an_empty_selection(tmp_path, capsys):
+    config = tmp_path / "none.json"
+    config.write_text(json.dumps({"only": []}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "config key 'only' must name at least one identity" in err
+
+
 def test_suite_unknown_only_exits_two(capsys):
     code, _, err = run_cli(capsys, "suite", "--only", "nosuch")
     assert code == 2
@@ -295,6 +303,17 @@ def test_render_writes_wellformed_svg(tmp_path, capsys):
     assert len(polylines) == 4  # 2 systems x 2 paths
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    out_file = tmp_path / "missing" / "x.svg" if where == "missing" else tmp_path
+    code, out, err = run_cli(
+        capsys, "render", "--preset", "vandermonde", "--n", "2", "--out", str(out_file)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_file}: ")
+    assert "Traceback" not in err
+
+
 def test_paths_refuses_explosive_configuration(capsys):
     code, _, err = run_cli(
         capsys, "paths", "--preset", "schur", "--shape", "[50]", "--n", "12"
@@ -340,6 +359,16 @@ def test_profile_writes_stats_and_keeps_output(tmp_path, capsys):
     assert profiled == plain
     names = {function for _, _, function in pstats.Stats(str(profile)).stats}
     assert "exact_div" in names
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_profile_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    argv = ["schur", "--shape", "[2,1]", "--n", "3"]
+    _, plain, _ = run_cli(capsys, *argv)
+    profile = tmp_path / "missing" / "x.prof" if where == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "--profile", str(profile), *argv)
+    assert (code, out) == (2, plain)  # the command ran; only its profile was lost
+    assert err.startswith(f"error: cannot write {profile}: ")
 
 
 def test_degree_beyond_the_packed_limit_is_a_refusal(capsys):

@@ -205,7 +205,9 @@ def test_suite_only_filter_and_empty_grid():
     config = SuiteConfig(only=["newton"], newton_max=2)
     reports = run_suite(config)
     assert [r.identity for r in reports] == ["newton"]
-    assert run_suite(SuiteConfig(only=[])) == []
+    # a selection of no identity would verify nothing and still pass
+    with pytest.raises(ValueError, match="must name at least one identity"):
+        SuiteConfig(only=[])
 
 
 def test_suite_turns_exceptions_into_error_reports():
@@ -378,3 +380,51 @@ def test_a_failing_anchor_reports_both_integers(monkeypatch):
     assert report.status == MISMATCH
     assert report.params == {"power": "3", "anchor": "complete-homogeneous", "k": "1"}
     assert (report.lhs_text, report.rhs_text) == ("-27", "-26")  # x1^3 at x1 = -3
+
+
+# -- the path matrix that each LGV verifier reads ------------------------------------
+
+
+def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
+    # entry (0, 0) of every matrix with two or more sinks is off by x1: each
+    # verifier must take its entries and determinants from lgv.path_matrix
+    from schurpaths import lgv, symfun
+
+    build = lgv.path_matrix
+
+    def faulty(scheme, sources, sinks):
+        matrix = build(scheme, sources, sinks)
+        if len(sinks) < 2:
+            return matrix
+        entries = (matrix.entries[0] + xpoly(1), *matrix.entries[1:])
+        return symfun.PolyMatrix(matrix.n_rows, matrix.n_cols, entries)
+
+    monkeypatch.setattr(lgv, "path_matrix", faulty)
+    reports = [
+        verify_main_lemma(3, 3),
+        verify_corollary(3, 3),
+        verify_vandermonde(3),
+        verify_bialternant((2, 1), 3),
+        verify_cauchy(2, 4),
+    ]
+    assert [r.status for r in reports] == [MISMATCH] * 5
+    assert [r.params for r in reports] == [
+        {"m": "3", "n": "3", "sink": "(1,1)"},
+        {"n": "3", "m": "3", "t": "1", "sink": "(1,2)"},
+        {"n": "3", "systems": "1", "entry": "(1,1)"},
+        {"shape": "[2,1]", "n": "3", "step": "primed-det-vs-tableaux"},
+        {"n": "2", "degree_cap": "4", "step": "entry-vs-geometric", "entry": "(1,1)"},
+    ]
+
+    # negating the first two rows of every matrix keeps each determinant, so
+    # only bialternant's power entries, which read M'' itself, see it
+    def negated(scheme, sources, sinks):
+        matrix = build(scheme, sources, sinks)
+        cut = 2 * matrix.n_cols if len(sources) >= 2 else 0
+        entries = [-entry for entry in matrix.entries[:cut]] + list(matrix.entries[cut:])
+        return symfun.PolyMatrix(matrix.n_rows, matrix.n_cols, entries)
+
+    monkeypatch.setattr(lgv, "path_matrix", negated)
+    report = verify_bialternant((2, 1), 3)
+    assert report.status == MISMATCH
+    assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(2,1)"}

@@ -2,8 +2,9 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from lgv_oracle import brute_force_sum, brute_force_systems
+from lgv_oracle import brute_force_sum, brute_force_systems, dfs_paths
 from schurpaths.combinat import partitions_in_box, schur_tableaux
 from schurpaths.lgv import (
     OutOfBounds,
@@ -11,7 +12,6 @@ from schurpaths.lgv import (
     bialternant_endpoints,
     cauchy_doubled_scheme,
     cauchy_endpoints,
-    cauchy_entry,
     corollary_power,
     e_weight,
     enumerate_paths,
@@ -22,6 +22,7 @@ from schurpaths.lgv import (
     nonintersecting_systems,
     nonintersecting_sum,
     path_count,
+    path_matrix,
     path_systems_svg,
     schur_endpoints,
     schur_via_lgv,
@@ -46,6 +47,8 @@ def test_out_of_bounds():
     doubled = cauchy_doubled_scheme(2, 4)
     with pytest.raises(OutOfBounds):
         e_weight(doubled, Point(1, 1), Point(1, 5))
+    with pytest.raises(OutOfBounds):  # every sink of a matrix is checked
+        path_matrix(scheme, [Point(1, 1)], [Point(2, 2), Point(4, 2)])
 
 
 def test_e_weight_schur_examples():
@@ -78,6 +81,53 @@ def test_e_weight_equals_path_enumeration():
                 for path in paths:
                     total = total + path.weight
                 assert total == e_weight(scheme, Point(1, 1), Point(m, n))
+
+
+_SCHEMES = {
+    "jacobi-trudi": lambda n, bound: jacobi_trudi_scheme(n=n, col_bound=bound),
+    "schur-weighted": lambda n, bound: schur_weighted_scheme(n=n, col_bound=bound),
+    "truncated": lambda n, bound: schur_weighted_scheme(n=n, col_bound=bound, truncated=True),
+    "cauchy-doubled": lambda n, bound: cauchy_doubled_scheme(n, bound - 1),
+}
+
+
+@st.composite
+def _matrix_configs(draw):
+    """A scheme of any kind, 1-3 sources and 1-4 sinks anywhere in its window."""
+    n = draw(st.integers(1, 2))
+    scheme = _SCHEMES[draw(st.sampled_from(sorted(_SCHEMES)))](n, draw(st.integers(1, 4)))
+    rows = st.integers(1, scheme.row_bound() or 4)
+    points = st.builds(Point, st.integers(1, scheme.col_bound), rows)
+    sources = draw(st.lists(points, min_size=1, max_size=3))
+    return scheme, sources, draw(st.lists(points, min_size=1, max_size=4))
+
+
+@given(_matrix_configs())
+# sinks on one row
+@example((jacobi_trudi_scheme(n=3, col_bound=4), [Point(1, 1), Point(2, 2)], [
+    Point(1, 3), Point(3, 3), Point(4, 3),
+]))
+# sinks on several rows, the source's own among them
+@example((schur_weighted_scheme(n=3, col_bound=4, truncated=True), [Point(1, 1), Point(1, 2)], [
+    Point(4, 1), Point(2, 2), Point(3, 4), Point(1, 3),
+]))
+# sinks left of the source, below it and on it
+@example((schur_weighted_scheme(n=3, col_bound=4), [Point(3, 2)], [
+    Point(1, 3), Point(2, 2), Point(4, 1), Point(3, 2),
+]))
+# the doubled graph: sinks in both halves, one below the source, one left of it
+@example((cauchy_doubled_scheme(2, 4), [Point(1, 1), Point(3, 2)], [
+    Point(1, 4), Point(2, 3), Point(5, 2), Point(2, 1),
+]))
+def test_path_matrix_entries_are_oracle_sums(config):
+    scheme, sources, sinks = config
+    matrix = path_matrix(scheme, sources, sinks)
+    assert (matrix.n_rows, matrix.n_cols) == (len(sources), len(sinks))
+    for i, a in enumerate(sources):
+        for j, b in enumerate(sinks):
+            paths = list(dfs_paths(scheme, a, b))
+            assert matrix.entry(i, j) == sum((path.weight for path in paths), Polynomial.zero())
+            assert path_count(scheme, a, b) == len(paths)
 
 
 def test_enumerate_paths_basics():
@@ -223,14 +273,16 @@ def test_cauchy_entry_frozen_example():
 
 
 def test_cauchy_entries_are_geometric_sums():
+    # the scheme caps total degree at 2 * cap, which keeps the powers k <= cap
     for n in (1, 2, 3):
         for cap in (0, 2, 4):
+            matrix = path_matrix(cauchy_doubled_scheme(n, 2 * cap), *cauchy_endpoints(n))
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     geometric = Polynomial.zero()
                     for k in range(cap + 1):
                         geometric = geometric + (xpoly(i) * ypoly(j)) ** k
-                    assert cauchy_entry(n, i, j, cap) == geometric
+                    assert matrix.entry(i - 1, j - 1) == geometric
 
 
 def test_cauchy_window_is_wide_enough():
