@@ -17,7 +17,10 @@ the ring's value at one fixed integer point must equal the integer that
 
 `IDENTITIES` lists each verifier with its suite grid.  A verifier's
 parameters are its `verify` options, each named and defaulted once in its
-signature, and its reports name their params by the same options.
+signature, and its reports name their params by the same options.  Each
+verifier run is one `_Checker`: built from the identity's name and those
+options, it owns the run's clock and its checks and gives the report, so
+every report writes its params one way, a partition as `[2,1]`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ ERROR = "ERROR"
 
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
+_MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
 
 @dataclass
 class CheckReport:
@@ -98,23 +102,35 @@ _COORDINATE = {
 }
 
 
-class _Checker:
-    """Accumulates equality checks and anchors; remembers the first failure.
+def _params(**values: object) -> dict[str, str]:
+    """Report params: a partition as its `verify` text, `[2,1]`, anything else through str."""
+    return {k: partition_text(v) if isinstance(v, tuple) else str(v) for k, v in values.items()}
 
-    A failure is its `where` labels and the texts of the two sides.
+
+def _elapsed_ms(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
+class _Checker:
+    """One verifier run: it starts the clock, checks equalities and anchors, and reports.
+
+    The params are the verifier's options, given once on construction.  The
+    run remembers its first failure: the failure's `where` labels and the
+    texts of the two sides.  `report` ends the run VERIFIED, or MISMATCH
+    with those labels after the params.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, identity: str, **options: object) -> None:
+        self.t0 = time.perf_counter()
+        self.identity = identity
+        self.params = _params(**options)
         self.failure: tuple[dict[str, str], str, str] | None = None
-
-    def ok(self) -> bool:
-        return self.failure is None
 
     def eq(self, lhs: Polynomial, rhs: Polynomial, **where: object) -> bool:
         if self.failure is not None:
             return False
         if lhs != rhs:
-            self.failure = ({k: str(v) for k, v in where.items()}, *_mismatch_texts(lhs, rhs))
+            self.failure = (_params(**where), *_mismatch_texts(lhs, rhs))
             return False
         return True
 
@@ -125,29 +141,18 @@ class _Checker:
         point = {v: _COORDINATE[v.family](v.index) for v in value.variables()}
         got = eval_int(value, point)
         if got != expected:
-            labels = {"anchor": name, **where}
-            self.failure = ({k: str(v) for k, v in labels.items()}, str(got), str(expected))
+            self.failure = (_params(anchor=name, **where), str(got), str(expected))
             return False
         return True
 
-
-def _elapsed_ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
-def _finish(identity: str, params: dict[str, str], checker: _Checker, t0: float) -> CheckReport:
-    elapsed = _elapsed_ms(t0)
-    if checker.ok():
-        return CheckReport(identity, params, VERIFIED, elapsed_ms=elapsed)
-    where, lhs_text, rhs_text = checker.failure
-    return CheckReport(
-        identity,
-        {**params, **where},
-        MISMATCH,
-        lhs_text=lhs_text,
-        rhs_text=rhs_text,
-        elapsed_ms=elapsed,
-    )
+    def report(self, **extra: object) -> CheckReport:
+        """The run's report; `extra` params, measured by the run, follow the options."""
+        params = {**self.params, **_params(**extra)}
+        elapsed = _elapsed_ms(self.t0)
+        if self.failure is None:
+            return CheckReport(self.identity, params, VERIFIED, elapsed_ms=elapsed)
+        where, lhs, rhs = self.failure
+        return CheckReport(self.identity, {**params, **where}, MISMATCH, lhs, rhs, elapsed)
 
 
 def _to_y(p: Polynomial) -> Polynomial:
@@ -170,8 +175,10 @@ def _xy_component(p: Polynomial, d: int) -> Polynomial:
 
 def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) -> CheckReport:
     """Path-weight DP against the closed product form at every sink of the m x n grid."""
-    t0 = time.perf_counter()
-    checker = _Checker()
+    if m > _MAX_LEMMA_M:
+        terms = 2 ** (m - 1)
+        raise TooLarge(f"main-lemma at m={m} > {_MAX_LEMMA_M} needs closed forms of {terms} terms")
+    checker = _Checker("main-lemma", m=m, n=n)
     scheme = lgv.schur_weighted_scheme(
         n=n, col_bound=m, truncated=False, corrupt_weights=corrupt_weights
     )
@@ -182,15 +189,14 @@ def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) 
         expected = intcheck.lemma_product(col, row)
         if not checker.anchor("lemma-product", product, expected, sink=sink):
             break
-    return _finish("main-lemma", {"m": str(m), "n": str(n)}, checker, t0)
+    return checker.report()
 
 
 def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
     """Truncated DP from (1, t) to (col, row) equals x_t^(col-1), 1 <= t < row <= n, col <= m."""
-    t0 = time.perf_counter()
     if n < 2 or m < 1:
         raise ValueError("corollary check needs n >= 2 and m >= 1")
-    checker = _Checker()
+    checker = _Checker("corollary", n=n, m=m)
     for row in range(2, n + 1):
         scheme = lgv.schur_weighted_scheme(n=row, col_bound=m, truncated=True)
         sinks = [Point(col, row) for col in range(1, m + 1)]
@@ -200,15 +206,14 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
                 power, sink = lgv.corollary_power(t, col, row), f"({col},{row})"
                 checker.eq(matrix.entry(t - 1, col - 1), power, t=t, sink=sink)
                 checker.anchor("power", power, intcheck.x(t) ** (col - 1), t=t, sink=sink)
-    return _finish("corollary", {"n": str(n), "m": str(m)}, checker, t0)
+    return checker.report()
 
 
 def verify_vandermonde(n: int = 3) -> CheckReport:
     """Product form vs determinant of powers vs the signed sum over the path systems."""
-    t0 = time.perf_counter()
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
-    checker = _Checker()
+    checker = _Checker("vandermonde", n=n)
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)
     sources, sinks = lgv.vandermonde_endpoints(n)
@@ -225,7 +230,7 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     checker.eq(Polynomial.const(systems), Polynomial.const(1), side="unique-system-count")
     signed_sum = lgv.nonintersecting_sum(scheme, sources, sinks)
     checker.eq(signed_sum, product, side="signed-sum-vs-product")
-    return _finish("vandermonde", {"n": str(n), "systems": str(systems)}, checker, t0)
+    return checker.report(systems=systems)
 
 
 def _flipped_jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
@@ -246,9 +251,8 @@ def verify_jacobi_trudi(
     shape: Sequence[int], n: int = 3, *, flip_orientation: bool = False
 ) -> CheckReport:
     """Determinant of complete homogeneous polynomials vs the tableau sum."""
-    t0 = time.perf_counter()
     shape = partition(shape)
-    checker = _Checker()
+    checker = _Checker("jacobi-trudi", shape=shape, n=n)
     tableaux_side = combinat.schur_tableaux(shape, n)
     det_side = (
         _flipped_jacobi_trudi(shape, n) if flip_orientation else symfun.jacobi_trudi(shape, n)
@@ -256,17 +260,14 @@ def verify_jacobi_trudi(
     checker.eq(det_side, tableaux_side, side="determinant-vs-tableaux")
     checker.eq(lgv.schur_via_lgv(shape, n), tableaux_side, side="lgv-vs-tableaux")
     checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
-    return _finish(
-        "jacobi-trudi", {"shape": partition_text(shape), "n": str(n)}, checker, t0
-    )
+    return checker.report()
 
 
 def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """The full reduction chain from path systems to the alternant quotient."""
-    t0 = time.perf_counter()
     shape = partition(shape)
     padded = fit_shape(shape, n)
-    checker = _Checker()
+    checker = _Checker("bialternant", shape=shape, n=n)
     width = (shape[0] if shape else 0) + n
     scheme = lgv.schur_weighted_scheme(n=n, col_bound=width, truncated=True)
     double_primed, primed, sinks = lgv.bialternant_endpoints(shape, n)
@@ -295,9 +296,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     checker.anchor("alternant", det_mixed, intcheck.alternant(shape, n))
     quotient = symfun.divide_by_vandermonde(alternant, n)
     checker.eq(quotient, tableaux_side, step="quotient-vs-tableaux")
-    return _finish(
-        "bialternant", {"shape": partition_text(shape), "n": str(n)}, checker, t0
-    )
+    return checker.report()
 
 
 def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
@@ -307,12 +306,11 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     Vdm(x) * Vdm(y) * sum of S_lambda(x) S_lambda(y) for every d up to
     degree_cap minus the Vandermonde offset n(n-1)/2.
     """
-    t0 = time.perf_counter()
     if n < 1 or degree_cap < 0:
         raise ValueError("cauchy check needs n >= 1 and degree_cap >= 0")
     if comb(n + degree_cap, n) > _PARTITION_LIST_LIMIT:
         raise TooLarge("the truncated partition list would explode")
-    checker = _Checker()
+    checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
     scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
     sources, sinks = lgv.cauchy_endpoints(n)
     matrix = lgv.path_matrix(scheme, sources, sinks)
@@ -340,17 +338,14 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     offset = n * (n - 1) // 2
     for d in range(0, degree_cap - offset + 1):
         checker.eq(_xy_component(lhs, d), _xy_component(rhs, d), step="graded-component", d=d)
-    return _finish(
-        "cauchy", {"n": str(n), "degree_cap": str(degree_cap)}, checker, t0
-    )
+    return checker.report()
 
 
 def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
     """Product of (1 + x_i y_j) vs the conjugate-paired Schur expansion."""
-    t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise ValueError("dual cauchy needs n, m >= 1")
-    checker = _Checker()
+    checker = _Checker("dual-cauchy", n=n, m=m)
     lhs = Polynomial.one()
     for i in range(1, n + 1):
         for j in range(1, m + 1):
@@ -363,12 +358,7 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
         )
     checker.eq(lhs, rhs, side="product-vs-schur-sum")
     checker.anchor("product", lhs, intcheck.dual_product(n, m))
-    return _finish(
-        "dual-cauchy",
-        {"n": str(n), "m": str(m), "partitions": str(len(box))},
-        checker,
-        t0,
-    )
+    return checker.report(partitions=len(box))
 
 
 def _dual_matrix(n: int, m: int) -> symfun.PolyMatrix:
@@ -388,10 +378,9 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
     the 1x1 case and required to stay consistent across the grid; the report
     records the epsilon used.
     """
-    t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise ValueError("dual determinant needs n, m >= 1")
-    checker = _Checker()
+    checker = _Checker("dual-determinant", n=n, m=m)
     determinant = symfun.det(_dual_matrix(n, m))
     product = symfun.vandermonde(n) * _to_y(symfun.vandermonde(m))
     for i in range(1, n + 1):
@@ -400,19 +389,13 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
     epsilon = -1 if (n * m) % 2 else 1
     checker.eq(determinant, epsilon * product, side="det-vs-signed-product")
     checker.anchor("signed-product", epsilon * product, intcheck.dual_determinant(n, m))
-    return _finish(
-        "dual-determinant",
-        {"n": str(n), "m": str(m), "epsilon": f"{epsilon:+d}"},
-        checker,
-        t0,
-    )
+    return checker.report(epsilon=f"{epsilon:+d}")
 
 
 def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     """Factorial tableau sum vs the falling-power determinant quotient."""
-    t0 = time.perf_counter()
     shape = partition(shape)
-    checker = _Checker()
+    checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)
     checker.eq(tableaux_side, quotient_side, side="tableaux-vs-quotient")
@@ -421,17 +404,14 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     checker.eq(substitute_zero(tableaux_side, Family.A, 1), plain, side="tableaux-at-a0")
     checker.eq(substitute_zero(quotient_side, Family.A, 1), plain, side="quotient-at-a0")
     checker.anchor("schur", plain, intcheck.schur(shape, n))
-    return _finish(
-        "factorial-schur", {"shape": partition_text(shape), "n": str(n)}, checker, t0
-    )
+    return checker.report()
 
 
 def verify_newton(power: int = 8) -> CheckReport:
     """Newton expansion collapses to t^power; table entries match the h oracle."""
-    t0 = time.perf_counter()
     if power < 0:
         raise ValueError("newton check needs power >= 0")
-    checker = _Checker()
+    checker = _Checker("newton", power=power)
     expansion = tpoly() ** power
     checker.eq(symfun.newton_expand(power), expansion, side="expansion")
     checker.anchor("t-power", expansion, intcheck.T**power)
@@ -440,7 +420,7 @@ def verify_newton(power: int = 8) -> CheckReport:
         checker.eq(symfun.divided_difference(power, k), h, side="table-entry", k=k)
         expected = intcheck.complete_homogeneous(power - k + 1, k)
         checker.anchor("complete-homogeneous", h, expected, k=k)
-    return _finish("newton", {"power": str(power)}, checker, t0)
+    return checker.report()
 
 
 # -- the identity table and the suite -------------------------------------------
@@ -499,7 +479,7 @@ def _shape_row(n: int, max_size: int, **options: object) -> Group:
     shapes = [s for s in combinat.partitions_in_box(n, max_size) if sum(s) <= max_size]
     return Group(
         [{"shape": shape, "n": n, **options} for shape in shapes],
-        {"n": str(n), "max_size": str(max_size), "shapes": str(len(shapes))},
+        _params(n=n, max_size=max_size, shapes=len(shapes)),
     )
 
 
@@ -529,7 +509,7 @@ IDENTITIES: dict[str, Identity] = {
             _shape_row(n, min(4, c.max_partition_size)) for n in range(1, min(3, c.max_n) + 1)
         ]),
         ("newton", verify_newton, lambda c: [
-            Group([{"power": k} for k in range(c.newton_max + 1)], {"n_max": str(c.newton_max)})
+            Group([{"power": k} for k in range(c.newton_max + 1)], _params(n_max=c.newton_max))
         ]),
     ]
 }
@@ -574,6 +554,14 @@ class SuiteConfig:
                 raise ValueError(f"unknown identity names in 'only': {bad}")
         if self.corrupt not in (None, *_CONTROLS):
             raise ValueError(f"unknown negative control {self.corrupt!r}")
+        # a selected identity whose grid is empty would pass without a check
+        empty = [i.name for i in self.selected() if not any(g.points for g in i.grid(self))]
+        if empty and (self.only is not None or len(empty) == len(IDENTITIES)):
+            raise ValueError(f"the config gives no point to check for {', '.join(empty)}")
+
+    def selected(self) -> list[Identity]:
+        """The identities that `only` selects, in table order."""
+        return [i for i in IDENTITIES.values() if self.only is None or i.name in self.only]
 
     def control(self, flag: str) -> dict[str, bool]:
         """`{flag: True}` if `corrupt` selects that negative control, else `{}`."""
@@ -600,7 +588,7 @@ def _run_group(identity: Identity, group: Group) -> CheckReport:
                 return report
     except Exception as exc:
         point = {**identity.options, **group.points[0]}
-        params = group.summary or {k: str(v) for k, v in point.items() if v is not REQUIRED}
+        params = group.summary or _params(**{k: v for k, v in point.items() if v is not REQUIRED})
         params = {**params, "error": f"{type(exc).__name__}: {exc}"}
         return CheckReport(identity.name, params, ERROR, elapsed_ms=_elapsed_ms(t0))
     return CheckReport(identity.name, dict(group.summary), VERIFIED, elapsed_ms=_elapsed_ms(t0))
@@ -609,12 +597,7 @@ def _run_group(identity: Identity, group: Group) -> CheckReport:
 def run_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
     """Run every selected identity over its grid, in table order."""
     config = config or SuiteConfig()
-    return [
-        _run_group(identity, group)
-        for identity in IDENTITIES.values()
-        if config.only is None or identity.name in config.only
-        for group in identity.grid(config)
-    ]
+    return [_run_group(i, group) for i in config.selected() for group in i.grid(config)]
 
 
 def all_verified(reports: Sequence[CheckReport]) -> bool:

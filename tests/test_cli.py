@@ -139,6 +139,17 @@ def test_suite_json_golden(capsys):
     assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden.read_text()
 
 
+def test_verify_main_lemma_refuses_an_oversized_grid(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the refusal must come before any matrix or product")
+
+    monkeypatch.setattr(lgv, "path_matrix", build)
+    monkeypatch.setattr(lgv, "lemma_product", build)
+    code, out, err = run_cli(capsys, "verify", "main-lemma", "--m", "130", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == f"refused: main-lemma at m=130 > 18 needs closed forms of {2 ** 129} terms\n"
+
+
 def test_verify_corollary_empty_grid_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "corollary", "--n", "1")
     assert code == 2
@@ -231,6 +242,14 @@ def test_suite_rejects_an_empty_selection(tmp_path, capsys):
     code, out, err = run_cli(capsys, "suite", "--config", str(config))
     assert (code, out) == (2, "")
     assert "config key 'only' must name at least one identity" in err
+    config.write_text(json.dumps({"max_n": 0, "only": ["jacobi-trudi"]}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == "error: bad config file: the config gives no point to check for jacobi-trudi\n"
+    config.write_text(json.dumps({"dual_max": 0}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(config), "--only", "dual-cauchy")
+    assert (code, out) == (2, "")
+    assert err == "error: the config gives no point to check for dual-cauchy\n"
 
 
 def test_suite_unknown_only_exits_two(capsys):

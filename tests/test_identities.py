@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from schurpaths import identities
+from schurpaths import cli, identities, lgv, symfun
 from schurpaths.identities import (
     ERROR,
+    IDENTITIES,
     MISMATCH,
+    REQUIRED,
     VERIFIED,
     CheckReport,
     SuiteConfig,
@@ -24,12 +26,33 @@ from schurpaths.identities import (
     verify_newton,
     verify_vandermonde,
 )
-from schurpaths.ring import Polynomial, xpoly
+from schurpaths.lgv import TooLarge
+from schurpaths.ring import Polynomial, apoly, xpoly, xvar
 
 
 def test_main_lemma_verifier():
     assert verify_main_lemma(1, 1).status == VERIFIED
     assert verify_main_lemma(4, 4).status == VERIFIED
+
+
+def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
+    # the closed form at sink (m, 1) has 2^(m-1) terms; a refusal that came
+    # late would grow until the process runs out of memory
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(lgv, "path_matrix", build)
+    monkeypatch.setattr(lgv, "lemma_product", build)
+    message = r"^main-lemma at m=19 > 18 needs closed forms of 262144 terms$"
+    with pytest.raises(TooLarge, match=message):
+        verify_main_lemma(19, 1)
+    with pytest.raises(TooLarge, match=f"m=130 > 18 needs closed forms of {2 ** 129} terms"):
+        verify_main_lemma(130, 1)
+    with pytest.raises(Built):  # m = 18 (131,072 terms) is still checked
+        verify_main_lemma(18, 1)
 
 
 def test_main_lemma_negative_control():
@@ -107,6 +130,33 @@ def test_factorial_schur_verifier():
 def test_newton_verifier():
     for n in (0, 2, 6):
         assert verify_newton(n).status == VERIFIED
+
+
+# params that the checks measure, after the options
+_EXTRA_PARAMS = {
+    "vandermonde": ["systems"], "dual-cauchy": ["partitions"], "dual-determinant": ["epsilon"]
+}
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_report_params_are_the_options_then_the_extras(capsys, name):
+    identity = IDENTITIES[name]
+    options = {k: (2, 1) if v is REQUIRED else v for k, v in identity.options.items()}
+    report = identity.check(**options)
+    assert report.status == VERIFIED
+    assert list(report.params) == [*identity.options, *_EXTRA_PARAMS.get(name, [])]
+    texts = {k: "[2,1]" if k == "shape" else str(v) for k, v in options.items()}
+    assert {k: report.params[k] for k in identity.options} == texts
+    # the text that `verify` prints
+    shape = ["--shape", "[2,1]"] if "shape" in options else []
+    assert cli.main(["verify", name, *shape, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == report.params
+
+
+def test_mismatch_params_are_the_options_then_the_where_labels():
+    report = verify_main_lemma(corrupt_weights=True)
+    assert report.status == MISMATCH
+    assert list(report.params.items()) == [("m", "6"), ("n", "6"), ("sink", "(2,1)")]
 
 
 def test_mismatch_texts_restrict_to_differing_terms():
@@ -201,13 +251,32 @@ def test_suite_small_run_is_deterministic():
     ]
 
 
-def test_suite_only_filter_and_empty_grid():
+def test_suite_only_filter_and_empty_grid(monkeypatch):
     config = SuiteConfig(only=["newton"], newton_max=2)
     reports = run_suite(config)
     assert [r.identity for r in reports] == ["newton"]
     # a selection of no identity would verify nothing and still pass
     with pytest.raises(ValueError, match="must name at least one identity"):
         SuiteConfig(only=[])
+    # so would a selected identity whose grid is empty
+    for config, names in [
+        ({"max_n": 0, "only": ["jacobi-trudi"]}, "jacobi-trudi"),
+        ({"max_n": 0, "only": ["jacobi-trudi", "newton", "bialternant"]},
+         "jacobi-trudi, bialternant"),
+        ({"dual_max": 0, "only": ["dual-cauchy"]}, "dual-cauchy"),
+        ({"max_n": 0, "only": ["cauchy", "factorial-schur"]}, "cauchy, factorial-schur"),
+    ]:
+        with pytest.raises(ValueError, match=f"^the config gives no point to check for {names}$"):
+            SuiteConfig.from_dict(config)
+    # without `only`, the identities with a point still run
+    assert [r.identity for r in run_suite(SuiteConfig(max_n=0, dual_max=0, newton_max=0))] == [
+        "main-lemma", "corollary", *["vandermonde"] * 5, "dual-determinant", "newton"
+    ]
+    # and a run with no point at all is rejected too
+    newton = IDENTITIES["newton"]._replace(grid=lambda c: [])
+    monkeypatch.setattr(identities, "IDENTITIES", {"newton": newton})
+    with pytest.raises(ValueError, match="^the config gives no point to check for newton$"):
+        SuiteConfig()
 
 
 def test_suite_turns_exceptions_into_error_reports():
@@ -428,3 +497,69 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     report = verify_bialternant((2, 1), 3)
     assert report.status == MISMATCH
     assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(2,1)"}
+
+
+# -- the fault table -------------------------------------------------------------------
+#
+# One row per injected fault: a patch, a canary that shows the fault is live,
+# and the identities that must not end VERIFIED on a small suite.  A fault that
+# no check catches is a finding to mend, never a row that expects a pass.
+
+
+def _det_sign_slip(monkeypatch):
+    det = symfun.det
+    monkeypatch.setattr(symfun, "det", lambda m: -det(m) if m.n_rows >= 3 else det(m))
+
+
+def _falling_power_off_by_one(monkeypatch):
+    def shifted(v, k):  # (v - a_2)...(v - a_(k+1))
+        product = Polynomial.one()
+        for index in range(2, k + 2):
+            product = product * (Polynomial.variable(v) - apoly(index))
+        return product
+
+    monkeypatch.setattr(symfun, "falling_power", shifted)
+
+
+def _exit_floors_one_too_high(monkeypatch):
+    floors = lgv._exit_floors
+
+    def raised(joins, ends):
+        return {row: [col + 1 for col in cols] for row, cols in floors(joins, ends).items()}
+
+    monkeypatch.setattr(lgv, "_exit_floors", raised)
+
+
+_FAULTS = {
+    "det-sign-slip-from-order-3": (
+        _det_sign_slip,
+        lambda: symfun.alternant((), 3) == -symfun.vandermonde(3)
+        and symfun.alternant((), 2) == symfun.vandermonde(2),
+        {"bialternant", "dual-determinant", "factorial-schur", "jacobi-trudi", "vandermonde"},
+    ),
+    "falling-power-a-index-plus-one": (
+        _falling_power_off_by_one,
+        lambda: str(symfun.falling_power(xvar(1), 1)) == "x1 - a2",
+        {"factorial-schur"},
+    ),
+    "exit-floors-one-column-too-high": (
+        _exit_floors_one_too_high,
+        lambda: lgv.nonintersecting_count(
+            lgv.vandermonde_scheme(2), *lgv.vandermonde_endpoints(2)
+        ) == 0,
+        {"bialternant", "jacobi-trudi", "vandermonde"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_an_injected_fault_is_caught(monkeypatch, fault):
+    install, canary, caught = _FAULTS[fault]
+    install(monkeypatch)
+    assert canary()  # the fault is live
+    config = SuiteConfig(max_n=3, max_partition_size=4, dual_max=2, newton_max=3)
+    failed = [r for r in run_suite(config) if r.status != VERIFIED]
+    assert {r.identity for r in failed} == caught
+    assert all(r.status in (MISMATCH, ERROR) for r in failed)
+    for r in failed:  # a MISMATCH names the check that failed
+        assert r.status == ERROR or r.params.keys() & {"step", "side", "anchor"}, r
