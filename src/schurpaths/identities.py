@@ -175,6 +175,8 @@ def _xy_component(p: Polynomial, d: int) -> Polynomial:
 
 def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) -> CheckReport:
     """Path-weight DP against the closed product form at every sink of the m x n grid."""
+    if m < 1 or n < 1:
+        raise ValueError("main-lemma check needs m >= 1 and n >= 1")
     if m > _MAX_LEMMA_M:
         terms = 2 ** (m - 1)
         raise TooLarge(f"main-lemma at m={m} > {_MAX_LEMMA_M} needs closed forms of {terms} terms")
@@ -185,7 +187,7 @@ def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) 
     sinks = [Point(col, row) for col in range(1, m + 1) for row in range(1, n + 1)]
     for (col, row), weight in zip(sinks, lgv.path_matrix(scheme, [Point(1, 1)], sinks).row(0)):
         product, sink = lgv.lemma_product(col, row), f"({col},{row})"
-        checker.eq(weight, product, sink=sink)
+        checker.eq(weight, product, side="path-sum-vs-product", sink=sink)
         expected = intcheck.lemma_product(col, row)
         if not checker.anchor("lemma-product", product, expected, sink=sink):
             break
@@ -202,9 +204,9 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
         sinks = [Point(col, row) for col in range(1, m + 1)]
         matrix = lgv.path_matrix(scheme, [Point(1, t) for t in range(1, row)], sinks)
         for t in range(1, row):
-            for col in range(1, m + 1):
+            for col, entry in enumerate(matrix.row(t - 1), 1):
                 power, sink = lgv.corollary_power(t, col, row), f"({col},{row})"
-                checker.eq(matrix.entry(t - 1, col - 1), power, t=t, sink=sink)
+                checker.eq(entry, power, side="path-sum-vs-power", t=t, sink=sink)
                 checker.anchor("power", power, intcheck.x(t) ** (col - 1), t=t, sink=sink)
     return checker.report()
 
@@ -221,7 +223,7 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             power, entry = xpoly(i) ** (n - j), f"({i},{j})"
-            checker.eq(matrix.entry(i - 1, j - 1), power, entry=entry)
+            checker.eq(matrix.entry(i - 1, j - 1), power, side="entry-vs-power", entry=entry)
             checker.anchor("power", power, intcheck.x(i) ** (n - j), entry=entry)
     checker.eq(symfun.alternant((), n), product, side="alternant-vs-product")
     checker.anchor("vandermonde", product, intcheck.vandermonde(intcheck.xs(n)))
@@ -251,6 +253,8 @@ def verify_jacobi_trudi(
     shape: Sequence[int], n: int = 3, *, flip_orientation: bool = False
 ) -> CheckReport:
     """Determinant of complete homogeneous polynomials vs the tableau sum."""
+    if n < 1:
+        raise ValueError("jacobi-trudi check needs n >= 1")
     shape = partition(shape)
     checker = _Checker("jacobi-trudi", shape=shape, n=n)
     tableaux_side = combinat.schur_tableaux(shape, n)
@@ -265,6 +269,8 @@ def verify_jacobi_trudi(
 
 def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """The full reduction chain from path systems to the alternant quotient."""
+    if n < 1:
+        raise ValueError("bialternant check needs n >= 1")
     shape = partition(shape)
     padded = fit_shape(shape, n)
     checker = _Checker("bialternant", shape=shape, n=n)
@@ -394,6 +400,8 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
 
 def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     """Factorial tableau sum vs the falling-power determinant quotient."""
+    if n < 1:
+        raise ValueError("factorial-schur check needs n >= 1")
     shape = partition(shape)
     checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)

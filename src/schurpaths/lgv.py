@@ -17,18 +17,22 @@ horizontal) drive everything:
 
 One sweep row by row from a source reads the sum over all directed paths
 to each of its sinks (_path_sums).  path_matrix, the matrix e(a_i, b_j),
-runs one sweep per source; e_weight and path_count are the one-sink cases
-of the sweep and lgv_det is the determinant of path_matrix.  The other side
-of the LGV lemma, the non-intersecting path systems, is walked row by row by
+sweeps every source in one call; e_weight and path_count are its one-sink
+cases and lgv_det is the determinant of path_matrix.  The other side of
+the LGV lemma, the non-intersecting path systems, is walked row by row by
 one transfer matrix, _sweep_systems, generic over the value it carries: it
 gives their signed sum (nonintersecting_sum, schur_via_lgv), their number
-and the systems themselves (enumerate_paths is one pair).
+and the systems themselves (enumerate_paths is one pair).  Both sweeps
+carry a value over the edge leaving (col, row) in the row's direction
+(_moves_right) as step(value, weight), with the weight from
+_horizontal_weight(scheme, row, col), computed once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
@@ -138,82 +142,81 @@ def _moves_right(scheme: Scheme, row: int) -> bool:
     return scheme.kind != SchemeKind.CAUCHY_DOUBLED or row <= scheme.n
 
 
-def _horizontal_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
+def _horizontal_weight(scheme: Scheme, row: int, col: int) -> Polynomial:
+    """The weight of the edge that leaves (col, row) in the row's direction of travel."""
     cut = scheme.truncate_at
-    if to.col == frm.col + 1:
+    if _moves_right(scheme, row):
         if scheme.kind == SchemeKind.JACOBI_TRUDI:
-            return xpoly(frm.row)
-        first = _truncated(xpoly, frm.row, cut)
-        second = _truncated(xpoly, frm.col + frm.row, cut)
+            return xpoly(row)
+        first = _truncated(xpoly, row, cut)
+        second = _truncated(xpoly, col + row, cut)
         if scheme.corrupt_weights and scheme.kind == SchemeKind.SCHUR_WEIGHTED:
             return first + second
         return first - second
-    # leftward step in the doubled upper half; row n+k mirrors row n+1-k
-    mirrored = 2 * scheme.n + 1 - frm.row
-    return _truncated(ypoly, mirrored, cut) - _truncated(ypoly, to.col + mirrored, cut)
+    # leftward step into col - 1 in the doubled upper half; row n+k mirrors row n+1-k
+    mirrored = 2 * scheme.n + 1 - row
+    return _truncated(ypoly, mirrored, cut) - _truncated(ypoly, col - 1 + mirrored, cut)
 
 
 def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
     if to.row == frm.row + 1 and to.col == frm.col:
         return Polynomial.one()
-    if to.row == frm.row and abs(to.col - frm.col) == 1:
-        return _horizontal_weight(scheme, frm, to)
+    if to.row == frm.row and to.col - frm.col == (1 if _moves_right(scheme, frm.row) else -1):
+        return _horizontal_weight(scheme, frm.row, frm.col)
     raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
 
 
-def _path_sums(scheme: Scheme, a: Point, sinks: Sequence[Point], one, step) -> list:
-    """Sum over all paths from a to each sink, in one sweep row by row.
+def _product_step(scheme: Scheme):
+    """step(value, weight) of a sweep carrying a Polynomial: the product in the capped ring."""
+    return partial(mul, degree_cap=scheme.degree_cap)
 
-    `one` is the value of the empty path and step(value, frm, to) the value
-    carried over the horizontal edge frm -> to; vertical edges carry values
-    unchanged.  A sink reads its value as the sweep leaves its row.  Zero
-    values are dropped, so a sink's value is None when no path contributes,
-    as for a sink below a or left of it on a monotone scheme.  Paths there
-    never go left, so they stop at the rightmost sink's column.
+
+def _path_sums(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point], one, step) -> list:
+    """Sum over all paths from each source to each sink: one list of sink values per source.
+
+    `one` is the value of the empty path and step(value, weight) the value
+    carried over a horizontal edge of that weight; vertical edges carry
+    values unchanged.  A sink reads its value as the sweep leaves its row.
+    Zero values are dropped, so a sink's value is None when no path
+    contributes, as for a sink below its source or left of it on a monotone
+    scheme.  Paths there never go left, so they stop at the rightmost sink's column.
     """
-    a, *sinks = _in_window(scheme, (a, *sinks))
+    sources, sinks = _in_window(scheme, sources), _in_window(scheme, sinks)
+    weight = cache(partial(_horizontal_weight, scheme))  # every source's sweep reads it
     ends: dict[int, list[tuple[int, int]]] = {}  # row -> (index, column) of its sinks
     for j, b in enumerate(sinks):
         ends.setdefault(b.row, []).append((j, b.col))
     monotone = scheme.kind != SchemeKind.CAUCHY_DOUBLED
     max_col = max((b.col for b in sinks), default=1) if monotone else scheme.col_bound
-    sums, values = [None] * len(sinks), {a.col: one}
-    for row in range(a.row, max(ends, default=0) + 1):
-        if _moves_right(scheme, row):
-            edges = [(col - 1, col) for col in range(2, max_col + 1)]
-        else:
-            edges = [(col + 1, col) for col in range(max_col - 1, 0, -1)]
-        for frm, to in edges:
-            incoming = values.get(frm)
-            if not incoming:
-                continue
-            moved = step(incoming, Point(frm, row), Point(to, row))
-            if not moved:
-                continue
-            total = values[to] + moved if to in values else moved
-            if total:
-                values[to] = total
-            else:
-                del values[to]
-        for j, col in ends.get(row, ()):
-            sums[j] = values.get(col)
+    sums = [[None] * len(sinks) for _ in sources]
+    for a, found in zip(sources, sums):
+        values = {a.col: one}
+        for row in range(a.row, max(ends, default=0) + 1):
+            forward = 1 if _moves_right(scheme, row) else -1
+            for frm in range(1, max_col) if forward == 1 else range(max_col, 1, -1):
+                moved = step(values[frm], weight(row, frm)) if frm in values else None
+                if not moved:
+                    continue
+                to = frm + forward
+                total = values[to] + moved if to in values else moved
+                if total:
+                    values[to] = total
+                else:
+                    del values[to]
+            for j, col in ends.get(row, ()):
+                found[j] = values.get(col)
     return sums
 
 
 def path_matrix(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> symfun.PolyMatrix:
-    """The matrix e(a_i, b_j) of path-weight sums, one sweep per source.
+    """The matrix e(a_i, b_j) of path-weight sums, one sweep per source, each edge weighed once.
 
     Entry (i, j) is 0 when no path joins a_i to b_j and 1 when a_i = b_j.
     """
-    cap = scheme.degree_cap
-
-    def step(value: Polynomial, frm: Point, to: Point) -> Polynomial:
-        return mul(value, _horizontal_weight(scheme, frm, to), cap)
-
-    one, zero = Polynomial.one(), Polynomial.zero()
-    entries = [value or zero for a in sources for value in _path_sums(scheme, a, sinks, one, step)]
+    sums = _path_sums(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
+    entries = [value or Polynomial.zero() for row in sums for value in row]
     return symfun.PolyMatrix(len(sources), len(sinks), entries)
 
 
@@ -224,7 +227,7 @@ def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
 
 def path_count(scheme: Scheme, a: Point, b: Point) -> int:
     """Number of directed paths from a to b inside the working window."""
-    return _path_sums(scheme, a, [b], 1, lambda count, frm, to: count)[0] or 0
+    return _path_sums(scheme, [a], [b], 1, lambda count, weight: count)[0][0] or 0
 
 
 @dataclass(frozen=True)
@@ -260,10 +263,11 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
     """Sum the non-intersecting systems sources -> sinks row by row, by sigma.
 
     The transfer-matrix method (Stanley, EC1 4.7) on the path systems of
-    Gessel and Viennot (1985).  As in _path_sum the value is generic: `one`
+    Gessel and Viennot (1985).  As in _path_sums the value is generic: `one`
     for the empty system, step(value, weight) over a horizontal edge of that
-    weight, `+` to join two partial systems; mark(value, cols, srcs), if
-    given, sees each state that survives a row.  Returns {sigma: value}.
+    weight (each edge weighed once per call), `+` to join two partial
+    systems; mark(value, cols, srcs), if given, sees each state that
+    survives a row.  Returns {sigma: value}.
 
     A state is the increasing tuple of the active paths' columns, their
     sources, and sigma so far (the sink of each finished path, else None).
@@ -294,6 +298,7 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
         ends.setdefault(b.row, {})[b.col] = j
     rows = joins.keys() | ends.keys()
     floors = _exit_floors(joins, ends) if monotone else {}
+    weight = cache(partial(_horizontal_weight, scheme))
     tops = sorted((b.col for b in sinks), reverse=True)  # the sinks not yet reached
     # (sources of the active paths, sigma) -> {columns of the active paths: value}
     groups = {((), (None,) * len(sources)): {(): one}}
@@ -308,7 +313,6 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
                     joined.setdefault((srcs_now, sigma), {})[cols] = value
             groups = joined
         forward, first = (1, min) if _moves_right(scheme, row) else (-1, max)
-        weights: dict[int, Polynomial] = {}
         row_floor = floors.get(row, [])
         for key, states in groups.items():
             m = len(key[0])
@@ -336,10 +340,7 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
                         if d >= floor[k]:
                             states[others[:k] + (d,) + others[k:]] = total
                         if d != far:
-                            if d not in weights:
-                                edge = Point(d, row), Point(d + forward, row)
-                                weights[d] = _horizontal_weight(scheme, *edge)
-                            total = step(total, weights[d])
+                            total = step(total, weight(row, d))
             groups[key] = states
         if exits or mark is not None:
             finished: dict = {}
@@ -395,9 +396,7 @@ def nonintersecting_sum(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> Polynomial:
     """The path-system side of the LGV lemma: sign(sigma) * weight summed over the systems."""
-    cap = scheme.degree_cap
-    step = mul if cap is None else lambda value, weight: mul(value, weight, cap)
-    sums = _sweep_systems(scheme, sources, sinks, Polynomial.one(), step)
+    sums = _sweep_systems(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
     signed = [value if _permutation_sign(sigma) == 1 else -value for sigma, value in sums.items()]
     return sum(signed[1:], signed[0]) if signed else Polynomial.zero()
 

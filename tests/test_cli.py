@@ -103,6 +103,18 @@ def test_verify_missing_shape_is_usage_error(capsys):
     assert "--shape" in err
 
 
+def test_verify_rejects_sizes_below_one_naming_the_option(capsys):
+    for argv, message in [
+        (["main-lemma", "--m", "0"], "main-lemma check needs m >= 1 and n >= 1"),
+        (["jacobi-trudi", "--shape", "[]", "--n", "0"], "jacobi-trudi check needs n >= 1"),
+        (["bialternant", "--shape", "[]", "--n", "0"], "bialternant check needs n >= 1"),
+        (["bialternant", "--shape", "[]", "--n", "-1"], "bialternant check needs n >= 1"),
+        (["factorial-schur", "--shape", "[]", "--n", "0"], "factorial-schur check needs n >= 1"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_verify_refuses_options_the_identity_does_not_take(capsys):
     code, out, err = run_cli(capsys, "verify", "newton", "--n", "3", "--shape", "[9,9]")
     assert code == 2

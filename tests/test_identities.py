@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from schurpaths import cli, identities, lgv, symfun
+from schurpaths import cli, identities, lgv, ring, symfun
 from schurpaths.identities import (
     ERROR,
     IDENTITIES,
@@ -33,6 +34,21 @@ from schurpaths.ring import Polynomial, apoly, xpoly, xvar
 def test_main_lemma_verifier():
     assert verify_main_lemma(1, 1).status == VERIFIED
     assert verify_main_lemma(4, 4).status == VERIFIED
+
+
+def test_verifiers_reject_sizes_below_one_by_their_own_options():
+    # the check names the verifier's option, not a scheme's or a shape's bound
+    for check, message in [
+        (lambda: verify_main_lemma(0, 6), "main-lemma check needs m >= 1 and n >= 1"),
+        (lambda: verify_main_lemma(6, 0), "main-lemma check needs m >= 1 and n >= 1"),
+        (lambda: verify_jacobi_trudi((), 0), "jacobi-trudi check needs n >= 1"),
+        (lambda: verify_jacobi_trudi((), -1), "jacobi-trudi check needs n >= 1"),
+        (lambda: verify_bialternant((), 0), "bialternant check needs n >= 1"),
+        (lambda: verify_bialternant((), -1), "bialternant check needs n >= 1"),
+        (lambda: verify_factorial_schur((), 0), "factorial-schur check needs n >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
 
 
 def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
@@ -156,7 +172,9 @@ def test_report_params_are_the_options_then_the_extras(capsys, name):
 def test_mismatch_params_are_the_options_then_the_where_labels():
     report = verify_main_lemma(corrupt_weights=True)
     assert report.status == MISMATCH
-    assert list(report.params.items()) == [("m", "6"), ("n", "6"), ("sink", "(2,1)")]
+    assert list(report.params.items()) == [
+        ("m", "6"), ("n", "6"), ("side", "path-sum-vs-product"), ("sink", "(2,1)")
+    ]
 
 
 def test_mismatch_texts_restrict_to_differing_terms():
@@ -433,7 +451,9 @@ def test_negative_controls_end_mismatch_on_the_symbolic_comparison():
     # reports the polynomials that differ, not an anchor
     reports = run_suite(SuiteConfig(only=["main-lemma"], corrupt="weights"))
     assert [r.status for r in reports] == [MISMATCH]
-    assert reports[0].params == {"m": "6", "n": "6", "sink": "(2,1)"}
+    assert reports[0].params == {
+        "m": "6", "n": "6", "side": "path-sum-vs-product", "sink": "(2,1)"
+    }
     assert (reports[0].lhs_text, reports[0].rhs_text) == ("x2", "-x2")
     reports = run_suite(SuiteConfig(max_n=3, only=["jacobi-trudi"], corrupt="determinant"))
     assert MISMATCH in {r.status for r in reports}
@@ -478,9 +498,9 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     ]
     assert [r.status for r in reports] == [MISMATCH] * 5
     assert [r.params for r in reports] == [
-        {"m": "3", "n": "3", "sink": "(1,1)"},
-        {"n": "3", "m": "3", "t": "1", "sink": "(1,2)"},
-        {"n": "3", "systems": "1", "entry": "(1,1)"},
+        {"m": "3", "n": "3", "side": "path-sum-vs-product", "sink": "(1,1)"},
+        {"n": "3", "m": "3", "side": "path-sum-vs-power", "t": "1", "sink": "(1,2)"},
+        {"n": "3", "systems": "1", "side": "entry-vs-power", "entry": "(1,1)"},
         {"shape": "[2,1]", "n": "3", "step": "primed-det-vs-tableaux"},
         {"n": "2", "degree_cap": "4", "step": "entry-vs-geometric", "entry": "(1,1)"},
     ]
@@ -530,6 +550,35 @@ def _exit_floors_one_too_high(monkeypatch):
     monkeypatch.setattr(lgv, "_exit_floors", raised)
 
 
+def _weight_memo_keyed_by_column(monkeypatch):
+    def by_column(weight):  # the memo of a sweep forgets the row
+        memo = {}
+
+        def cached(row, col):
+            if col not in memo:
+                memo[col] = weight(row, col)
+            return memo[col]
+
+        return cached
+
+    monkeypatch.setattr(lgv, "cache", by_column)
+
+
+def _capped_product_one_degree_short(monkeypatch):
+    step = lgv._product_step
+
+    def short(scheme):
+        cap = scheme.degree_cap
+        return step(scheme if cap is None else dataclasses.replace(scheme, degree_cap=cap - 1))
+
+    monkeypatch.setattr(lgv, "_product_step", short)
+
+
+def _linear_div_swapped(monkeypatch):
+    divide = ring._linear_div
+    monkeypatch.setattr(ring, "_linear_div", lambda p, u, v: divide(p, v, u))
+
+
 _FAULTS = {
     "det-sign-slip-from-order-3": (
         _det_sign_slip,
@@ -548,6 +597,23 @@ _FAULTS = {
             lgv.vandermonde_scheme(2), *lgv.vandermonde_endpoints(2)
         ) == 0,
         {"bialternant", "jacobi-trudi", "vandermonde"},
+    ),
+    "weight-memo-keyed-by-column-only": (
+        _weight_memo_keyed_by_column,
+        lambda: lgv.e_weight(lgv.jacobi_trudi_scheme(n=2, col_bound=2), (1, 1), (2, 2))
+        == 2 * xpoly(1),
+        {"bialternant", "cauchy", "corollary", "jacobi-trudi", "main-lemma", "vandermonde"},
+    ),
+    "capped-product-one-degree-short": (
+        _capped_product_one_degree_short,
+        lambda: lgv.e_weight(lgv.cauchy_doubled_scheme(1, 2), (1, 1), (1, 2)) == Polynomial.one(),
+        {"cauchy"},
+    ),
+    "linear-div-u-and-v-swapped": (
+        _linear_div_swapped,
+        lambda: ring.exact_div(xpoly(1) ** 2 - xpoly(2) ** 2, xpoly(1) - xpoly(2))
+        == -xpoly(1) - xpoly(2),
+        {"bialternant", "factorial-schur", "newton"},
     ),
 }
 

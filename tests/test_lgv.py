@@ -130,6 +130,54 @@ def test_path_matrix_entries_are_oracle_sums(config):
             assert path_count(scheme, a, b) == len(paths)
 
 
+def test_an_edge_runs_only_in_its_row_s_direction():
+    from schurpaths.lgv import _edge_weight
+
+    x1, x2, y1, y2 = xpoly(1), xpoly(2), ypoly(1), ypoly(2)
+    cases = [  # scheme, the step on row 1 or the given row with the direction, its weight
+        (jacobi_trudi_scheme(n=2, col_bound=3), 1, x1),
+        (schur_weighted_scheme(n=2, col_bound=3), 1, x1 - x2),
+        (cauchy_doubled_scheme(2, 2), 1, x1 - x2),  # the lower half moves right
+    ]
+    for scheme, row, weight in cases:
+        assert _edge_weight(scheme, Point(1, row), Point(2, row)) == weight
+        assert _edge_weight(scheme, Point(2, row), Point(2, row + 1)) == Polynomial.one()
+        with pytest.raises(ValueError, match="is not a lattice edge"):
+            _edge_weight(scheme, Point(2, row), Point(1, row))
+    # the upper half of the doubled graph moves left: row 4 mirrors row 1
+    doubled = cauchy_doubled_scheme(2, 2)
+    assert _edge_weight(doubled, Point(2, 4), Point(1, 4)) == y1 - y2
+    with pytest.raises(ValueError, match="is not a lattice edge"):
+        _edge_weight(doubled, Point(1, 4), Point(2, 4))
+    for frm, to in [(Point(1, 1), Point(3, 1)), (Point(1, 2), Point(1, 1)), (Point(1, 1), Point(2, 2))]:
+        with pytest.raises(ValueError, match="is not a lattice edge"):
+            _edge_weight(doubled, frm, to)
+
+
+@pytest.mark.parametrize("scheme, sources, sinks", [
+    (jacobi_trudi_scheme(n=3, col_bound=4), [Point(1, 1), Point(2, 1), Point(3, 2)],
+     [Point(col, 3) for col in range(1, 5)]),
+    (cauchy_doubled_scheme(2, 4), *cauchy_endpoints(2)),
+])
+def test_path_matrix_computes_each_edge_weight_once_per_call(monkeypatch, scheme, sources, sinks):
+    from schurpaths import lgv
+
+    weigh, calls = lgv._horizontal_weight, []
+
+    def counted(*args):
+        calls.append(args)
+        return weigh(*args)
+
+    monkeypatch.setattr(lgv, "_horizontal_weight", counted)
+    matrix = path_matrix(scheme, sources, sinks)
+    rows = scheme.row_bound() or max(b.row for b in sinks)
+    assert len(calls) == len(set(calls)) <= rows * (scheme.col_bound - 1)
+    # the memo belongs to the call: a second call weighs its edges again
+    calls.clear()
+    assert path_matrix(scheme, sources, sinks).entries == matrix.entries
+    assert len(calls) == len(set(calls)) > 0
+
+
 def test_enumerate_paths_basics():
     scheme = schur_weighted_scheme(n=2, col_bound=2)
     trivial = list(enumerate_paths(scheme, Point(2, 2), Point(2, 2)))
