@@ -284,9 +284,13 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
-    mixed = lgv.path_matrix(scheme, double_primed, sinks)
+    # the sweep from each a''_i passes the row of every a'_k on its way to the
+    # sinks, so one matrix holds M_change (its first n columns) and M'' (the last n)
+    swept = lgv.path_matrix(scheme, double_primed, primed + sinks)
+    rows = [swept.row(i) for i in range(n)]
+    mixed = symfun.PolyMatrix.from_rows([row[n:] for row in rows])
     det_mixed = symfun.det(mixed)
-    det_change = lgv.lgv_det(scheme, double_primed, primed)
+    det_change = symfun.det(symfun.PolyMatrix.from_rows([row[:n] for row in rows]))
     checker.eq(det_mixed, det_change * det_primed, step="determinant-factorization")
     checker.eq(det_change, symfun.vandermonde(n), step="change-det-vs-vandermonde")
     checker.anchor("vandermonde", det_change, intcheck.vandermonde(intcheck.xs(n)))
@@ -423,9 +427,9 @@ def verify_newton(power: int = 8) -> CheckReport:
     expansion = tpoly() ** power
     checker.eq(symfun.newton_expand(power), expansion, side="expansion")
     checker.anchor("t-power", expansion, intcheck.T**power)
-    for k in range(1, power + 2):
+    for k, entry in enumerate(symfun.divided_differences(power), 1):
         h = symfun.complete_homogeneous(power - k + 1, k)
-        checker.eq(symfun.divided_difference(power, k), h, side="table-entry", k=k)
+        checker.eq(entry, h, side="table-entry", k=k)
         expected = intcheck.complete_homogeneous(power - k + 1, k)
         checker.anchor("complete-homogeneous", h, expected, k=k)
     return checker.report()

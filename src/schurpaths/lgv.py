@@ -22,10 +22,17 @@ cases and lgv_det is the determinant of path_matrix.  The other side of
 the LGV lemma, the non-intersecting path systems, is walked row by row by
 one transfer matrix, _sweep_systems, generic over the value it carries: it
 gives their signed sum (nonintersecting_sum, schur_via_lgv), their number
-and the systems themselves (enumerate_paths is one pair).  Both sweeps
-carry a value over the edge leaving (col, row) in the row's direction
-(_moves_right) as step(value, weight), with the weight from
-_horizontal_weight(scheme, row, col), computed once per call.
+and the systems themselves (enumerate_paths is one pair).
+
+Both sweeps share one step convention.  The value standing at (col, row)
+moves over the edge leaving it in the row's direction (_moves_right) and
+joins what already stands at the edge's end as step(acc, value, weight),
+with acc None while nothing stands there.  A sum of weights passes
+_product_step, acc + value * weight in one ring.add_mul, and reads each
+weight through a memo of _horizontal_weight(scheme, row, col) made for that
+call (_weights).  A count, or the walk that lists systems, passes
+_unweighted_step and no weights, so it weighs no edge; the listed systems'
+paths read their edge weights from one memo.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
 from .combinat import fit_shape, partition
-from .ring import Polynomial, mul, truncate, xpoly, ypoly
+from .ring import Polynomial, add_mul, mul, truncate, xpoly, ypoly
 
 
 class OutOfBounds(ValueError):
@@ -159,6 +166,7 @@ def _horizontal_weight(scheme: Scheme, row: int, col: int) -> Polynomial:
 
 
 def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
+    """The weight of the lattice edge frm -> to, checked step by step: the sweeps' reference."""
     if to.row == frm.row + 1 and to.col == frm.col:
         return Polynomial.one()
     if to.row == frm.row and to.col - frm.col == (1 if _moves_right(scheme, frm.row) else -1):
@@ -166,23 +174,37 @@ def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
     raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
 
 
+def _weights(scheme: Scheme):
+    """weight(row, col) of the scheme's horizontal edges, each computed once per memo."""
+    return cache(partial(_horizontal_weight, scheme))
+
+
 def _product_step(scheme: Scheme):
-    """step(value, weight) of a sweep carrying a Polynomial: the product in the capped ring."""
-    return partial(mul, degree_cap=scheme.degree_cap)
+    """step(acc, value, weight) of a sweep carrying a Polynomial: acc + value * weight, capped."""
+    cap, zero = scheme.degree_cap, Polynomial.zero()
+    return lambda acc, value, weight: add_mul(zero if acc is None else acc, value, weight, cap)
 
 
-def _path_sums(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point], one, step) -> list:
+def _unweighted_step(acc, value, weight):
+    """step(acc, value, weight) of a sweep that carries values over edges unchanged."""
+    return value if acc is None else acc + value
+
+
+def _path_sums(
+    scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point], one, step, weight=None
+) -> list:
     """Sum over all paths from each source to each sink: one list of sink values per source.
 
-    `one` is the value of the empty path and step(value, weight) the value
-    carried over a horizontal edge of that weight; vertical edges carry
-    values unchanged.  A sink reads its value as the sweep leaves its row.
-    Zero values are dropped, so a sink's value is None when no path
-    contributes, as for a sink below its source or left of it on a monotone
-    scheme.  Paths there never go left, so they stop at the rightmost sink's column.
+    `one` is the value of the empty path.  step(acc, value, weight) adds to
+    acc (None while nothing has arrived) the value carried over a horizontal
+    edge; `weight(row, col)` gives the edge's weight, and without it the
+    step gets None.  Vertical edges carry values unchanged.  A sink reads
+    its value as the sweep leaves its row.  Zero values are dropped, so a
+    sink's value is None when no path contributes, as for a sink below its
+    source or left of it on a monotone scheme.  Paths there never go left,
+    so they stop at the rightmost sink's column.
     """
     sources, sinks = _in_window(scheme, sources), _in_window(scheme, sinks)
-    weight = cache(partial(_horizontal_weight, scheme))  # every source's sweep reads it
     ends: dict[int, list[tuple[int, int]]] = {}  # row -> (index, column) of its sinks
     for j, b in enumerate(sinks):
         ends.setdefault(b.row, []).append((j, b.col))
@@ -194,14 +216,13 @@ def _path_sums(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point],
         for row in range(a.row, max(ends, default=0) + 1):
             forward = 1 if _moves_right(scheme, row) else -1
             for frm in range(1, max_col) if forward == 1 else range(max_col, 1, -1):
-                moved = step(values[frm], weight(row, frm)) if frm in values else None
-                if not moved:
+                if frm not in values:
                     continue
                 to = frm + forward
-                total = values[to] + moved if to in values else moved
+                total = step(values.get(to), values[frm], weight and weight(row, frm))
                 if total:
                     values[to] = total
-                else:
+                elif to in values:
                     del values[to]
             for j, col in ends.get(row, ()):
                 found[j] = values.get(col)
@@ -215,7 +236,8 @@ def path_matrix(
 
     Entry (i, j) is 0 when no path joins a_i to b_j and 1 when a_i = b_j.
     """
-    sums = _path_sums(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
+    one, step = Polynomial.one(), _product_step(scheme)
+    sums = _path_sums(scheme, sources, sinks, one, step, _weights(scheme))
     entries = [value or Polynomial.zero() for row in sums for value in row]
     return symfun.PolyMatrix(len(sources), len(sinks), entries)
 
@@ -227,7 +249,7 @@ def e_weight(scheme: Scheme, a: Point, b: Point) -> Polynomial:
 
 def path_count(scheme: Scheme, a: Point, b: Point) -> int:
     """Number of directed paths from a to b inside the working window."""
-    return _path_sums(scheme, [a], [b], 1, lambda count, weight: count)[0][0] or 0
+    return _path_sums(scheme, [a], [b], 1, _unweighted_step)[0][0] or 0
 
 
 @dataclass(frozen=True)
@@ -259,15 +281,15 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict:
+def _sweep_systems(scheme: Scheme, sources, sinks, one, step, weight=None, mark=None) -> dict:
     """Sum the non-intersecting systems sources -> sinks row by row, by sigma.
 
     The transfer-matrix method (Stanley, EC1 4.7) on the path systems of
     Gessel and Viennot (1985).  As in _path_sums the value is generic: `one`
-    for the empty system, step(value, weight) over a horizontal edge of that
-    weight (each edge weighed once per call), `+` to join two partial
-    systems; mark(value, cols, srcs), if given, sees each state that
-    survives a row.  Returns {sigma: value}.
+    for the empty system, and step(acc, value, weight) joins to acc (None
+    if there is none) the value carried over a horizontal edge whose weight
+    `weight(row, col)` gives, or None without it; mark(value, cols, srcs),
+    if given, sees each state that survives a row.  Returns {sigma: value}.
 
     A state is the increasing tuple of the active paths' columns, their
     sources, and sigma so far (the sink of each finished path, else None).
@@ -298,7 +320,6 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
         ends.setdefault(b.row, {})[b.col] = j
     rows = joins.keys() | ends.keys()
     floors = _exit_floors(joins, ends) if monotone else {}
-    weight = cache(partial(_horizontal_weight, scheme))
     tops = sorted((b.col for b in sinks), reverse=True)  # the sinks not yet reached
     # (sources of the active paths, sigma) -> {columns of the active paths: value}
     groups = {((), (None,) * len(sources)): {(): one}}
@@ -333,14 +354,15 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
                         far = bound if k == 0 else others[k - 1] + 1
                     total = None
                     for d in range(first(start), far + forward, forward):
-                        if d in start:
-                            total = start[d] if total is None else total + start[d]
-                        elif total is None:
+                        if total is not None:  # carried over the edge from d - forward
+                            edge = weight and weight(row, d - forward)
+                            total = step(start.get(d), total, edge)
+                        elif d in start:
+                            total = start[d]
+                        else:
                             continue
                         if d >= floor[k]:
                             states[others[:k] + (d,) + others[k:]] = total
-                        if d != far:
-                            total = step(total, weight(row, d))
             groups[key] = states
         if exits or mark is not None:
             finished: dict = {}
@@ -389,14 +411,15 @@ def _exit_floors(joins: dict, ends: dict) -> dict[int, list[int]]:
 
 def nonintersecting_count(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> int:
     """The number of non-intersecting path systems sources -> sinks."""
-    return sum(_sweep_systems(scheme, sources, sinks, 1, lambda count, weight: count).values())
+    return sum(_sweep_systems(scheme, sources, sinks, 1, _unweighted_step).values())
 
 
 def nonintersecting_sum(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> Polynomial:
     """The path-system side of the LGV lemma: sign(sigma) * weight summed over the systems."""
-    sums = _sweep_systems(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
+    one, step = Polynomial.one(), _product_step(scheme)
+    sums = _sweep_systems(scheme, sources, sinks, one, step, _weights(scheme))
     signed = [value if _permutation_sign(sigma) == 1 else -value for sigma, value in sums.items()]
     return sum(signed[1:], signed[0]) if signed else Polynomial.zero()
 
@@ -406,14 +429,16 @@ def nonintersecting_systems(
 ) -> Iterator[PathSystem]:
     """Yield every tuple of pairwise vertex-disjoint paths sources -> sinks.
 
-    The row-by-row walk carries each state's partial systems as their exits.
+    The row-by-row walk carries each state's partial systems as their exits
+    and weighs no edge; each traced path reads its edges from one memo.
     """
     sources = [Point(*p) for p in sources]
 
     def mark(histories, cols, srcs):
         return [(history, tuple(zip(srcs, cols))) for history in histories]
 
-    found = _sweep_systems(scheme, sources, sinks, [None], lambda value, weight: value, mark)
+    found = _sweep_systems(scheme, sources, sinks, [None], _unweighted_step, mark=mark)
+    weight = _weights(scheme)
     traced: dict[tuple, LatticePath] = {}  # each path once, by its source and exits
     systems = []
     for sigma, histories in found.items():
@@ -424,7 +449,7 @@ def nonintersecting_systems(
                 for source, col in row_exits:
                     exits[source] = (col, *exits[source])
             for path in zip(sources, exits):
-                traced[path] = traced.get(path) or _path_through(scheme, *path)
+                traced[path] = traced.get(path) or _path_through(scheme, *path, weight)
             paths = tuple(traced[path] for path in zip(sources, exits))
             systems.append(PathSystem(paths, sigma, _permutation_sign(sigma)))
     # depth-first order: per source its sink, then its moves (0 horizontal, 1 vertical)
@@ -434,9 +459,10 @@ def nonintersecting_systems(
     ])
 
 
-def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...]) -> LatticePath:
-    """The path from a that leaves its r-th row at column exits[r]."""
+def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...], weight) -> LatticePath:
+    """The path from a that leaves its r-th row at column exits[r], weighed by weight(row, col)."""
     vertices = [a]
+    product = Polynomial.one()
     for r, exit_col in enumerate(exits):
         col, row = vertices[-1]
         if r:
@@ -444,10 +470,9 @@ def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...]) -> LatticePa
             vertices.append(Point(col, row))
         way = 1 if exit_col > col else -1
         vertices += [Point(c, row) for c in range(col + way, exit_col + way, way)]
-    weight = Polynomial.one()
-    for frm, to in zip(vertices, vertices[1:]):
-        weight = mul(weight, _edge_weight(scheme, frm, to), scheme.degree_cap)
-    return LatticePath(tuple(vertices), weight)
+        for c in range(col, exit_col, way):
+            product = mul(product, weight(row, c), scheme.degree_cap)
+    return LatticePath(tuple(vertices), product)
 
 
 def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:

@@ -25,6 +25,15 @@ Coefficients are Python ints, so nothing else ever overflows.  Canonical
 form is maintained everywhere: no zero coefficient is ever stored, and two
 polynomials are equal iff their term maps are equal.
 
+Small operands take one pass.  A product with a one-term operand c*m shifts
+the other operand's keys by m and scales its coefficients by c, and nothing
+in it can cancel; the power of one term multiplies its key by the exponent
+and powers its coefficient; a difference merges in one pass without
+negating first.  add_mul(acc, p, q, degree_cap) is acc + p*q with the
+products written straight into a copy of acc's terms, the step of every
+running sum of products (the lgv sweeps, det, the Newton form).  The tests
+check each of these against a term-by-term oracle.
+
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
 """
@@ -392,17 +401,15 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         merged = dict(self._terms)
+        cancelled = False
         for key, coefficient in other._terms.items():
             total = merged.get(key, 0) + coefficient
             if total:
                 merged[key] = total
             else:
                 del merged[key]
-        degree = None
-        if self._degree is not None and other._degree is not None:
-            if self._degree != other._degree:  # the higher top part cannot cancel
-                degree = max(self._degree, other._degree)
-        return Polynomial._of(merged, degree)
+                cancelled = True
+        return Polynomial._of(merged, _sum_degree(self._degree, other._degree, cancelled))
 
     __radd__ = __add__
 
@@ -413,7 +420,16 @@ class Polynomial:
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        merged = dict(self._terms)
+        cancelled = False
+        for key, coefficient in other._terms.items():
+            total = merged.get(key, 0) - coefficient
+            if total:
+                merged[key] = total
+            else:
+                del merged[key]
+                cancelled = True
+        return Polynomial._of(merged, _sum_degree(self._degree, other._degree, cancelled))
 
     def __rsub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
@@ -432,6 +448,11 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative ints")
+        if len(self._terms) == 1:  # (c*m)^e = c^e * m^e: each field times e, no carry
+            (key, coefficient), = self._terms.items()
+            degree = (key & _DEGREE_MASK) * exponent
+            _check_degree(degree)
+            return Polynomial._of({key * exponent: coefficient**exponent}, degree)
         result = Polynomial.one()
         for _ in range(exponent):
             result = mul(result, self)
@@ -453,6 +474,16 @@ class Polynomial:
 
     def __str__(self) -> str:
         return canonical_text(self)
+
+
+def _sum_degree(p: int | None, q: int | None, cancelled: bool) -> int | None:
+    """The degree of a sum of two parts of degrees p and q, if known.
+
+    The higher top part stays, and so do equal top parts if no term cancelled.
+    """
+    if p is None or q is None or (p == q and cancelled):
+        return None
+    return max(p, q)
 
 
 def tpoly() -> Polynomial:
@@ -536,7 +567,10 @@ def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomi
     With degree_cap, every product monomial of total degree > degree_cap is
     discarded; this realizes the degree-truncated power-series ring used by
     the Cauchy identity check.  Raises DegreeOverflow when a kept product
-    could exceed MAX_DEGREE.
+    could exceed MAX_DEGREE.  A one-term operand c*m takes one pass: it
+    shifts every key of the other operand by m and scales its coefficient
+    by c, and since distinct keys stay distinct and c is nonzero, nothing
+    cancels.
     """
     if not p._terms or not q._terms:
         return Polynomial.zero()
@@ -545,26 +579,69 @@ def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomi
     _check_degree(degree_cap if capped else top)
     if len(p._terms) > len(q._terms):
         p, q = q, p
+    if len(p._terms) == 1:
+        (shift, scale), = p._terms.items()
+        if capped:
+            limit = degree_cap - (shift & _DEGREE_MASK)
+            return Polynomial._of(
+                {shift + k: scale * c for k, c in q._terms.items() if k & _DEGREE_MASK <= limit}
+            )
+        return Polynomial._of({shift + k: scale * c for k, c in q._terms.items()}, top)
     out: dict[int, int] = {}
+    _mul_into(out, p, q, degree_cap if capped else None)
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    # Z[...] has no zero divisors, so the top-degree parts never cancel
+    return Polynomial._of(out, None if capped else top)
+
+
+def add_mul(
+    acc: Polynomial, p: Polynomial, q: Polynomial, degree_cap: int | None = None
+) -> Polynomial:
+    """acc + mul(p, q, degree_cap), the products written straight into acc's terms.
+
+    The fused step of every running sum of products (the path sweeps of
+    `lgv` and the expansion of `symfun.det`): one copy of acc's term map,
+    no product polynomial in between.  The cap and DegreeOverflow are those
+    of mul.
+    """
+    if not acc._terms:
+        return mul(p, q, degree_cap)
+    if not p._terms or not q._terms:
+        return acc
+    top = p.degree() + q.degree()
+    capped = degree_cap is not None and degree_cap < top
+    _check_degree(degree_cap if capped else top)
+    if len(p._terms) > len(q._terms):
+        p, q = q, p
+    out = dict(acc._terms)
+    _mul_into(out, p, q, degree_cap if capped else None)
+    cancelled = 0 in out.values()
+    if cancelled:
+        out = {k: c for k, c in out.items() if c}
+    return Polynomial._of(out, None if capped else _sum_degree(acc._degree, top, cancelled))
+
+
+def _mul_into(out: dict[int, int], p: Polynomial, q: Polynomial, degree_cap: int | None) -> None:
+    """Add every product of a term of p and a term of q into the term map `out`.
+
+    Products of total degree > degree_cap are skipped; zero sums stay in out.
+    Every field of a sum of two stored keys is at most 2 * MAX_DEGREE, which
+    still fits its 8 bits, so a skipped product never carried.
+    """
     get = out.get
-    inner = list(q._terms.items())
-    if capped:
-        # Every field of a sum of two stored keys is at most 2 * MAX_DEGREE,
-        # which still fits its 8 bits, so a discarded product never carried.
+    inner = list(q._terms.items()) if len(p._terms) > 1 else q._terms.items()
+    if degree_cap is None:
+        for k1, c1 in p._terms.items():
+            for k2, c2 in inner:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    else:
         for k1, c1 in p._terms.items():
             for k2, c2 in inner:
                 k = k1 + k2
                 if k & _DEGREE_MASK <= degree_cap:
                     out[k] = get(k, 0) + c1 * c2
-    else:
-        for k1, c1 in p._terms.items():
-            for k2, c2 in inner:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    if 0 in out.values():
-        out = {k: c for k, c in out.items() if c}
-    # Z[...] has no zero divisors, so the top-degree parts never cancel
-    return Polynomial._of(out, None if capped else top)
 
 
 def truncate(p: Polynomial, degree_cap: int) -> Polynomial:

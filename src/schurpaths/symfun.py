@@ -17,6 +17,7 @@ from .combinat import fit_shape
 from .ring import (
     Polynomial,
     Variable,
+    add_mul,
     apoly,
     exact_div,
     substitute_family,
@@ -68,11 +69,13 @@ def det(matrix: PolyMatrix) -> Polynomial:
     matrix.  After row i is taken, `minors` maps each column bitmask of
     size n - i to the minor on rows i..n-1 and those columns; expanding
     along row i, entry (i, j) enters with the sign given by the parity of
-    the chosen columns below j.
+    the chosen columns below j.  Each product is added into its minor's
+    running sum in one pass (ring.add_mul).
     """
     n = matrix.n_rows
     if n != matrix.n_cols:
         raise NotSquare(f"matrix is {n}x{matrix.n_cols}")
+    zero = Polynomial.zero()
     minors = {0: Polynomial.one()}
     for i in reversed(range(n)):
         row = matrix.row(i)
@@ -85,9 +88,8 @@ def det(matrix: PolyMatrix) -> Polynomial:
                 if cols & bit:
                     odd = not odd
                 elif row[j]:
-                    term = (negated if odd else row)[j] * minor
                     key = cols | bit
-                    grown[key] = grown[key] + term if key in grown else term
+                    grown[key] = add_mul(grown.get(key, zero), (negated if odd else row)[j], minor)
         minors = {cols: minor for cols, minor in grown.items() if minor}
     return minors.get((1 << n) - 1, Polynomial.zero())
 
@@ -208,25 +210,33 @@ def factorial_schur_quotient(shape: Sequence[int], n: int) -> Polynomial:
     return divide_by_vandermonde(factorial_alternant(shape, n), n)
 
 
-def divided_difference(n_power: int, k: int) -> Polynomial:
-    """The divided difference f[x_1, ..., x_k] of f(x) = x^n_power.
+def divided_differences(n_power: int) -> list[Polynomial]:
+    """The divided differences f[x_1], f[x_1, x_2], ..., f[x_1, ..., x_(n_power+1)] of x^n_power.
 
-    Uses the table recursion f[x_1..x_k] = (f[x_1..x_{k-1}] - f[x_2..x_k])
-    / (x_1 - x_k), where the shifted entry f[x_2..x_k] is produced from
-    f[x_1..x_{k-1}] by shifting every x-index up by one (exact_div divides by
-    x_1 - x_k synthetically).  The result equals
-    the complete homogeneous polynomial h_{n_power - k + 1} in x1..xk, which
-    the test suite checks against an independent oracle.
+    One pass down the table recursion f[x_1..x_k] = (f[x_1..x_{k-1}] -
+    f[x_2..x_k]) / (x_1 - x_k), where the shifted entry f[x_2..x_k] is
+    produced from f[x_1..x_{k-1}] by shifting every x-index up by one
+    (exact_div divides by x_1 - x_k synthetically): n_power divisions in
+    all.  Entry k equals the complete homogeneous polynomial
+    h_{n_power - k + 1} in x1..xk, which the test suite checks against an
+    independent oracle.
     """
+    if n_power < 0:
+        raise ValueError("the power must be non-negative")
+    table = [xpoly(1) ** n_power]
+    for width in range(2, n_power + 2):
+        shifted = substitute_family(table[-1], Family.X, Family.X, 1)
+        table.append(exact_div(table[-1] - shifted, xpoly(1) - xpoly(width)))
+    return table
+
+
+def divided_difference(n_power: int, k: int) -> Polynomial:
+    """f[x_1, ..., x_k] for f(x) = x^n_power: entry k of divided_differences(n_power)."""
     if n_power < 0:
         raise ValueError("the power must be non-negative")
     if not 1 <= k <= n_power + 1:
         raise ValueError(f"k must lie in 1..{n_power + 1}, got {k}")
-    table = xpoly(1) ** n_power
-    for width in range(2, k + 1):
-        shifted = substitute_family(table, Family.X, Family.X, 1)
-        table = exact_div(table - shifted, xpoly(1) - xpoly(width))
-    return table
+    return divided_differences(n_power)[k - 1]
 
 
 def newton_expand(n_power: int) -> Polynomial:
@@ -239,7 +249,7 @@ def newton_expand(n_power: int) -> Polynomial:
         raise ValueError("the power must be non-negative")
     total = Polynomial.zero()
     basis = Polynomial.one()
-    for k in range(n_power + 1):
-        total = total + divided_difference(n_power, k + 1) * basis
+    for k, entry in enumerate(divided_differences(n_power)):
+        total = add_mul(total, entry, basis)
         basis = basis * (tpoly() - xpoly(k + 1))
     return total

@@ -579,6 +579,58 @@ def _linear_div_swapped(monkeypatch):
     monkeypatch.setattr(ring, "_linear_div", lambda p, u, v: divide(p, v, u))
 
 
+def _one_term_product_drops_its_coefficient(monkeypatch):
+    product = ring.mul
+
+    def dropped(p, q, degree_cap=None):  # the one-term operand multiplies as its monomial
+        if len(p) > len(q):
+            p, q = q, p
+        if len(p) == 1:
+            ((monomial, _),) = p.items()
+            p = Polynomial.term(monomial)
+        return product(p, q, degree_cap)
+
+    for module in (ring, lgv):
+        monkeypatch.setattr(module, "mul", dropped)
+
+
+def _term_power_leaves_its_coefficient(monkeypatch):
+    power = Polynomial.__pow__
+
+    def unpowered(p, exponent):
+        result = power(p, exponent)
+        if len(p) != 1:
+            return result
+        ((_, coefficient),), ((monomial, _),) = p.items(), result.items()
+        return Polynomial.term(monomial, coefficient)
+
+    monkeypatch.setattr(Polynomial, "__pow__", unpowered)
+
+
+def _add_mul_loses_its_accumulator(monkeypatch):
+    def product_only(acc, p, q, degree_cap=None):
+        return ring.mul(p, q, degree_cap)
+
+    for module in (ring, lgv, symfun):
+        monkeypatch.setattr(module, "add_mul", product_only)
+
+
+def _path_sweep_loses_a_summand(monkeypatch):
+    sweep = lgv._path_sums
+
+    def lossy(scheme, sources, sinks, one, step, weight=None):
+        def forgetful(acc, value, edge):  # what reached the edge's end before is lost
+            return step(None, value, edge)
+
+        return sweep(scheme, sources, sinks, one, forgetful, weight)
+
+    monkeypatch.setattr(lgv, "_path_sums", lossy)
+
+
+def _square_path_sum():
+    return lgv.e_weight(lgv.jacobi_trudi_scheme(n=2, col_bound=2), (1, 1), (2, 2))
+
+
 _FAULTS = {
     "det-sign-slip-from-order-3": (
         _det_sign_slip,
@@ -614,6 +666,29 @@ _FAULTS = {
         lambda: ring.exact_div(xpoly(1) ** 2 - xpoly(2) ** 2, xpoly(1) - xpoly(2))
         == -xpoly(1) - xpoly(2),
         {"bialternant", "factorial-schur", "newton"},
+    ),
+    "one-term-product-drops-its-coefficient": (
+        _one_term_product_drops_its_coefficient,
+        lambda: (-xpoly(1)) * (xpoly(2) + xpoly(3)) == xpoly(1) * xpoly(2) + xpoly(1) * xpoly(3),
+        {"bialternant", "dual-determinant", "vandermonde"},
+    ),
+    "term-power-leaves-its-coefficient": (
+        _term_power_leaves_its_coefficient,
+        lambda: (-xpoly(1)) ** 2 == -xpoly(1) ** 2,
+        {"dual-determinant"},
+    ),
+    "add-mul-loses-its-accumulator": (
+        _add_mul_loses_its_accumulator,
+        lambda: _square_path_sum() == xpoly(2),
+        {
+            "bialternant", "cauchy", "corollary", "dual-determinant", "factorial-schur",
+            "jacobi-trudi", "main-lemma", "newton", "vandermonde",
+        },
+    ),
+    "path-sweep-loses-a-summand": (
+        _path_sweep_loses_a_summand,
+        lambda: _square_path_sum() == xpoly(2),
+        {"bialternant", "cauchy", "corollary", "main-lemma", "vandermonde"},
     ),
 }
 

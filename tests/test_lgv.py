@@ -178,6 +178,27 @@ def test_path_matrix_computes_each_edge_weight_once_per_call(monkeypatch, scheme
     assert len(calls) == len(set(calls)) > 0
 
 
+def test_counts_weigh_no_edge_and_traced_paths_weigh_each_edge_once(monkeypatch):
+    from schurpaths import lgv
+
+    weigh, calls = lgv._horizontal_weight, []
+
+    def counted(*args):
+        calls.append(args)
+        return weigh(*args)
+
+    monkeypatch.setattr(lgv, "_horizontal_weight", counted)
+    scheme = jacobi_trudi_scheme(n=3, col_bound=5)
+    sources, sinks = schur_endpoints((2, 1), 3)
+    assert nonintersecting_count(scheme, sources, sinks) == 8
+    assert path_count(scheme, sources[0], sinks[2]) == 15
+    assert calls == []
+    # the walk weighs nothing; its 8 traced systems read 7 distinct edges from one memo
+    systems = list(nonintersecting_systems(scheme, sources, sinks))
+    assert len(systems) == 8
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_enumerate_paths_basics():
     scheme = schur_weighted_scheme(n=2, col_bound=2)
     trivial = list(enumerate_paths(scheme, Point(2, 2), Point(2, 2)))
@@ -484,7 +505,7 @@ def test_systems_match_oracle_when_later_sources_join_to_the_left():
 
 def test_vandermonde_walk_carries_one_state_per_row():
     # later sources join left of every active path, so each row has one live state
-    from schurpaths.lgv import _exit_floors, _sweep_systems
+    from schurpaths.lgv import _exit_floors, _sweep_systems, _unweighted_step
 
     for n in range(1, 8):
         scheme = vandermonde_scheme(n)
@@ -495,7 +516,7 @@ def test_vandermonde_walk_carries_one_state_per_row():
             seen.append(cols)
             return value
 
-        _sweep_systems(scheme, sources, sinks, 1, lambda count, weight: count, mark)
+        _sweep_systems(scheme, sources, sinks, 1, _unweighted_step, mark=mark)
         assert seen == [tuple(range(n + 1 - row, n + 1)) for row in range(1, n + 1)]
     joins = {row: [(1, row - 1)] for row in range(1, 4)}
     assert _exit_floors(joins, {3: {3: 0, 2: 1, 1: 2}}) == {3: [1, 2, 3], 2: [2, 3], 1: [3]}

@@ -12,6 +12,7 @@ from schurpaths.ring import (
     Polynomial,
     UnassignedVariable,
     Variable,
+    add_mul,
     apoly,
     avar,
     canonical_text,
@@ -278,6 +279,93 @@ def test_eval_is_a_ring_homomorphism(p, q):
 def test_results_stay_canonical(p, q):
     for value in (p + q, p - q, p * q, -p, mul(p, q, degree_cap=2)):
         assert_canonical(value)
+
+
+# -- the one-pass kernels against term-by-term oracles ----------------------------
+
+_CAPS = st.sampled_from([None, 0, 1, 2, 3, 5])
+
+
+@st.composite
+def one_terms(draw):
+    coefficient = draw(st.integers(-9, 9).filter(bool))
+    return Polynomial.term(draw(monomials()), coefficient)
+
+
+def term_product(p, q, cap=None):
+    """p * q summed term by term from Monomial.mul, dropping degrees above cap."""
+    total = Polynomial.zero()
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1.mul(m2)
+            if cap is None or m.degree() <= cap:
+                total = total + Polynomial.term(m, c1 * c2)
+    return total
+
+
+def assert_degree_is_exact(p):
+    assert p.degree() == max((m.degree() for m in p.terms()), default=-1)
+
+
+@given(one_terms(), polynomials(), _CAPS)
+def test_one_term_product_is_the_term_by_term_product(term, p, cap):
+    expected = term_product(term, p, cap)
+    for product in (mul(term, p, cap), mul(p, term, cap)):
+        assert product == expected
+        assert_canonical(product)
+        assert_degree_is_exact(product)
+    assert term * p == p * term == term_product(term, p)
+
+
+@given(one_terms(), st.integers(0, 6))
+def test_power_of_a_term_is_repeated_multiplication(term, exponent):
+    expected = Polynomial.one()
+    for _ in range(exponent):
+        expected = term_product(expected, term)
+    power = term**exponent
+    assert power == expected
+    assert_degree_is_exact(power)
+
+
+@given(polynomials(), polynomials(), polynomials(), _CAPS)
+def test_add_mul_is_sum_plus_product(acc, p, q, cap):
+    for start in (acc, Polynomial.zero(), -mul(p, q, cap), acc - mul(p, q, cap)):
+        fused = add_mul(start, p, q, cap)
+        assert fused == start + mul(p, q, cap)
+        assert_canonical(fused)
+        assert_degree_is_exact(fused)
+    assert add_mul(-mul(p, q, cap), p, q, cap) == Polynomial.zero()  # full cancellation
+    assert add_mul(acc - mul(p, q, cap), p, q, cap) == acc
+
+
+@given(polynomials(), polynomials())
+def test_difference_is_sum_with_the_negation(p, q):
+    difference = p - q
+    assert difference == p + (-q)
+    assert_degree_is_exact(difference)
+    assert p - p == Polynomial.zero()
+
+
+def test_fast_paths_raise_degree_overflow_where_products_do():
+    x1, y1 = xpoly(1), ypoly(1)
+    for base in (x1, -3 * x1, 2 * x1 * y1):
+        with pytest.raises(DegreeOverflow):
+            base**128
+    assert (-3 * x1) ** 127 == Polynomial.term(Monomial.of({xvar(1): 127}), (-3) ** 127)
+    assert Polynomial.const(2) ** 200 == Polynomial.const(2**200)  # degree 0 stays 0
+    wide = y1**28 + 1
+    for term in (x1**100, -2 * x1**100):
+        with pytest.raises(DegreeOverflow):
+            mul(term, y1**28)
+        with pytest.raises(DegreeOverflow):
+            mul(wide, term)
+        with pytest.raises(DegreeOverflow):
+            mul(term, wide, degree_cap=128)
+        with pytest.raises(DegreeOverflow):
+            add_mul(x1, term, wide)
+        # a cap within the limit keeps every formed product within it
+        assert mul(term, wide, degree_cap=100) == term
+        assert add_mul(x1, term, wide, degree_cap=100) == x1 + term
 
 
 def test_degree_conventions():

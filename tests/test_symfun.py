@@ -25,6 +25,7 @@ from schurpaths.symfun import (
     complete_homogeneous,
     det,
     divided_difference,
+    divided_differences,
     factorial_alternant,
     factorial_schur_quotient,
     falling_power,
@@ -233,6 +234,31 @@ def test_divided_difference_matches_h_oracle():
     for n in range(0, 7):
         for k in range(1, n + 2):
             assert divided_difference(n, k) == complete_homogeneous(n - k + 1, k)
+
+
+def test_divided_differences_take_one_division_per_order(monkeypatch):
+    from schurpaths import identities, symfun
+
+    divide, divisors = symfun.exact_div, []
+
+    def counted(p, d):
+        divisors.append(d)
+        return divide(p, d)
+
+    monkeypatch.setattr(symfun, "exact_div", counted)
+    for n in range(0, 7):
+        divisors.clear()
+        table = divided_differences(n)
+        assert divisors == [xpoly(1) - xpoly(k) for k in range(2, n + 2)]
+        assert table == [complete_homogeneous(n - k + 1, k) for k in range(1, n + 2)]
+        divisors.clear()
+        assert newton_expand(n) == tpoly() ** n
+        assert len(divisors) == n
+    divisors.clear()
+    assert identities.verify_newton(8).status == "VERIFIED"
+    assert len(divisors) == 16  # one table for the expansion, one for the entry checks
+    with pytest.raises(ValueError):
+        divided_differences(-1)
 
 
 def test_divided_difference_matches_numeric_oracle():
