@@ -279,18 +279,19 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     double_primed, primed, sinks = lgv.bialternant_endpoints(shape, n)
     tableaux_side = combinat.schur_tableaux(shape, n)
 
-    det_primed = lgv.lgv_det(scheme, primed, sinks)
+    # the sweep from each a''_i passes the row of every a'_k on its way to the
+    # sinks, so one matrix, with one weight memo, holds M_change (rows a'',
+    # columns a'), M'' (rows a'', columns b) and M' (rows a', columns b)
+    swept = lgv.path_matrix(scheme, double_primed + primed, primed + sinks)
+    rows = [swept.row(i) for i in range(2 * n)]
+    det_primed = symfun.det(symfun.PolyMatrix.from_rows([row[n:] for row in rows[n:]]))
     checker.eq(det_primed, tableaux_side, step="primed-det-vs-tableaux")
     checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
-    # the sweep from each a''_i passes the row of every a'_k on its way to the
-    # sinks, so one matrix holds M_change (its first n columns) and M'' (the last n)
-    swept = lgv.path_matrix(scheme, double_primed, primed + sinks)
-    rows = [swept.row(i) for i in range(n)]
-    mixed = symfun.PolyMatrix.from_rows([row[n:] for row in rows])
+    mixed = symfun.PolyMatrix.from_rows([row[n:] for row in rows[:n]])
     det_mixed = symfun.det(mixed)
-    det_change = symfun.det(symfun.PolyMatrix.from_rows([row[:n] for row in rows]))
+    det_change = symfun.det(symfun.PolyMatrix.from_rows([row[:n] for row in rows[:n]]))
     checker.eq(det_mixed, det_change * det_primed, step="determinant-factorization")
     checker.eq(det_change, symfun.vandermonde(n), step="change-det-vs-vandermonde")
     checker.anchor("vandermonde", det_change, intcheck.vandermonde(intcheck.xs(n)))

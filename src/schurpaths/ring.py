@@ -32,7 +32,10 @@ and powers its coefficient; a difference merges in one pass without
 negating first.  add_mul(acc, p, q, degree_cap) is acc + p*q with the
 products written straight into a copy of acc's terms, the step of every
 running sum of products (the lgv sweeps, det, the Newton form).  The tests
-check each of these against a term-by-term oracle.
+check each of these against a term-by-term oracle.  Canonical text is
+printed in column passes: each variable's exponent column is sliced out of
+the sorted keys at once and mapped through a table of factor strings, and
+only the sign and coefficient are handled term by term.
 
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
@@ -91,11 +94,7 @@ class Variable:
     index: int = 0
 
     def __post_init__(self) -> None:
-        if self.family == Family.T:
-            if self.index != 0:
-                raise ValueError("t is a single variable; its index is fixed at 0")
-        elif self.index < 1:
-            raise ValueError(f"{self.family.name} indices start at 1, got {self.index}")
+        _field(self.family, self.index)  # refuses an index that names no variable
 
     def text(self) -> str:
         letter = _FAMILY_LETTER[self.family]
@@ -122,11 +121,18 @@ def avar(i: int) -> Variable:
 # -- the packed layout ---------------------------------------------------------
 
 
-def _field(variable: Variable) -> int:
-    """The field that holds the exponent of `variable`."""
-    if variable.family == Family.T:
+def _field(family: Family, index: int) -> int:
+    """The field that holds the exponent of variable `index` of `family`.
+
+    Raises ValueError for an index that names no variable.
+    """
+    if family == Family.T:
+        if index != 0:
+            raise ValueError("t is a single variable; its index is fixed at 0")
         return 1
-    return 3 * variable.index + variable.family - 2
+    if index < 1:
+        raise ValueError(f"{family.name} indices start at 1, got {index}")
+    return 3 * index + family - 2
 
 
 def _variable_at(field: int) -> Variable:
@@ -136,9 +142,9 @@ def _variable_at(field: int) -> Variable:
     return Variable(_FAMILIES[field - 3 * index + 2], index)
 
 
-def _unit(variable: Variable) -> int:
-    """The key of the monomial `variable` (exponent 1, degree 1)."""
-    return (1 << (_FIELD_BITS * _field(variable))) + 1
+def _unit(family: Family, index: int) -> int:
+    """The key of the monomial made of variable `index` of `family` (degree 1)."""
+    return (1 << (_FIELD_BITS * _field(family, index))) + 1
 
 
 def _family_fields(family: Family, first_index: int = 1) -> slice:
@@ -224,7 +230,7 @@ class Monomial:
             previous = variable
             degree += exponent
             _check_degree(degree)
-            key += exponent << (_FIELD_BITS * _field(variable))
+            key += exponent << (_FIELD_BITS * _field(variable.family, variable.index))
         self._key = key + degree
 
     @classmethod
@@ -339,7 +345,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, v: Variable) -> "Polynomial":
-        return cls._of({_unit(v): 1}, 1)
+        return cls._of({_unit(v.family, v.index): 1}, 1)
 
     @classmethod
     def term(cls, monomial: Monomial, coefficient: int = 1) -> "Polynomial":
@@ -491,22 +497,22 @@ def tpoly() -> Polynomial:
 
 
 def xpoly(i: int) -> Polynomial:
-    return Polynomial.variable(xvar(i))
+    return Polynomial._of({_unit(Family.X, i): 1}, 1)
 
 
 def ypoly(i: int) -> Polynomial:
-    return Polynomial.variable(yvar(i))
+    return Polynomial._of({_unit(Family.Y, i): 1}, 1)
 
 
 def apoly(i: int) -> Polynomial:
-    return Polynomial.variable(avar(i))
+    return Polynomial._of({_unit(Family.A, i): 1}, 1)
 
 
 class _XUnits(dict):
     """x-index -> the key of the monomial x_index, filled in on demand."""
 
     def __missing__(self, index: int) -> int:
-        unit = self[index] = _unit(xvar(index))
+        unit = self[index] = _unit(Family.X, index)
         return unit
 
 
@@ -535,7 +541,7 @@ def x_shift_sums(
     shifted terms of one target accumulate in one map.  The unit of x_index
     is read once per call.
     """
-    unit = _unit(xvar(index))
+    unit = _unit(Family.X, index)
     sums: dict[object, Polynomial] = {}
     for target, summands in moves.items():
         out: dict[int, int] = {}
@@ -825,7 +831,7 @@ def eval_int(p: Polynomial, assignment: Mapping[Variable, int]) -> int:
     top = present.to_bytes(width, "little")  # top[f] bounds every exponent in field f
     powers: dict[int, list[int]] = {}
     for variable, value in assignment.items():
-        field = _field(variable)
+        field = _field(variable.family, variable.index)
         if field < width and top[field]:
             powers[field] = [value**e for e in range(top[field] + 1)]
     for field in range(1, width):
@@ -847,35 +853,32 @@ def canonical_text(p: Polynomial) -> str:
     Grammar: poly := "0" | term (" + " term | " - " term)*, with the sign of
     the leading term absorbed into an optional leading "-".  A term's integer
     coefficient is omitted when |coeff| = 1 and at least one variable factor
-    exists; exponents appear only when >= 2.
+    exists; exponents appear only when >= 2.  The sorted graded-lex keys
+    are joined into one buffer, from which each variable that occurs slices
+    its exponent column; the column's table of factor strings ("", "*x3",
+    "*x3^2", ...) ends at that position's byte of the OR of all keys.
     """
-    if not p._terms:
-        return "0"
-    present = reduce(or_, p._terms)
+    present = reduce(or_, p._terms, 0)
+    if not present:  # zero or a constant
+        return str(p._terms.get(0, 0))
     width = _grlex_width(present)
+    coefficients = {_grlex_bytes(k, width): c for k, c in p._terms.items()}
+    ordered = sorted(coefficients, reverse=True)
+    keys = b"".join(ordered)
     # variable names in the positions of _grlex_bytes (position 0 is the degree)
     names = ["", "t"] + [f"{c}{i}" for c in "xya" for i in range(1, (width - 2) // 3 + 1)]
-    used = [j for j, e in enumerate(_grlex_bytes(present, width)) if j and e]
-    ordered = sorted(
-        ((_grlex_bytes(k, width), c) for k, c in p._terms.items()), reverse=True
+    columns = []
+    for j, top in enumerate(_grlex_bytes(present, width)):
+        if j and top:
+            factors = ["", f"*{names[j]}"] + [f"*{names[j]}^{e}" for e in range(2, top + 1)]
+            columns.append(map(factors.__getitem__, keys[j::width]))
+    # every body but a constant's starts with "*"; a unit coefficient drops it
+    text = "".join(
+        (" - " if c < 0 else " + ")
+        + (body[1:] if (c == 1 or c == -1) and body else f"{abs(c)}{body}")
+        for body, c in zip(map("".join, zip(*columns)), map(coefficients.__getitem__, ordered))
     )
-    chunks: list[str] = []
-    for exponents, coefficient in ordered:
-        magnitude = abs(coefficient)
-        body = "*".join(
-            names[j] if exponents[j] == 1 else f"{names[j]}^{exponents[j]}"
-            for j in used
-            if exponents[j]
-        )
-        if not body:
-            body = str(magnitude)
-        elif magnitude != 1:
-            body = f"{magnitude}*{body}"
-        if not chunks:
-            chunks.append(body if coefficient > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coefficient > 0 else f" - {body}")
-    return "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 _TERM_SEP_RE = re.compile(r" ([+-]) ")

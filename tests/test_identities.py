@@ -388,10 +388,14 @@ def _group_report(identity: str, group: identities.Group) -> CheckReport:
 
 def test_fold_of_x5_onto_x4_is_caught(monkeypatch):
     from schurpaths import combinat, ring
-    from schurpaths.ring import xvar
+    from schurpaths.ring import Family
 
     field = ring._field
-    monkeypatch.setattr(ring, "_field", lambda v: field(xvar(4)) if v == xvar(5) else field(v))
+
+    def fold(family, index):
+        return field(family, 4 if (family, index) == (Family.X, 5) else index)
+
+    monkeypatch.setattr(ring, "_field", fold)
     assert str(combinat.schur_tableaux((1,), 5)) == "x1 + x2 + x3 + 2*x4"  # the fault is live
     # every route to s_lambda agrees on the folded polynomial; only the anchor sees it
     for shape in combinat.partitions_in_box(5, 3):
@@ -476,7 +480,8 @@ def test_a_failing_anchor_reports_both_integers(monkeypatch):
 
 def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     # entry (0, 0) of every matrix with two or more sinks is off by x1: each
-    # verifier must take its entries and determinants from lgv.path_matrix
+    # verifier must take its entries and determinants from lgv.path_matrix.
+    # bialternant's one matrix starts with M_change, so det M_change is off.
     from schurpaths import lgv, symfun
 
     build = lgv.path_matrix
@@ -501,7 +506,7 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
         {"m": "3", "n": "3", "side": "path-sum-vs-product", "sink": "(1,1)"},
         {"n": "3", "m": "3", "side": "path-sum-vs-power", "t": "1", "sink": "(1,2)"},
         {"n": "3", "systems": "1", "side": "entry-vs-power", "entry": "(1,1)"},
-        {"shape": "[2,1]", "n": "3", "step": "primed-det-vs-tableaux"},
+        {"shape": "[2,1]", "n": "3", "step": "determinant-factorization"},
         {"n": "2", "degree_cap": "4", "step": "entry-vs-geometric", "entry": "(1,1)"},
     ]
 
@@ -517,6 +522,23 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     report = verify_bialternant((2, 1), 3)
     assert report.status == MISMATCH
     assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(2,1)"}
+
+
+def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
+    # M', M_change and M'' are blocks of one path matrix, so one weight memo serves them
+    from schurpaths import lgv
+
+    weigh, calls = lgv._horizontal_weight, []
+
+    def counted(*args):
+        calls.append(args)
+        return weigh(*args)
+
+    monkeypatch.setattr(lgv, "_horizontal_weight", counted)
+    for shape, n in [((2, 1), 3), ((3, 1, 1), 4), ((), 2)]:
+        calls.clear()
+        assert verify_bialternant(shape, n).status == VERIFIED
+        assert len(calls) == len(set(calls)) > 0
 
 
 # -- the fault table -------------------------------------------------------------------

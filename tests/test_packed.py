@@ -1,9 +1,9 @@
 """The packed monomial keys: graded-lex order, the degree limit, heap and synthetic division."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from schurpaths import ring
+from schurpaths import combinat, ring
 from schurpaths.ring import (
     MAX_DEGREE,
     DegreeOverflow,
@@ -11,6 +11,7 @@ from schurpaths.ring import (
     Monomial,
     NotDivisible,
     Polynomial,
+    Variable,
     apoly,
     avar,
     canonical_text,
@@ -20,6 +21,8 @@ from schurpaths.ring import (
     substitute_family,
     tpoly,
     tvar,
+    x_shift_sums,
+    x_word_sum,
     xpoly,
     xvar,
     ypoly,
@@ -31,10 +34,13 @@ from schurpaths.ring import (
 _POOL = sorted([tvar(), xvar(1), xvar(2), xvar(7), yvar(1), yvar(3), avar(1), avar(2), avar(12)])
 
 
-def reference_key(monomial: Monomial):
-    """Graded lex: total degree, then the dense exponent vector in variable order."""
+def reference_key(monomial: Monomial, pool=_POOL):
+    """Graded lex: total degree, then the dense exponent vector in variable order.
+
+    `pool` must hold every variable of the monomials compared, sorted.
+    """
     exponents = dict(monomial.exps)
-    return sum(exponents.values()), tuple(exponents.get(v, 0) for v in _POOL)
+    return sum(exponents.values()), tuple(exponents.get(v, 0) for v in pool)
 
 
 @st.composite
@@ -49,6 +55,28 @@ def polynomials(draw, max_terms=6):
     for _ in range(draw(st.integers(0, max_terms))):
         m = draw(monomials())
         terms[m] = terms.get(m, 0) + draw(st.integers(-9, 9))
+    return Polynomial(terms)
+
+
+@st.composite
+def wide_monomials(draw):
+    """Up to four variables, exponents of one to three digits, degree up to MAX_DEGREE."""
+    budget, exponents = MAX_DEGREE, {}
+    for v in draw(st.lists(st.sampled_from(_POOL), max_size=4, unique=True)):
+        if budget:
+            exponents[v] = draw(st.integers(1, min(3, budget)) | st.integers(1, budget))
+            budget -= exponents[v]
+    return Monomial.of(exponents)
+
+
+@st.composite
+def wide_polynomials(draw, max_terms=40):
+    """Up to 40 terms, coefficients of one digit or of many, beyond 64 bits."""
+    coefficients = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+    terms: dict[Monomial, int] = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = draw(wide_monomials())
+        terms[m] = terms.get(m, 0) + draw(coefficients)
     return Polynomial(terms)
 
 
@@ -71,8 +99,9 @@ def scan_div(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def expected_text(p: Polynomial) -> str:
+    pool = sorted({v for m, _ in p.items() for v, _ in m.exps})
     chunks = []
-    for m, c in sorted(p.items(), key=lambda mc: reference_key(mc[0]), reverse=True):
+    for m, c in sorted(p.items(), key=lambda mc: reference_key(mc[0], pool), reverse=True):
         if not m.exps:
             body = str(abs(c))
         else:
@@ -85,7 +114,18 @@ def expected_text(p: Polynomial) -> str:
 # -- graded-lex order -----------------------------------------------------------
 
 
-@given(polynomials())
+@given(polynomials() | wide_polynomials())
+@example(xpoly(1) ** 2 + xpoly(1))  # x1's column is bounded by 3, above both its exponents
+@example(xpoly(7) ** 4 * ypoly(3) ** 9 + xpoly(7) ** 3 * ypoly(3) ** 10)
+@example(xpoly(2) ** MAX_DEGREE - apoly(12) ** 100 * tpoly() ** 27)
+@example(Polynomial.zero())
+@example(Polynomial.const(1))
+@example(Polynomial.const(-1))
+@example(Polynomial.const(-(2**70)))
+@example(xpoly(1) - 1)
+@example(1 - xpoly(1) * ypoly(1))
+@example(-3 * xpoly(1) + xpoly(2) + 12)
+@example(-(2**70) * apoly(2) ** 15 + 2**64 * tpoly() - 2**65)
 def test_order_matches_the_reference(p):
     assert canonical_text(p) == expected_text(p)
     if p:
@@ -97,6 +137,15 @@ def test_order_matches_the_reference(p):
 @given(st.lists(monomials(), min_size=2, max_size=8, unique=True))
 def test_sort_key_matches_the_reference(ms):
     assert sorted(ms, key=Monomial.sort_key) == sorted(ms, key=reference_key)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 2, 1, 1), (4, 2, 2), (2, 2, 2, 1, 1)])
+def test_printed_tableau_sums_match_the_reference(shape):
+    # the sizes and variable counts that the CLI prints on its largest tableau sums
+    p = combinat.schur_tableaux(shape, 7)
+    text = canonical_text(p)
+    assert text == expected_text(p)
+    assert parse_poly(text) == p
 
 
 def test_order_examples_across_field_positions():
@@ -150,6 +199,39 @@ def test_degree_overflow_is_raised_not_carried():
     # a cap within the limit keeps every formed product within it
     assert mul(wide, wide, degree_cap=MAX_DEGREE) == 2 * xpoly(1) ** 100 + 1
     assert mul(top, top, degree_cap=3) == Polynomial.zero()
+
+
+# -- unit keys ------------------------------------------------------------------------
+
+
+def test_unit_keys_are_the_keys_of_the_variables():
+    for family, poly in [(Family.X, xpoly), (Family.Y, ypoly), (Family.A, apoly)]:
+        for index in (1, 2, 7, 42):
+            key = Monomial.of({Variable(family, index): 1})._key
+            assert ring._unit(family, index) == key
+            assert poly(index)._terms == {key: 1}
+            if family == Family.X:
+                assert x_word_sum([(index,)]) == poly(index)
+                assert x_shift_sums({0: [(Polynomial.one(), 1)]}, index)[0] == poly(index)
+    assert ring._unit(Family.T, 0) == Monomial.of({tvar(): 1})._key
+
+
+def test_unit_keys_refuse_an_index_as_variables_do():
+    with pytest.raises(ValueError, match="^X indices start at 1, got 0$"):
+        xvar(0)
+    for refused in (
+        lambda: xpoly(0),
+        lambda: x_word_sum([(1, 0)]),
+        lambda: x_shift_sums({}, 0),
+    ):
+        with pytest.raises(ValueError, match="^X indices start at 1, got 0$"):
+            refused()
+    with pytest.raises(ValueError, match="^Y indices start at 1, got -1$"):
+        ypoly(-1)
+    with pytest.raises(ValueError, match="^A indices start at 1, got 0$"):
+        apoly(0)
+    with pytest.raises(ValueError, match="^t is a single variable; its index is fixed at 0$"):
+        Variable(Family.T, 1)
 
 
 # -- heap division against the max() scan -------------------------------------------
