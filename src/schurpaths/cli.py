@@ -58,12 +58,16 @@ def _flag(option: str) -> str:
     return "--" + option.replace("_", "-")
 
 
+def _verify_options() -> list[str]:
+    """Every identity's `verify` options, each once, in table order."""
+    return list(dict.fromkeys(o for i in identities.IDENTITIES.values() for o in i.options))
+
+
 def _run_verifier(args) -> identities.CheckReport:
     identity = identities.IDENTITIES[args.identity]
-    every_option = {option for other in identities.IDENTITIES.values() for option in other.options}
     unused = sorted(
         option
-        for option in every_option - identity.options.keys()
+        for option in set(_verify_options()) - identity.options.keys()
         if getattr(args, option) is not None
     )
     if unused:
@@ -184,11 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one identity")
     p_verify.add_argument("identity", choices=list(identities.IDENTITIES))
-    p_verify.add_argument("--shape", help='partition, e.g. "[2,1]"')
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--degree-cap", type=int, dest="degree_cap")
-    p_verify.add_argument("--power", type=int)
+    for option in _verify_options():  # shape stays text until _run_verifier parses it
+        kind = {"help": 'partition, e.g. "[2,1]"'} if option == "shape" else {"type": int}
+        p_verify.add_argument(_flag(option), **kind)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

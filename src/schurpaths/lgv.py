@@ -26,13 +26,13 @@ and the systems themselves (enumerate_paths is one pair).
 
 Both sweeps share one step convention.  The value standing at (col, row)
 moves over the edge leaving it in the row's direction (_moves_right) and
-joins what already stands at the edge's end as step(acc, value, weight),
-with acc None while nothing stands there.  A sum of weights passes
-_product_step, acc + value * weight in one ring.add_mul, and reads each
-weight through a memo of _horizontal_weight(scheme, row, col) made for that
-call (_weights).  A count, or the walk that lists systems, passes
-_unweighted_step and no weights, so it weighs no edge; the listed systems'
-paths read their edge weights from one memo.
+joins what already stands at the edge's end as step(acc, value, row, col),
+with acc None while nothing stands there; the step alone decides what the
+edge weighs.  A sum of weights passes _product_step(scheme), acc + value *
+weight(row, col) in one ring.add_mul, which reads the call's weights
+through its own memo of _horizontal_weight (_weights).  A count, or the
+walk that lists systems, passes _unweighted_step, which weighs no edge; the
+listed systems' paths read their edge weights from one memo.
 """
 
 from __future__ import annotations
@@ -180,29 +180,30 @@ def _weights(scheme: Scheme):
 
 
 def _product_step(scheme: Scheme):
-    """step(acc, value, weight) of a sweep carrying a Polynomial: acc + value * weight, capped."""
-    cap, zero = scheme.degree_cap, Polynomial.zero()
-    return lambda acc, value, weight: add_mul(zero if acc is None else acc, value, weight, cap)
+    """step(acc, value, row, col) of a sweep carrying a Polynomial: acc + value * weight, capped.
+
+    The weight is that of the edge leaving (col, row), read through a memo
+    that the step owns, so one step weighs each edge at most once.
+    """
+    cap, zero, weight = scheme.degree_cap, Polynomial.zero(), _weights(scheme)
+    return lambda acc, value, row, col: add_mul(acc or zero, value, weight(row, col), cap)
 
 
-def _unweighted_step(acc, value, weight):
-    """step(acc, value, weight) of a sweep that carries values over edges unchanged."""
+def _unweighted_step(acc, value, row, col):
+    """step(acc, value, row, col) of a sweep that carries values over edges unchanged."""
     return value if acc is None else acc + value
 
 
-def _path_sums(
-    scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point], one, step, weight=None
-) -> list:
+def _path_sums(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point], one, step) -> list:
     """Sum over all paths from each source to each sink: one list of sink values per source.
 
-    `one` is the value of the empty path.  step(acc, value, weight) adds to
-    acc (None while nothing has arrived) the value carried over a horizontal
-    edge; `weight(row, col)` gives the edge's weight, and without it the
-    step gets None.  Vertical edges carry values unchanged.  A sink reads
-    its value as the sweep leaves its row.  Zero values are dropped, so a
-    sink's value is None when no path contributes, as for a sink below its
-    source or left of it on a monotone scheme.  Paths there never go left,
-    so they stop at the rightmost sink's column.
+    `one` is the value of the empty path.  step(acc, value, row, col) adds
+    to acc (None while nothing has arrived) the value carried over the
+    horizontal edge that leaves (col, row).  Vertical edges carry values
+    unchanged.  A sink reads its value as the sweep leaves its row.  Zero
+    values are dropped, so a sink's value is None when no path contributes,
+    as for a sink below its source or left of it on a monotone scheme.
+    Paths there never go left, so they stop at the rightmost sink's column.
     """
     sources, sinks = _in_window(scheme, sources), _in_window(scheme, sinks)
     ends: dict[int, list[tuple[int, int]]] = {}  # row -> (index, column) of its sinks
@@ -219,7 +220,7 @@ def _path_sums(
                 if frm not in values:
                     continue
                 to = frm + forward
-                total = step(values.get(to), values[frm], weight and weight(row, frm))
+                total = step(values.get(to), values[frm], row, frm)
                 if total:
                     values[to] = total
                 elif to in values:
@@ -236,8 +237,7 @@ def path_matrix(
 
     Entry (i, j) is 0 when no path joins a_i to b_j and 1 when a_i = b_j.
     """
-    one, step = Polynomial.one(), _product_step(scheme)
-    sums = _path_sums(scheme, sources, sinks, one, step, _weights(scheme))
+    sums = _path_sums(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
     entries = [value or Polynomial.zero() for row in sums for value in row]
     return symfun.PolyMatrix(len(sources), len(sinks), entries)
 
@@ -281,15 +281,15 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _sweep_systems(scheme: Scheme, sources, sinks, one, step, weight=None, mark=None) -> dict:
+def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict:
     """Sum the non-intersecting systems sources -> sinks row by row, by sigma.
 
     The transfer-matrix method (Stanley, EC1 4.7) on the path systems of
     Gessel and Viennot (1985).  As in _path_sums the value is generic: `one`
-    for the empty system, and step(acc, value, weight) joins to acc (None
-    if there is none) the value carried over a horizontal edge whose weight
-    `weight(row, col)` gives, or None without it; mark(value, cols, srcs),
-    if given, sees each state that survives a row.  Returns {sigma: value}.
+    for the empty system, and step(acc, value, row, col) joins to acc (None
+    if there is none) the value carried over the horizontal edge that leaves
+    (col, row); mark(value, cols, srcs), if given, sees each state that
+    survives a row.  Returns {sigma: value}.
 
     A state is the increasing tuple of the active paths' columns, their
     sources, and sigma so far (the sink of each finished path, else None).
@@ -355,8 +355,7 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, weight=None, mark=
                     total = None
                     for d in range(first(start), far + forward, forward):
                         if total is not None:  # carried over the edge from d - forward
-                            edge = weight and weight(row, d - forward)
-                            total = step(start.get(d), total, edge)
+                            total = step(start.get(d), total, row, d - forward)
                         elif d in start:
                             total = start[d]
                         else:
@@ -418,8 +417,7 @@ def nonintersecting_sum(
     scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]
 ) -> Polynomial:
     """The path-system side of the LGV lemma: sign(sigma) * weight summed over the systems."""
-    one, step = Polynomial.one(), _product_step(scheme)
-    sums = _sweep_systems(scheme, sources, sinks, one, step, _weights(scheme))
+    sums = _sweep_systems(scheme, sources, sinks, Polynomial.one(), _product_step(scheme))
     signed = [value if _permutation_sign(sigma) == 1 else -value for sigma, value in sums.items()]
     return sum(signed[1:], signed[0]) if signed else Polynomial.zero()
 

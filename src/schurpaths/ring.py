@@ -28,14 +28,15 @@ polynomials are equal iff their term maps are equal.
 Small operands take one pass.  A product with a one-term operand c*m shifts
 the other operand's keys by m and scales its coefficients by c, and nothing
 in it can cancel; the power of one term multiplies its key by the exponent
-and powers its coefficient; a difference merges in one pass without
-negating first.  add_mul(acc, p, q, degree_cap) is acc + p*q with the
-products written straight into a copy of acc's terms, the step of every
-running sum of products (the lgv sweeps, det, the Newton form).  The tests
-check each of these against a term-by-term oracle.  Canonical text is
-printed in column passes: each variable's exponent column is sliced out of
-the sorted keys at once and mapped through a table of factor strings, and
-only the sign and coefficient are handled term by term.
+and powers its coefficient; a sum and a difference, in either operand
+order, are one merge (_merged) that subtracts without negating first.
+add_mul(acc, p, q, degree_cap) is acc + p*q with the products written
+straight into a copy of acc's terms, the step of every running sum of
+products (the lgv sweeps, det, the Newton form).  The tests check each of
+these against a term-by-term oracle.  Canonical text is printed in column
+passes: each variable's exponent column is sliced out of the sorted keys at
+once and mapped through a table of factor strings, and only the sign and
+coefficient are handled term by term.
 
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
@@ -173,18 +174,6 @@ def _grlex_bytes(key: int, width: int) -> bytes:
     """
     b = key.to_bytes(width, "little")
     return b[:2] + b[2::3] + b[3::3] + b[4::3]
-
-
-def _from_grlex(grlex: int, width: int) -> int:
-    """Inverse of int.from_bytes(_grlex_bytes(key, width), "big")."""
-    n = (width - 2) // 3
-    g = grlex.to_bytes(width, "big")
-    b = bytearray(width)
-    b[:2] = g[:2]
-    b[2::3] = g[2 : 2 + n]
-    b[3::3] = g[2 + n : 2 + 2 * n]
-    b[4::3] = g[2 + 2 * n :]
-    return int.from_bytes(b, "little")
 
 
 def _guard(width: int) -> int:
@@ -402,20 +391,22 @@ class Polynomial:
             return Polynomial.const(value)
         return NotImplemented
 
-    def __add__(self, other) -> "Polynomial":
-        other = Polynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _merged(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, for sign 1 or -1, merged into one copy of self's terms."""
         merged = dict(self._terms)
         cancelled = False
         for key, coefficient in other._terms.items():
-            total = merged.get(key, 0) + coefficient
+            total = merged.get(key, 0) + sign * coefficient
             if total:
                 merged[key] = total
             else:
                 del merged[key]
                 cancelled = True
         return Polynomial._of(merged, _sum_degree(self._degree, other._degree, cancelled))
+
+    def __add__(self, other) -> "Polynomial":
+        other = Polynomial._coerce(other)
+        return NotImplemented if other is NotImplemented else self._merged(other, 1)
 
     __radd__ = __add__
 
@@ -424,24 +415,11 @@ class Polynomial:
 
     def __sub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self._terms)
-        cancelled = False
-        for key, coefficient in other._terms.items():
-            total = merged.get(key, 0) - coefficient
-            if total:
-                merged[key] = total
-            else:
-                del merged[key]
-                cancelled = True
-        return Polynomial._of(merged, _sum_degree(self._degree, other._degree, cancelled))
+        return NotImplemented if other is NotImplemented else self._merged(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other._merged(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
@@ -674,8 +652,10 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     signals either a bug or a false identity; the heap raises as soon as a
     leading term fails to divide (monomial or integer coefficient).
 
-    The heap works on graded-lex keys (see _grlex_bytes), on which the
-    monomial order is integer order and products are still sums.  Every
+    The remainder and the quotient keep packed keys; each key waits in the
+    heap under its graded-lex int (see _grlex_bytes), on which the monomial
+    order is integer order.  Both kinds of key add under products, so a
+    product's priority is the sum of its factors' priorities.  Every
     remainder and quotient monomial has degree <= deg(p), so nothing can
     carry.
     """
@@ -692,34 +672,33 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     def grlex(key: int) -> int:
         return int.from_bytes(_grlex_bytes(key, width), "big")
 
-    divisor = sorted(((grlex(k), c) for k, c in d._terms.items()), reverse=True)
-    (lead, lead_coeff), tail = divisor[0], divisor[1:]
-    remainder = {grlex(k): c for k, c in p._terms.items()}
-    pending = [-m for m in remainder]
+    divisor = sorted(((grlex(k), k, c) for k, c in d._terms.items()), reverse=True)
+    (lead_order, lead, lead_coeff), tail = divisor[0], divisor[1:]
+    remainder = dict(p._terms)
+    pending = [(-grlex(k), k) for k in remainder]
     heapify(pending)
     guard = _guard(width)
     quotient: dict[int, int] = {}
     while pending:
-        m = -heappop(pending)
-        coeff = remainder.pop(m)
+        order, key = heappop(pending)
+        coeff = remainder.pop(key)
         if not coeff:
             continue
-        if ((m | guard) - lead) & guard != guard or coeff % lead_coeff:
+        if ((key | guard) - lead) & guard != guard or coeff % lead_coeff:
             raise NotDivisible(
-                f"leading term {coeff}*{Monomial._of_key(_from_grlex(m, width)).text()} "
-                f"is not divisible by "
-                f"{lead_coeff}*{Monomial._of_key(_from_grlex(lead, width)).text()}"
+                f"leading term {coeff}*{Monomial._of_key(key).text()} is not divisible by "
+                f"{lead_coeff}*{Monomial._of_key(lead).text()}"
             )
-        q_monomial = m - lead
+        q_key, q_order = key - lead, -order - lead_order
         q_coeff = coeff // lead_coeff
-        quotient[_from_grlex(q_monomial, width)] = q_coeff
-        for monomial, c in tail:
-            # every product sorts below m, so none of them was popped yet
-            product = q_monomial + monomial
+        quotient[q_key] = q_coeff
+        for tail_order, tail_key, c in tail:
+            # every product sorts below key, so none of them was popped yet
+            product = q_key + tail_key
             old = remainder.get(product)
             if old is None:
                 remainder[product] = -q_coeff * c
-                heappush(pending, -product)
+                heappush(pending, (-q_order - tail_order, product))
             else:
                 remainder[product] = old - q_coeff * c
     return Polynomial._of(quotient, p.degree() - d.degree())

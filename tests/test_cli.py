@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from schurpaths import identities, lgv, symfun
-from schurpaths.cli import main
+from schurpaths.cli import build_parser, main
 from schurpaths.identities import IDENTITIES, REQUIRED, SuiteConfig
 
 
@@ -124,6 +124,25 @@ def test_verify_refuses_options_the_identity_does_not_take(capsys):
     assert code == 2
     assert out == ""
     assert "verify vandermonde does not take --degree-cap" in err
+
+
+def test_verify_flags_come_from_the_identity_table(monkeypatch, capsys):
+    def with_rows(power: int = 8, rows: int = 1) -> identities.CheckReport:
+        params = {"power": str(power), "rows": str(rows)}
+        return identities.CheckReport("newton", params, identities.VERIFIED)
+
+    monkeypatch.setattr(identities, "verify_newton", with_rows)  # Identity.check looks it up
+    newton = IDENTITIES["newton"]
+    rows = newton._replace(options={**newton.options, "rows": 1})
+    monkeypatch.setitem(IDENTITIES, "newton", rows)
+    assert build_parser().parse_args(["verify", "newton", "--rows", "5"]).rows == 5
+    assert run_cli(capsys, "verify", "newton", "--rows", "5") == (
+        0, "newton [power=8 rows=5]: VERIFIED\n", ""
+    )
+    code, out, err = run_cli(capsys, "verify", "newton", "--n", "3")
+    assert (code, out) == (2, "") and "--n" in err
+    args = build_parser().parse_args(["verify", "jacobi-trudi", "--shape", "[2,1]", "--n", "3"])
+    assert (args.shape, args.n) == ("[2,1]", 3)
 
 
 def test_verify_json_golden(capsys):

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from schurpaths import cli, identities, lgv, ring, symfun
+from mutants import mutant
+from schurpaths import cli, combinat, identities, lgv, ring, symfun
 from schurpaths.identities import (
     ERROR,
     IDENTITIES,
@@ -640,18 +641,47 @@ def _add_mul_loses_its_accumulator(monkeypatch):
 def _path_sweep_loses_a_summand(monkeypatch):
     sweep = lgv._path_sums
 
-    def lossy(scheme, sources, sinks, one, step, weight=None):
-        def forgetful(acc, value, edge):  # what reached the edge's end before is lost
-            return step(None, value, edge)
+    def lossy(scheme, sources, sinks, one, step):
+        def forgetful(acc, value, row, col):  # what reached the edge's end before is lost
+            return step(None, value, row, col)
 
-        return sweep(scheme, sources, sinks, one, forgetful, weight)
+        return sweep(scheme, sources, sinks, one, forgetful)
 
     monkeypatch.setattr(lgv, "_path_sums", lossy)
+
+
+def _difference_merges_as_a_sum(monkeypatch):
+    merged = Polynomial._merged
+    monkeypatch.setattr(Polynomial, "_merged", lambda p, q, sign: merged(p, q, 1))
+
+
+def _linear_div_drops_c0(monkeypatch):  # a group's sum c_s + ... + c_1 is checked, not c_0
+    dropped = mutant(ring._linear_div, "        running += column.get(0, 0)\n", "")
+    monkeypatch.setattr(ring, "_linear_div", dropped)
+
+
+def _strip_sum_without_the_cap(monkeypatch):  # nu_i may pass mu_(i-1): no longer a strip
+    uncapped = mutant(combinat.schur_tableaux, "min(top, above)", "top")
+    monkeypatch.setattr(combinat, "schur_tableaux", uncapped)
+
+
+def _strip_sum_exponent_off_at_letter_2(monkeypatch):
+    shifted = mutant(combinat.schur_tableaux, "sum(nu) - size", "sum(nu) - size + (letter == 2)")
+    monkeypatch.setattr(combinat, "schur_tableaux", shifted)
+
+
+def _strip_sum_unit_read_once(monkeypatch):
+    # every strip sum starts at the letter 1, whose unit then serves every later letter
+    shift_sums = ring.x_shift_sums
+    monkeypatch.setattr(combinat, "x_shift_sums", lambda moves, index: shift_sums(moves, 1))
 
 
 def _square_path_sum():
     return lgv.e_weight(lgv.jacobi_trudi_scheme(n=2, col_bound=2), (1, 1), (2, 2))
 
+
+# every identity that reads the tableau sum
+_STRIP_SUM_USERS = {"bialternant", "cauchy", "dual-cauchy", "factorial-schur", "jacobi-trudi"}
 
 _FAULTS = {
     "det-sign-slip-from-order-3": (
@@ -711,6 +741,34 @@ _FAULTS = {
         _path_sweep_loses_a_summand,
         lambda: _square_path_sum() == xpoly(2),
         {"bialternant", "cauchy", "corollary", "main-lemma", "vandermonde"},
+    ),
+    "difference-merges-as-a-sum": (
+        _difference_merges_as_a_sum,
+        lambda: xpoly(1) - xpoly(2) == xpoly(1) + xpoly(2),
+        {
+            "bialternant", "cauchy", "corollary", "dual-determinant", "factorial-schur",
+            "main-lemma", "newton", "vandermonde",
+        },
+    ),
+    "linear-div-drops-c0-from-its-remainder-check": (
+        _linear_div_drops_c0,
+        lambda: ring.exact_div(xpoly(2), xpoly(1) - xpoly(2)) == 0,
+        {"bialternant", "factorial-schur", "newton"},
+    ),
+    "strip-sum-drops-the-strip-cap": (
+        _strip_sum_without_the_cap,
+        lambda: combinat.schur_tableaux((1, 1), 2) == xpoly(1) ** 2 + xpoly(1) * xpoly(2),
+        _STRIP_SUM_USERS,
+    ),
+    "strip-sum-exponent-one-too-high-at-letter-2": (
+        _strip_sum_exponent_off_at_letter_2,
+        lambda: str(combinat.schur_tableaux((1,), 2)) == "x1*x2 + x2^2",
+        _STRIP_SUM_USERS,
+    ),
+    "strip-sum-reads-the-unit-of-letter-1-only": (
+        _strip_sum_unit_read_once,
+        lambda: combinat.schur_tableaux((1,), 2) == 2 * xpoly(1),
+        _STRIP_SUM_USERS,
     ),
 }
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mutants import mutant
 from schurpaths import combinat, ring
 from schurpaths.ring import (
     MAX_DEGREE,
@@ -238,6 +239,7 @@ def test_unit_keys_refuse_an_index_as_variables_do():
 
 
 @given(polynomials(), polynomials(max_terms=4))
+@example(2 * xpoly(1) - 2, xpoly(1) + 1)  # the pushed product -2*x1 pops before the constant -2
 def test_heap_division_matches_scan_division(p, d):
     if d.is_zero():
         return
@@ -294,6 +296,7 @@ _NEAR_LINEAR = [
     _x1**2 - _x2,
     _x1 * _x2 - _x3,
     -_x1 - _x2,
+    _x1**3 - _x2,
 ]
 _LINEAR = [_x1 - _x2, _x2 - _x1, _x1 - ypoly(3), tpoly() - apoly(12)]
 
@@ -316,3 +319,72 @@ def test_only_a_difference_of_two_variables_takes_synthetic_division(monkeypatch
     with pytest.raises(NotDivisible):
         exact_div(blocked, d)
     assert bool(calls) == (d in _LINEAR)
+
+
+# -- named mutants that the ring tests must catch ------------------------------------
+#
+# Every exact_div call of the package divides by some x_i - x_j, and no identity
+# check reads printed text, so the suite's fault table reaches neither the heap
+# nor canonical_text.  Each row recompiles a ring function with one fragment
+# replaced; a canary shows the fault is live, and the named test must then fail.
+
+
+def _raises(error, function, *args) -> bool:
+    try:
+        function(*args)
+    except error:
+        return True
+    return False
+
+
+def _run_linear_dispatch_tests(monkeypatch):
+    for d in _NEAR_LINEAR + _LINEAR:
+        test_only_a_difference_of_two_variables_takes_synthetic_division(monkeypatch, d)
+
+
+_RING_MUTANTS = {
+    "heap-quotient-key-keeps-the-lead": (
+        "exact_div", "key - lead, -order", "key, -order",
+        lambda: _raises(NotDivisible, exact_div, 2 * _x1**2 - 2, _x1 + 1),
+        lambda monkeypatch: test_heap_division_matches_scan_division(),
+    ),
+    "heap-pushes-a-product-at-its-tail-term-priority": (
+        "exact_div", "(-q_order - tail_order, product)", "(-tail_order, product)",
+        lambda: _raises(NotDivisible, exact_div, 2 * _x1**2 - 2, _x1 + 1),
+        lambda monkeypatch: test_heap_division_matches_scan_division(),
+    ),
+    "dispatch-drops-the-unit-coefficient-condition": (
+        "exact_div",
+        "len(d._terms) == 2 and sorted(d._terms.values()) == [-1, 1]",
+        "len(d._terms) == 2",
+        lambda: exact_div(2 * _x1**2 - 2 * _x2**2, 2 * _x1 - 2 * _x2) == -2 * _x1 - 2 * _x2,
+        _run_linear_dispatch_tests,
+    ),
+    "dispatch-drops-the-single-variable-condition": (
+        "exact_div", "u & _DEGREE_MASK == v & _DEGREE_MASK == 1", "True",
+        lambda: _raises(NotDivisible, exact_div, _x1**4 - _x1 * _x2, _x1**3 - _x2),
+        _run_linear_dispatch_tests,
+    ),
+    "factor-tables-cut-at-exponent-99": (
+        "canonical_text", "range(2, top + 1)", "range(2, min(top, 99) + 1)",
+        lambda: canonical_text(_x1**99) == "x1^99"
+        and _raises(IndexError, canonical_text, _x1**100),
+        lambda monkeypatch: test_order_matches_the_reference(),
+    ),
+    "coefficients-printed-mod-2^64": (
+        "canonical_text", 'f"{abs(c)}{body}"', 'f"{abs(c) % 2**64}{body}"',
+        lambda: canonical_text(2**64 * _x1 + 1) == "0*x1 + 1",
+        lambda monkeypatch: test_order_matches_the_reference(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RING_MUTANTS))
+def test_a_ring_mutant_is_caught(monkeypatch, name):
+    function, old, new, canary, run_catcher = _RING_MUTANTS[name]
+    mutated = mutant(getattr(ring, function), old, new)
+    monkeypatch.setattr(ring, function, mutated)
+    monkeypatch.setitem(globals(), function, mutated)  # this module's own binding
+    assert canary()  # the fault is live
+    with pytest.raises(Exception):  # any exception fails the named test
+        run_catcher(monkeypatch)
