@@ -6,8 +6,9 @@ paths (count non-intersecting path systems and their signed sum), render
 (write the systems as an SVG figure).
 
 Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal
-(paths or render on more than 10^6 path systems, main-lemma past m = 18, or
-a degree beyond the ring's packed-monomial limit), 2 = usage or config error.
+(paths or render on more than 10^6 path systems, main-lemma past m = 18,
+vandermonde past n = 9, or a degree beyond the ring's packed-monomial
+limit), 2 = usage or config error.
 
 `--profile FILE`, given before the command, writes cProfile statistics of
 the command to FILE (read them with `python -m pstats FILE`).

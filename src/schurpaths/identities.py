@@ -29,7 +29,7 @@ import inspect
 import json
 import time
 from dataclasses import dataclass, fields
-from math import comb
+from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, intcheck, lgv, symfun
@@ -55,6 +55,7 @@ ERROR = "ERROR"
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
+_MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
 
 @dataclass
 class CheckReport:
@@ -215,6 +216,9 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     """Product form vs determinant of powers vs the signed sum over the path systems."""
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
+    if n > _MAX_VANDERMONDE_N:
+        terms = factorial(n)
+        raise TooLarge(f"vandermonde at n={n} > {_MAX_VANDERMONDE_N} expands n! = {terms} terms")
     checker = _Checker("vandermonde", n=n)
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)

@@ -25,18 +25,19 @@ Coefficients are Python ints, so nothing else ever overflows.  Canonical
 form is maintained everywhere: no zero coefficient is ever stored, and two
 polynomials are equal iff their term maps are equal.
 
-Small operands take one pass.  A product with a one-term operand c*m shifts
-the other operand's keys by m and scales its coefficients by c, and nothing
-in it can cancel; the power of one term multiplies its key by the exponent
-and powers its coefficient; a sum and a difference, in either operand
-order, are one merge (_merged) that subtracts without negating first.
-add_mul(acc, p, q, degree_cap) is acc + p*q with the products written
-straight into a copy of acc's terms, the step of every running sum of
-products (the lgv sweeps, det, the Newton form).  The tests check each of
-these against a term-by-term oracle.  Canonical text is printed in column
-passes: each variable's exponent column is sliced out of the sorted keys at
-once and mapped through a table of factor strings, and only the sign and
-coefficient are handled term by term.
+One kernel forms every product: add_mul(acc, p, q, degree_cap) is acc + p*q
+with the products written straight into a copy of acc's terms, the step of
+every running sum of products (the lgv sweeps, det, the Newton form), and
+mul(p, q) is add_mul into zero.  Small operands take one pass.  A one-term
+operand c*m multiplied into zero shifts the other operand's keys by m and
+scales its coefficients by c, and nothing in it can cancel; the power of one
+term multiplies its key by the exponent and powers its coefficient; a sum
+and a difference, in either operand order, are one merge (_merged) that
+subtracts without negating first.  The tests check each of these against a
+term-by-term oracle.  Canonical text is printed in column passes: each
+variable's exponent column is sliced out of the sorted keys at once and
+mapped through a table of factor strings, and only the sign and coefficient
+are handled term by term.
 
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
@@ -545,52 +546,32 @@ def x_shift_sums(
     return sums
 
 
+_ZERO = Polynomial.zero()  # the accumulator of mul
+
+
 def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomial:
-    """Product of p and q.
+    """Product of p and q: add_mul into the zero polynomial.
 
     With degree_cap, every product monomial of total degree > degree_cap is
     discarded; this realizes the degree-truncated power-series ring used by
     the Cauchy identity check.  Raises DegreeOverflow when a kept product
-    could exceed MAX_DEGREE.  A one-term operand c*m takes one pass: it
-    shifts every key of the other operand by m and scales its coefficient
-    by c, and since distinct keys stay distinct and c is nonzero, nothing
-    cancels.
+    could exceed MAX_DEGREE.
     """
-    if not p._terms or not q._terms:
-        return Polynomial.zero()
-    top = p.degree() + q.degree()
-    capped = degree_cap is not None and degree_cap < top
-    _check_degree(degree_cap if capped else top)
-    if len(p._terms) > len(q._terms):
-        p, q = q, p
-    if len(p._terms) == 1:
-        (shift, scale), = p._terms.items()
-        if capped:
-            limit = degree_cap - (shift & _DEGREE_MASK)
-            return Polynomial._of(
-                {shift + k: scale * c for k, c in q._terms.items() if k & _DEGREE_MASK <= limit}
-            )
-        return Polynomial._of({shift + k: scale * c for k, c in q._terms.items()}, top)
-    out: dict[int, int] = {}
-    _mul_into(out, p, q, degree_cap if capped else None)
-    if 0 in out.values():
-        out = {k: c for k, c in out.items() if c}
-    # Z[...] has no zero divisors, so the top-degree parts never cancel
-    return Polynomial._of(out, None if capped else top)
+    return add_mul(_ZERO, p, q, degree_cap)
 
 
 def add_mul(
     acc: Polynomial, p: Polynomial, q: Polynomial, degree_cap: int | None = None
 ) -> Polynomial:
-    """acc + mul(p, q, degree_cap), the products written straight into acc's terms.
+    """acc + p*q, the products written straight into a copy of acc's terms.
 
-    The fused step of every running sum of products (the path sweeps of
-    `lgv` and the expansion of `symfun.det`): one copy of acc's term map,
-    no product polynomial in between.  The cap and DegreeOverflow are those
-    of mul.
+    The one product kernel: mul is add_mul into zero, and every running sum
+    of products (the lgv sweeps, det, the Newton form) steps through it.
+    degree_cap and DegreeOverflow are as in mul.  Into an empty acc, a
+    one-term operand c*m takes one pass: it shifts the other operand's keys
+    by m and scales its coefficients by c; distinct keys stay distinct and c
+    is nonzero, so nothing cancels.
     """
-    if not acc._terms:
-        return mul(p, q, degree_cap)
     if not p._terms or not q._terms:
         return acc
     top = p.degree() + q.degree()
@@ -598,11 +579,20 @@ def add_mul(
     _check_degree(degree_cap if capped else top)
     if len(p._terms) > len(q._terms):
         p, q = q, p
+    if not acc._terms and len(p._terms) == 1:
+        (shift, scale), = p._terms.items()
+        if capped:
+            limit = degree_cap - (shift & _DEGREE_MASK)
+            return Polynomial._of(
+                {shift + k: scale * c for k, c in q._terms.items() if k & _DEGREE_MASK <= limit}
+            )
+        return Polynomial._of({shift + k: scale * c for k, c in q._terms.items()}, top)
     out = dict(acc._terms)
     _mul_into(out, p, q, degree_cap if capped else None)
     cancelled = 0 in out.values()
     if cancelled:
         out = {k: c for k, c in out.items() if c}
+    # Z[...] has no zero divisors, so the top-degree parts of p*q never cancel
     return Polynomial._of(out, None if capped else _sum_degree(acc._degree, top, cancelled))
 
 

@@ -129,16 +129,18 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
     return det(matrix)
 
 
-def alternant(shape: Sequence[int], n: int) -> Polynomial:
-    """det(x_i^(lambda_j + n - j)) with lambda padded to length n."""
+def _alternant(shape: Sequence[int], n: int, power) -> Polynomial:
+    """det(power(x_j, lambda_i + n - i)) over i, j = 1..n, with lambda padded to length n."""
     padded = fit_shape(shape, n)
     matrix = PolyMatrix.from_rows(
-        [
-            [xpoly(i + 1) ** (padded[j] + n - (j + 1)) for j in range(n)]
-            for i in range(n)
-        ]
+        [[power(xvar(j + 1), padded[i] + n - (i + 1)) for j in range(n)] for i in range(n)]
     )
     return det(matrix)
+
+
+def alternant(shape: Sequence[int], n: int) -> Polynomial:
+    """det of the n x n matrix with entry (i,j) = x_j^(lambda_i + n - i)."""
+    return _alternant(shape, n, lambda v, k: Polynomial.variable(v) ** k)
 
 
 def vandermonde(n: int) -> Polynomial:
@@ -195,14 +197,7 @@ def falling_power(v: Variable, k: int) -> Polynomial:
 
 def factorial_alternant(shape: Sequence[int], n: int) -> Polynomial:
     """det of the n x n matrix with entry (i,j) = (x_j | a)^(lambda_i + n - i)."""
-    padded = fit_shape(shape, n)
-    matrix = PolyMatrix.from_rows(
-        [
-            [falling_power(xvar(j + 1), padded[i] + n - (i + 1)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    return det(matrix)
+    return _alternant(shape, n, falling_power)
 
 
 def factorial_schur_quotient(shape: Sequence[int], n: int) -> Polynomial:

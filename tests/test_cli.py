@@ -1,6 +1,7 @@
 import json
 import pstats
 import re
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -179,6 +180,19 @@ def test_verify_main_lemma_refuses_an_oversized_grid(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "main-lemma", "--m", "130", "--n", "1")
     assert (code, out) == (1, "")
     assert err == f"refused: main-lemma at m=130 > 18 needs closed forms of {2 ** 129} terms\n"
+
+
+def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the refusal must come before any product or matrix")
+
+    monkeypatch.setattr(symfun, "vandermonde", build)
+    monkeypatch.setattr(lgv, "path_matrix", build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "vandermonde", "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "refused: vandermonde at n=10 > 9 expands n! = 3628800 terms\n"
 
 
 def test_verify_corollary_empty_grid_is_usage_error(capsys):

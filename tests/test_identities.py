@@ -72,6 +72,22 @@ def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
         verify_main_lemma(18, 1)
 
 
+def test_vandermonde_refuses_n_past_9_before_expanding(monkeypatch):
+    # the Vandermonde has n! terms; n = 9 takes about half a minute, and each
+    # step of n multiplies time and memory by n
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(symfun, "vandermonde", build)
+    with pytest.raises(TooLarge, match=r"^vandermonde at n=10 > 9 expands n! = 3628800 terms$"):
+        verify_vandermonde(10)
+    with pytest.raises(Built):  # n = 9 (362,880 terms) is still checked
+        verify_vandermonde(9)
+
+
 def test_main_lemma_negative_control():
     report = verify_main_lemma(3, 3, corrupt_weights=True)
     assert report.status == MISMATCH
@@ -602,19 +618,12 @@ def _linear_div_swapped(monkeypatch):
     monkeypatch.setattr(ring, "_linear_div", lambda p, u, v: divide(p, v, u))
 
 
-def _one_term_product_drops_its_coefficient(monkeypatch):
-    product = ring.mul
-
-    def dropped(p, q, degree_cap=None):  # the one-term operand multiplies as its monomial
-        if len(p) > len(q):
-            p, q = q, p
-        if len(p) == 1:
-            ((monomial, _),) = p.items()
-            p = Polynomial.term(monomial)
-        return product(p, q, degree_cap)
-
-    for module in (ring, lgv):
-        monkeypatch.setattr(module, "mul", dropped)
+def _one_term_product_drops_its_coefficient(monkeypatch):  # it multiplies as its monomial
+    dropped = mutant(
+        ring.add_mul, "scale * c for k, c in q._terms.items()}", "c for k, c in q._terms.items()}"
+    )
+    for module in (ring, lgv, symfun):
+        monkeypatch.setattr(module, "add_mul", dropped)
 
 
 def _term_power_leaves_its_coefficient(monkeypatch):
@@ -631,8 +640,10 @@ def _term_power_leaves_its_coefficient(monkeypatch):
 
 
 def _add_mul_loses_its_accumulator(monkeypatch):
+    kernel = ring.add_mul
+
     def product_only(acc, p, q, degree_cap=None):
-        return ring.mul(p, q, degree_cap)
+        return kernel(Polynomial.zero(), p, q, degree_cap)
 
     for module in (ring, lgv, symfun):
         monkeypatch.setattr(module, "add_mul", product_only)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+import test_ring
 from mutants import mutant
 from schurpaths import combinat, ring
 from schurpaths.ring import (
@@ -342,7 +343,17 @@ def _run_linear_dispatch_tests(monkeypatch):
         test_only_a_difference_of_two_variables_takes_synthetic_division(monkeypatch, d)
 
 
+def _run_add_mul_tests(monkeypatch):
+    monkeypatch.setattr(test_ring, "add_mul", ring.add_mul)
+    test_ring.test_add_mul_is_sum_plus_product()
+
+
 _RING_MUTANTS = {
+    "one-term-pass-into-a-nonempty-accumulator": (
+        "add_mul", "not acc._terms and len(p._terms) == 1", "len(p._terms) == 1",
+        lambda: ring.add_mul(_x1, 2 * _x2, _x3 + 1) == 2 * _x2 * (_x3 + 1),
+        _run_add_mul_tests,
+    ),
     "heap-quotient-key-keeps-the-lead": (
         "exact_div", "key - lead, -order", "key, -order",
         lambda: _raises(NotDivisible, exact_div, 2 * _x1**2 - 2, _x1 + 1),

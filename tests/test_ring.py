@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schurpaths.ring import (
     DegreeOverflow,
@@ -328,6 +328,7 @@ def test_power_of_a_term_is_repeated_multiplication(term, exponent):
 
 
 @given(polynomials(), polynomials(), polynomials(), _CAPS)
+@example(xpoly(1), 2 * xpoly(2), xpoly(3) + 1, None)  # a one-term factor into a non-empty sum
 def test_add_mul_is_sum_plus_product(acc, p, q, cap):
     for start in (acc, Polynomial.zero(), -mul(p, q, cap), acc - mul(p, q, cap)):
         fused = add_mul(start, p, q, cap)

@@ -201,7 +201,7 @@ def test_factorial_alternant_at_a_zero():
             if len(shape) > n:
                 continue
             plain = substitute_zero(factorial_alternant(shape, n), Family.A, 1)
-            # the plain specialization is the transposed power matrix, same det
+            # at a = 0 each (x_j | a)^k is x_j^k: both alternants build one matrix
             assert plain == alternant(shape, n)
 
 
