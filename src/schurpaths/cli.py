@@ -5,10 +5,16 @@ verify (run one identity check), suite (run the whole grid, JSON report),
 paths (count non-intersecting path systems and their signed sum), render
 (write the systems as an SVG figure).
 
-Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal
-(paths or render on more than 10^6 path systems, main-lemma past m = 18,
-vandermonde past n = 9, or a degree beyond the ring's packed-monomial
-limit), 2 = usage or config error.
+Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
+2 = usage or config error.  The refusals:
+- paths or render on more than 10^6 path systems
+- main-lemma past m = 18
+- vandermonde, verified or summed by paths, past n = 9
+- cauchy past n = 9, past (degree_cap + 1)^n = 100000, or past a partition
+  list of 20000
+- dual-cauchy and dual-determinant past 4,000,000 candidate terms of
+  prod(1 + x_i y_j), and dual-determinant past n + m = 9
+- a degree beyond the ring's packed-monomial limit
 
 `--profile FILE`, given before the command, writes cProfile statistics of
 the command to FILE (read them with `python -m pstats FILE`).
@@ -141,6 +147,8 @@ def _preset_configuration(args):
 
 def cmd_paths(args) -> int:
     scheme, sources, sinks, count = _preset_configuration(args)
+    if args.preset == "vandermonde":  # one system, but its weight has n! terms
+        lgv.check_vandermonde_size(args.n)
     text = canonical_text(lgv.nonintersecting_sum(scheme, sources, sinks))
     if args.json:
         print(json.dumps({"systems": count, "signed_sum": text}))

@@ -29,7 +29,7 @@ import inspect
 import json
 import time
 from dataclasses import dataclass, fields
-from math import comb, factorial
+from math import comb
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, intcheck, lgv, symfun
@@ -44,6 +44,7 @@ from .ring import (
     substitute_family,
     substitute_zero,
     tpoly,
+    truncate,
     xpoly,
     ypoly,
 )
@@ -55,7 +56,9 @@ ERROR = "ERROR"
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
-_MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
+_MAX_CAUCHY_CHOICES = 100_000  # (degree_cap + 1)^n: n = 5 takes 12 s at cap 9, 21 s at cap 10
+_MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
+_MAX_DUAL_ORDER = 9  # dual-determinant's n + m: every (n, m) with n + m = 9 takes 7-12 s
 
 @dataclass
 class CheckReport:
@@ -160,17 +163,6 @@ def _to_y(p: Polynomial) -> Polynomial:
     return substitute_family(p, Family.X, Family.Y, 0)
 
 
-def _xy_component(p: Polynomial, d: int) -> Polynomial:
-    """The part of p with x-degree d and y-degree d."""
-    return Polynomial(
-        {
-            m: c
-            for m, c in p.items()
-            if m.family_degree(Family.X) == d and m.family_degree(Family.Y) == d
-        }
-    )
-
-
 # -- individual verifiers ----------------------------------------------------
 
 
@@ -216,9 +208,7 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     """Product form vs determinant of powers vs the signed sum over the path systems."""
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
-    if n > _MAX_VANDERMONDE_N:
-        terms = factorial(n)
-        raise TooLarge(f"vandermonde at n={n} > {_MAX_VANDERMONDE_N} expands n! = {terms} terms")
+    lgv.check_vandermonde_size(n)
     checker = _Checker("vandermonde", n=n)
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)
@@ -315,16 +305,24 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
 
 
 def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
-    """Degree-graded Cauchy identity on the doubled graph.
+    """Cauchy identity on the doubled graph, as one series truncated at degree 2 * degree_cap.
 
-    Compares the (d, d)-bidegree components of det(e(a_i, b_j)) and of
-    Vdm(x) * Vdm(y) * sum of S_lambda(x) S_lambda(y) for every d up to
-    degree_cap minus the Vandermonde offset n(n-1)/2.
+    Every entry of det(e(a_i, b_j)) is exact up to that degree, so the
+    truncated det must equal Vdm(x) * Vdm(y) * sum of S_lambda(x) S_lambda(y)
+    over |lambda| <= degree_cap - n(n-1)/2: a larger shape adds only terms
+    above the cut, and these reach none.
     """
     if n < 1 or degree_cap < 0:
         raise ValueError("cauchy check needs n >= 1 and degree_cap >= 0")
     if comb(n + degree_cap, n) > _PARTITION_LIST_LIMIT:
         raise TooLarge("the truncated partition list would explode")
+    lgv.check_vandermonde_size(n)
+    choices = (degree_cap + 1) ** n  # a product in det picks one of cap + 1 terms per entry
+    if choices > _MAX_CAUCHY_CHOICES:
+        raise TooLarge(
+            f"cauchy at n={n}, degree_cap={degree_cap} multiplies out"
+            f" (degree_cap + 1)^n = {choices} > {_MAX_CAUCHY_CHOICES} entry-term choices"
+        )
     checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
     scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
     sources, sinks = lgv.cauchy_endpoints(n)
@@ -338,22 +336,48 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
             checker.eq(matrix.entry(i, j), geometric, step="entry-vs-geometric", entry=entry)
             expected = intcheck.geometric(i + 1, j + 1, degree_cap)
             checker.anchor("geometric", geometric, expected, entry=entry)
-    lhs = symfun.det(matrix)
+    lhs = truncate(symfun.det(matrix), 2 * degree_cap)
     vdm_x = symfun.vandermonde(n)
     vdm_y = _to_y(vdm_x)
     checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
     checker.anchor("vandermonde-y", vdm_y, intcheck.vandermonde(intcheck.ys(n)))
     series = Polynomial.zero()
-    for shape in combinat.partitions_in_box(n, degree_cap):
-        if sum(shape) > degree_cap:
-            continue
+    offset = n * (n - 1) // 2  # the degree of Vdm(x)
+    for shape in combinat.partitions_in_box(n, degree_cap):  # by size
+        if sum(shape) > degree_cap - offset:  # a term of degree 2 * (offset + |lambda|)
+            break
         s_x = combinat.schur_tableaux(shape, n)
         series = series + s_x * _to_y(s_x)
-    rhs = vdm_x * vdm_y * series
-    offset = n * (n - 1) // 2
-    for d in range(0, degree_cap - offset + 1):
-        checker.eq(_xy_component(lhs, d), _xy_component(rhs, d), step="graded-component", d=d)
+    checker.eq(lhs, vdm_x * (vdm_y * series), step="truncated-series")
     return checker.report()
+
+
+def _dual_terms(n: int, m: int) -> int:
+    """A bound on the terms x^alpha y^beta of prod(1 + x_i y_j), i <= n, j <= m.
+
+    It counts the pairs of alpha in [0, m]^n and beta in [0, n]^m with equal sums.
+    """
+    counts = []
+    for parts, top in ((n, m), (m, n)):  # the vectors in [0, top]^parts, by their sum
+        by_sum = [1]
+        for _ in range(parts):
+            by_sum = [sum(by_sum[max(0, s - top) : s + 1]) for s in range(len(by_sum) + top)]
+        counts.append(by_sum)
+    return sum(a * b for a, b in zip(*counts))
+
+
+def _dual_product(identity: str, n: int, m: int) -> Polynomial:
+    """prod(1 + x_i y_j) over i <= n, j <= m; TooLarge before any product past _MAX_DUAL_TERMS."""
+    # its 2^max(n, m) terms with one x_i or one y_j are distinct, so a long side is refused at once
+    if max(n, m) >= _MAX_DUAL_TERMS.bit_length() or _dual_terms(n, m) > _MAX_DUAL_TERMS:
+        raise TooLarge(
+            f"{identity} at n={n}, m={m} may expand prod(1 + x_i*y_j) past {_MAX_DUAL_TERMS} terms"
+        )
+    product = Polynomial.one()
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            product = product * (Polynomial.one() + xpoly(i) * ypoly(j))
+    return product
 
 
 def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
@@ -361,10 +385,7 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
     if n < 1 or m < 1:
         raise ValueError("dual cauchy needs n, m >= 1")
     checker = _Checker("dual-cauchy", n=n, m=m)
-    lhs = Polynomial.one()
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            lhs = lhs * (Polynomial.one() + xpoly(i) * ypoly(j))
+    lhs = _dual_product("dual-cauchy", n, m)
     rhs = Polynomial.zero()
     box = combinat.partitions_in_box(n, m)
     for shape in box:
@@ -395,12 +416,14 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
     """
     if n < 1 or m < 1:
         raise ValueError("dual determinant needs n, m >= 1")
+    if n + m > _MAX_DUAL_ORDER:
+        raise TooLarge(
+            f"dual-determinant at n={n}, m={m} needs n + m <= {_MAX_DUAL_ORDER} for its determinant"
+        )
     checker = _Checker("dual-determinant", n=n, m=m)
+    pairs = _dual_product("dual-determinant", n, m)
     determinant = symfun.det(_dual_matrix(n, m))
-    product = symfun.vandermonde(n) * _to_y(symfun.vandermonde(m))
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            product = product * (Polynomial.one() + xpoly(i) * ypoly(j))
+    product = symfun.vandermonde(n) * _to_y(symfun.vandermonde(m)) * pairs
     epsilon = -1 if (n * m) % 2 else 1
     checker.eq(determinant, epsilon * product, side="det-vs-signed-product")
     checker.anchor("signed-product", epsilon * product, intcheck.dual_determinant(n, m))

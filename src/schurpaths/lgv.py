@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
+from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
@@ -53,6 +54,9 @@ class OutOfBounds(ValueError):
 
 class TooLarge(RuntimeError):
     """A computation was refused to keep desk-scale runs bounded (CLI exit code 1)."""
+
+
+_MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
 
 
 class SchemeKind(Enum):
@@ -122,18 +126,12 @@ def cauchy_doubled_scheme(n: int, degree_cap: int) -> Scheme:
     )
 
 
-def in_bounds(scheme: Scheme, p: Point) -> bool:
-    if p.col < 1 or p.col > scheme.col_bound or p.row < 1:
-        return False
-    row_bound = scheme.row_bound()
-    return row_bound is None or p.row <= row_bound
-
-
 def _in_window(scheme: Scheme, points: Sequence[Point]) -> list[Point]:
     """The points as Points; OutOfBounds when one lies outside the scheme's window."""
     points = [Point(*p) for p in points]
+    rows = scheme.row_bound()
     for p in points:
-        if not in_bounds(scheme, p):
+        if not (1 <= p.col <= scheme.col_bound and p.row >= 1 and (rows is None or p.row <= rows)):
             raise OutOfBounds(f"point {tuple(p)} outside the {scheme.kind.value} window")
     return points
 
@@ -352,14 +350,12 @@ def _sweep_systems(scheme: Scheme, sources, sinks, one, step, mark=None) -> dict
                         far = bound if k == m - 1 else min(bound, others[k] - 1)
                     else:
                         far = bound if k == 0 else others[k - 1] + 1
-                    total = None
+                    total = None  # the walk starts at first(start), a key of start
                     for d in range(first(start), far + forward, forward):
-                        if total is not None:  # carried over the edge from d - forward
-                            total = step(start.get(d), total, row, d - forward)
-                        elif d in start:
+                        if total is None:
                             total = start[d]
-                        else:
-                            continue
+                        else:  # carried over the edge from d - forward
+                            total = step(start.get(d), total, row, d - forward)
                         if d >= floor[k]:
                             states[others[:k] + (d,) + others[k:]] = total
             groups[key] = states
@@ -537,6 +533,13 @@ def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
 
 def vandermonde_scheme(n: int) -> Scheme:
     return schur_weighted_scheme(n=n, col_bound=n, truncated=True)
+
+
+def check_vandermonde_size(n: int) -> None:
+    """TooLarge past n = 9, where the Vandermonde's n! terms take minutes to sum."""
+    if n > _MAX_VANDERMONDE_N:
+        terms = factorial(n)
+        raise TooLarge(f"vandermonde at n={n} > {_MAX_VANDERMONDE_N} expands n! = {terms} terms")
 
 
 def vandermonde_endpoints(n: int) -> tuple[list[Point], list[Point]]:

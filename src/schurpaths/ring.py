@@ -29,10 +29,10 @@ One kernel forms every product: add_mul(acc, p, q, degree_cap) is acc + p*q
 with the products written straight into a copy of acc's terms, the step of
 every running sum of products (the lgv sweeps, det, the Newton form), and
 mul(p, q) is add_mul into zero.  Small operands take one pass.  A one-term
-operand c*m multiplied into zero shifts the other operand's keys by m and
-scales its coefficients by c, and nothing in it can cancel; the power of one
-term multiplies its key by the exponent and powers its coefficient; a sum
-and a difference, in either operand order, are one merge (_merged) that
+operand c*m multiplied uncapped into zero shifts the other operand's keys by
+m and scales its coefficients by c, and nothing in it can cancel; the power
+of one term multiplies its key by the exponent and powers its coefficient; a
+sum and a difference, in either operand order, are one merge (_merged) that
 subtracts without negating first.  The tests check each of these against a
 term-by-term oracle.  Canonical text is printed in column passes: each
 variable's exponent column is sliced out of the sorted keys at once and
@@ -567,10 +567,10 @@ def add_mul(
 
     The one product kernel: mul is add_mul into zero, and every running sum
     of products (the lgv sweeps, det, the Newton form) steps through it.
-    degree_cap and DegreeOverflow are as in mul.  Into an empty acc, a
-    one-term operand c*m takes one pass: it shifts the other operand's keys
-    by m and scales its coefficients by c; distinct keys stay distinct and c
-    is nonzero, so nothing cancels.
+    degree_cap and DegreeOverflow are as in mul.  Uncapped and into an empty
+    acc, a one-term operand c*m takes one pass: it shifts the other operand's
+    keys by m and scales its coefficients by c; distinct keys stay distinct
+    and c is nonzero, so nothing cancels.
     """
     if not p._terms or not q._terms:
         return acc
@@ -579,13 +579,8 @@ def add_mul(
     _check_degree(degree_cap if capped else top)
     if len(p._terms) > len(q._terms):
         p, q = q, p
-    if not acc._terms and len(p._terms) == 1:
+    if not acc._terms and len(p._terms) == 1 and not capped:
         (shift, scale), = p._terms.items()
-        if capped:
-            limit = degree_cap - (shift & _DEGREE_MASK)
-            return Polynomial._of(
-                {shift + k: scale * c for k, c in q._terms.items() if k & _DEGREE_MASK <= limit}
-            )
         return Polynomial._of({shift + k: scale * c for k, c in q._terms.items()}, top)
     out = dict(acc._terms)
     _mul_into(out, p, q, degree_cap if capped else None)

@@ -195,6 +195,59 @@ def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
     assert err == "refused: vandermonde at n=10 > 9 expands n! = 3628800 terms\n"
 
 
+def test_verify_cauchy_at_n_5_is_quick(capsys):
+    # n(n-1)/2 = 10 > cap 4: the truncated series is empty, and nothing past the cut is built
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "cauchy", "--n", "5", "--degree-cap", "4")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, "cauchy [n=5 degree_cap=4]: VERIFIED\n")
+
+
+def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the refusal must come before any matrix or product")
+
+    monkeypatch.setattr(lgv, "path_matrix", build)
+    monkeypatch.setattr(symfun, "vandermonde", build)
+    for n, cap, message in [
+        ("5", "10", "cauchy at n=5, degree_cap=10 multiplies out (degree_cap + 1)^n = 161051"
+         " > 100000 entry-term choices"),
+        ("10", "1", "vandermonde at n=10 > 9 expands n! = 3628800 terms"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "cauchy", "--n", n, "--degree-cap", cap)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"refused: {message}\n")
+
+
+def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the refusal must come before any product")
+
+    monkeypatch.setattr(identities, "xpoly", build)
+    for n, m in [("2", "12"), ("12", "12")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "dual-cauchy", "--n", n, "--m", m)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"refused: dual-cauchy at n={n}, m={m} may expand prod(1 + x_i*y_j) past 4000000 terms\n"
+        )
+
+
+def test_verify_dual_determinant_refuses_n_plus_m_past_9_at_once(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the refusal must come before any product or matrix")
+
+    monkeypatch.setattr(identities, "xpoly", build)
+    monkeypatch.setattr(symfun, "det", build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "dual-determinant", "--n", "1", "--m", "10")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "refused: dual-determinant at n=1, m=10 needs n + m <= 9 for its determinant\n"
+
+
 def test_verify_corollary_empty_grid_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "corollary", "--n", "1")
     assert code == 2
@@ -376,6 +429,20 @@ def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {out_file}: ")
     assert "Traceback" not in err
+
+
+def test_paths_vandermonde_refuses_n_past_9_at_once_but_render_lists_it(tmp_path, capsys):
+    # one system, whose signed sum is the Vandermonde's n! terms; render does not sum it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "paths", "--preset", "vandermonde", "--n", "11")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "refused: vandermonde at n=11 > 9 expands n! = 39916800 terms\n"
+    out_file = tmp_path / "v11.svg"
+    code, out, _ = run_cli(
+        capsys, "render", "--preset", "vandermonde", "--n", "11", "--out", str(out_file)
+    )
+    assert (code, out) == (0, f"wrote {out_file} (1 systems)\n")
 
 
 def test_paths_refuses_explosive_configuration(capsys):

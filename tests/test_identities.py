@@ -131,11 +131,87 @@ def test_cauchy_verifier():
     assert verify_cauchy(2, 4).status == VERIFIED
 
 
-def test_cauchy_refuses_exploding_grids():
-    from schurpaths.lgv import TooLarge
+def test_cauchy_refuses_exploding_grids(monkeypatch):
+    # (degree_cap + 1)^n <= 100000 and n <= 9: n = 5 at cap 9 takes 12 s,
+    # n = 6 at cap 5 6 s, n = 9 at cap 2 16 s; n = 10 ran past a minute at cap 0
+    class Built(Exception):
+        pass
 
-    with pytest.raises(TooLarge):
-        verify_cauchy(12, 12)
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(lgv, "path_matrix", build)
+    for n, cap in [(5, 9), (6, 5), (7, 4), (8, 3), (9, 2), (4, 16)]:
+        with pytest.raises(Built):
+            verify_cauchy(n, cap)
+    for n, cap in [(12, 12), (5, 10), (6, 6), (8, 4), (10, 0), (4, 17)]:
+        with pytest.raises(TooLarge):
+            verify_cauchy(n, cap)
+
+
+def _strip_sum_zero_from_size_3(monkeypatch):
+    schur = combinat.schur_tableaux
+    monkeypatch.setattr(
+        combinat,
+        "schur_tableaux",
+        lambda shape, n: Polynomial.zero() if sum(shape) >= 3 else schur(shape, n),
+    )
+
+
+def test_cauchy_compares_every_shape_below_the_cut(monkeypatch):
+    # at n = 2, cap 4 the series reaches |lambda| = 3; a comparison that stops
+    # short of the top degrees misses a fault there
+    _strip_sum_zero_from_size_3(monkeypatch)
+    report = verify_cauchy(2, 4)
+    assert report.status == MISMATCH
+    assert report.params == {"n": "2", "degree_cap": "4", "step": "truncated-series"}
+
+
+def test_cauchy_fails_when_the_series_is_only_the_empty_shape(monkeypatch):
+    schur = combinat.schur_tableaux
+    monkeypatch.setattr(
+        combinat, "schur_tableaux", lambda shape, n: Polynomial.zero() if shape else schur(shape, n)
+    )
+    report = verify_cauchy(3, 5)
+    assert report.status == MISMATCH
+    assert report.params == {"n": "3", "degree_cap": "5", "step": "truncated-series"}
+
+
+def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypatch):
+    # prod(1 + x_i y_j) is bounded by its count of candidate terms, 2^m at
+    # n = 1: (1, 21) takes 18 s, (1, 22) 48 s and (5, 5) 23 s
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(identities, "xpoly", build)
+    for n, m in [(4, 6), (6, 4), (3, 8), (2, 11), (1, 21)]:
+        with pytest.raises(Built):
+            verify_dual_cauchy(n, m)
+    for n, m in [(5, 5), (2, 12), (1, 22), (1000, 1000)]:
+        message = rf"^dual-cauchy at n={n}, m={m} may expand prod\(1 \+ x_i\*y_j\) past 4000000 terms$"
+        with pytest.raises(TooLarge, match=message):
+            verify_dual_cauchy(n, m)
+
+
+def test_dual_determinant_refuses_past_n_plus_m_9_before_building(monkeypatch):
+    # every split of n + m = 9 takes 7-12 s; (1, 9) outgrew 2 GB
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(identities, "xpoly", build)
+    for n, m in [(1, 8), (4, 5), (8, 1)]:
+        with pytest.raises(Built):
+            verify_dual_determinant(n, m)
+    for n, m in [(1, 9), (5, 5), (30, 30)]:
+        message = rf"^dual-determinant at n={n}, m={m} needs n \+ m <= 9 for its determinant$"
+        with pytest.raises(TooLarge, match=message):
+            verify_dual_determinant(n, m)
 
 
 def test_dual_cauchy_verifier():
@@ -779,6 +855,11 @@ _FAULTS = {
     "strip-sum-reads-the-unit-of-letter-1-only": (
         _strip_sum_unit_read_once,
         lambda: combinat.schur_tableaux((1,), 2) == 2 * xpoly(1),
+        _STRIP_SUM_USERS,
+    ),
+    "strip-sum-zero-from-size-3": (
+        _strip_sum_zero_from_size_3,
+        lambda: combinat.schur_tableaux((2, 1), 2) == 0 and combinat.schur_tableaux((2,), 1) != 0,
         _STRIP_SUM_USERS,
     ),
 }
