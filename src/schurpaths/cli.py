@@ -9,9 +9,11 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 2 = usage or config error.  The refusals:
 - paths or render on more than 10^6 path systems
 - main-lemma past m = 18
+- newton past power 16
 - vandermonde, verified or summed by paths, past n = 9
 - cauchy past n = 9, past (degree_cap + 1)^n = 100000, or past a partition
-  list of 20000
+  list of 20000 (a degree_cap below n(n-1)/2, where both truncated sides
+  are 0, is a usage error)
 - dual-cauchy and dual-determinant past 4,000,000 candidate terms of
   prod(1 + x_i y_j), and dual-determinant past n + m = 9
 - a degree beyond the ring's packed-monomial limit

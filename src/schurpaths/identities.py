@@ -56,9 +56,10 @@ ERROR = "ERROR"
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
-_MAX_CAUCHY_CHOICES = 100_000  # (degree_cap + 1)^n: n = 5 takes 12 s at cap 9, 21 s at cap 10
+_MAX_CAUCHY_CHOICES = 100_000  # (degree_cap + 1)^n: the full det takes 12 s at n = 5, cap 9
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 9  # dual-determinant's n + m: every (n, m) with n + m = 9 takes 7-12 s
+_MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
 
 @dataclass
 class CheckReport:
@@ -310,7 +311,8 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     Every entry of det(e(a_i, b_j)) is exact up to that degree, so the
     truncated det must equal Vdm(x) * Vdm(y) * sum of S_lambda(x) S_lambda(y)
     over |lambda| <= degree_cap - n(n-1)/2: a larger shape adds only terms
-    above the cut, and these reach none.
+    above the cut, and these reach none.  Below degree_cap = n(n-1)/2 both
+    sides truncate to 0, so such a cap is refused as a usage error.
     """
     if n < 1 or degree_cap < 0:
         raise ValueError("cauchy check needs n >= 1 and degree_cap >= 0")
@@ -322,6 +324,12 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
         raise TooLarge(
             f"cauchy at n={n}, degree_cap={degree_cap} multiplies out"
             f" (degree_cap + 1)^n = {choices} > {_MAX_CAUCHY_CHOICES} entry-term choices"
+        )
+    offset = n * (n - 1) // 2  # the degree of Vdm(x)
+    if degree_cap < offset:
+        raise ValueError(
+            f"cauchy at n={n} needs degree_cap >= n(n-1)/2 = {offset};"
+            f" at degree_cap={degree_cap} both truncated sides are 0"
         )
     checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
     scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
@@ -342,7 +350,6 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
     checker.anchor("vandermonde-y", vdm_y, intcheck.vandermonde(intcheck.ys(n)))
     series = Polynomial.zero()
-    offset = n * (n - 1) // 2  # the degree of Vdm(x)
     for shape in combinat.partitions_in_box(n, degree_cap):  # by size
         if sum(shape) > degree_cap - offset:  # a term of degree 2 * (offset + |lambda|)
             break
@@ -451,6 +458,10 @@ def verify_newton(power: int = 8) -> CheckReport:
     """Newton expansion collapses to t^power; table entries match the h oracle."""
     if power < 0:
         raise ValueError("newton check needs power >= 0")
+    if power > _MAX_NEWTON_POWER:
+        raise TooLarge(
+            f"newton at power={power} > {_MAX_NEWTON_POWER} forms 3^{power} term products"
+        )
     checker = _Checker("newton", power=power)
     expansion = tpoly() ** power
     checker.eq(symfun.newton_expand(power), expansion, side="expansion")
@@ -537,7 +548,9 @@ IDENTITIES: dict[str, Identity] = {
             _shape_row(n, c.max_partition_size) for n in range(1, c.max_n + 1)
         ]),
         ("cauchy", verify_cauchy, lambda c: [
-            _point(n=n, degree_cap=c.cauchy_cap) for n in range(1, min(2, c.max_n) + 1)
+            _point(n=n, degree_cap=c.cauchy_cap)
+            for n in range(1, min(2, c.max_n) + 1)
+            if c.cauchy_cap >= n * (n - 1) // 2  # below it nothing is compared
         ]),
         ("dual-cauchy", verify_dual_cauchy, lambda c: [
             _point(n=n, m=m) for n in range(1, c.dual_max + 1) for m in range(1, c.dual_max + 1)

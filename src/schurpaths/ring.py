@@ -17,9 +17,9 @@ is one borrow-free subtraction.  Since the degree field bounds every other
 field, no field can carry as long as the total degree stays at or below
 MAX_DEGREE (127); a product that could exceed it raises DegreeOverflow
 before any arithmetic is done.  The packed order is not the graded-lex
-order: where order matters (the leading term, canonical text and the
-division heap) the fields are regrouped family by family into a key whose
-integer order is the graded-lex order for the variables at hand.
+order: where order matters (the leading term and canonical text) the
+fields are regrouped family by family into a key whose integer order is the
+graded-lex order for the variables at hand.
 
 Coefficients are Python ints, so nothing else ever overflows.  Canonical
 form is maintained everywhere: no zero coefficient is ever stored, and two
@@ -49,7 +49,6 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -177,13 +176,9 @@ def _grlex_bytes(key: int, width: int) -> bytes:
     return b[:2] + b[2::3] + b[3::3] + b[4::3]
 
 
-def _guard(width: int) -> int:
-    return int.from_bytes(b"\x80" * width, "little")
-
-
 def _divides(small: int, big: int) -> bool:
     """True iff every field of `small` is at most the same field of `big`."""
-    guard = _guard(max(_byte_length(small), _byte_length(big)))
+    guard = int.from_bytes(b"\x80" * max(_byte_length(small), _byte_length(big)), "little")
     return ((big | guard) - small) & guard == guard
 
 
@@ -629,20 +624,14 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 
     A divisor u - v of two distinct variables (coefficients +1 and -1, in
     either order) is divided out in one pass by synthetic division (see
-    _linear_div).  Every other divisor goes through the heap: it repeatedly
-    cancels the graded-lex leading term of the running remainder against the
-    leading term of d.  The remainder's monomials wait in a max-heap; a
-    monomial whose coefficient cancelled stays there until it is popped and
-    skipped.  Both raise NotDivisible when p is no multiple of d, which
-    signals either a bug or a false identity; the heap raises as soon as a
-    leading term fails to divide (monomial or integer coefficient).
-
-    The remainder and the quotient keep packed keys; each key waits in the
-    heap under its graded-lex int (see _grlex_bytes), on which the monomial
-    order is integer order.  Both kinds of key add under products, so a
-    product's priority is the sum of its factors' priorities.  Every
-    remainder and quotient monomial has degree <= deg(p), so nothing can
-    carry.
+    _linear_div); every division the package makes is of this kind.  Every
+    other divisor goes through textbook long division: cancel the graded-lex
+    leading term of the remainder against the leading term of d until the
+    remainder is zero.  Each step finds the leading term by a scan, so this
+    path is quadratic in the dividend's size, which no caller pays.  Both
+    raise NotDivisible when p is no multiple of d, which signals either a bug
+    or a false identity; long division raises as soon as a leading term
+    fails to divide (monomial or integer coefficient).
     """
     if not d._terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -652,40 +641,18 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
         (u, cu), (v, _) = d._terms.items()
         if u & _DEGREE_MASK == v & _DEGREE_MASK == 1:  # both are single variables
             return _linear_div(p, u, v) if cu == 1 else _linear_div(p, v, u)
-    width = _grlex_width(max(max(p._terms), max(d._terms)))
-
-    def grlex(key: int) -> int:
-        return int.from_bytes(_grlex_bytes(key, width), "big")
-
-    divisor = sorted(((grlex(k), k, c) for k, c in d._terms.items()), reverse=True)
-    (lead_order, lead, lead_coeff), tail = divisor[0], divisor[1:]
-    remainder = dict(p._terms)
-    pending = [(-grlex(k), k) for k in remainder]
-    heapify(pending)
-    guard = _guard(width)
-    quotient: dict[int, int] = {}
-    while pending:
-        order, key = heappop(pending)
-        coeff = remainder.pop(key)
-        if not coeff:
-            continue
-        if ((key | guard) - lead) & guard != guard or coeff % lead_coeff:
+    lead, lead_coeff = d.leading()
+    remainder, quotient = p, {}
+    while remainder._terms:
+        monomial, coeff = remainder.leading()
+        if not lead.divides(monomial) or coeff % lead_coeff:
             raise NotDivisible(
-                f"leading term {coeff}*{Monomial._of_key(key).text()} is not divisible by "
-                f"{lead_coeff}*{Monomial._of_key(lead).text()}"
+                f"leading term {coeff}*{monomial.text()} is not divisible by "
+                f"{lead_coeff}*{lead.text()}"
             )
-        q_key, q_order = key - lead, -order - lead_order
-        q_coeff = coeff // lead_coeff
-        quotient[q_key] = q_coeff
-        for tail_order, tail_key, c in tail:
-            # every product sorts below key, so none of them was popped yet
-            product = q_key + tail_key
-            old = remainder.get(product)
-            if old is None:
-                remainder[product] = -q_coeff * c
-                heappush(pending, (-q_order - tail_order, product))
-            else:
-                remainder[product] = old - q_coeff * c
+        term = Polynomial.term(monomial.quotient(lead), coeff // lead_coeff)
+        quotient.update(term._terms)
+        remainder = add_mul(remainder, -term, d)
     return Polynomial._of(quotient, p.degree() - d.degree())
 
 

@@ -18,6 +18,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _build(*args, **kwargs):
+    raise AssertionError("the refusal must come before anything is built")
+
+
 # -- schur ------------------------------------------------------------------------
 
 
@@ -172,22 +176,16 @@ def test_suite_json_golden(capsys):
 
 
 def test_verify_main_lemma_refuses_an_oversized_grid(monkeypatch, capsys):
-    def build(*args, **kwargs):
-        raise AssertionError("the refusal must come before any matrix or product")
-
-    monkeypatch.setattr(lgv, "path_matrix", build)
-    monkeypatch.setattr(lgv, "lemma_product", build)
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(lgv, "lemma_product", _build)
     code, out, err = run_cli(capsys, "verify", "main-lemma", "--m", "130", "--n", "1")
     assert (code, out) == (1, "")
     assert err == f"refused: main-lemma at m=130 > 18 needs closed forms of {2 ** 129} terms\n"
 
 
 def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
-    def build(*args, **kwargs):
-        raise AssertionError("the refusal must come before any product or matrix")
-
-    monkeypatch.setattr(symfun, "vandermonde", build)
-    monkeypatch.setattr(lgv, "path_matrix", build)
+    monkeypatch.setattr(symfun, "vandermonde", _build)
+    monkeypatch.setattr(lgv, "path_matrix", _build)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "vandermonde", "--n", "10")
     assert time.perf_counter() - start < 1.0
@@ -195,20 +193,33 @@ def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
     assert err == "refused: vandermonde at n=10 > 9 expands n! = 3628800 terms\n"
 
 
-def test_verify_cauchy_at_n_5_is_quick(capsys):
-    # n(n-1)/2 = 10 > cap 4: the truncated series is empty, and nothing past the cut is built
+def test_verify_cauchy_at_n_5_is_quick(monkeypatch, capsys):
+    # n(n-1)/2 = 10 > cap 4: both truncated sides would be 0, so the cap is refused unbuilt
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(symfun, "vandermonde", _build)
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "verify", "cauchy", "--n", "5", "--degree-cap", "4")
-    assert time.perf_counter() - start < 5.0
-    assert (code, out) == (0, "cauchy [n=5 degree_cap=4]: VERIFIED\n")
+    code, out, err = run_cli(capsys, "verify", "cauchy", "--n", "5", "--degree-cap", "4")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cauchy at n=5 needs degree_cap >= n(n-1)/2 = 10;"
+        " at degree_cap=4 both truncated sides are 0\n"
+    )
+
+
+def test_verify_newton_refuses_past_power_16_at_once(monkeypatch, capsys):
+    for name in ("divided_differences", "newton_expand", "complete_homogeneous"):
+        monkeypatch.setattr(symfun, name, _build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "newton", "--power", "17")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "refused: newton at power=17 > 16 forms 3^17 term products\n"
 
 
 def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, capsys):
-    def build(*args, **kwargs):
-        raise AssertionError("the refusal must come before any matrix or product")
-
-    monkeypatch.setattr(lgv, "path_matrix", build)
-    monkeypatch.setattr(symfun, "vandermonde", build)
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(symfun, "vandermonde", _build)
     for n, cap, message in [
         ("5", "10", "cauchy at n=5, degree_cap=10 multiplies out (degree_cap + 1)^n = 161051"
          " > 100000 entry-term choices"),
@@ -221,10 +232,7 @@ def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, cap
 
 
 def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, capsys):
-    def build(*args, **kwargs):
-        raise AssertionError("the refusal must come before any product")
-
-    monkeypatch.setattr(identities, "xpoly", build)
+    monkeypatch.setattr(identities, "xpoly", _build)
     for n, m in [("2", "12"), ("12", "12")]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "dual-cauchy", "--n", n, "--m", m)
@@ -236,11 +244,8 @@ def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, 
 
 
 def test_verify_dual_determinant_refuses_n_plus_m_past_9_at_once(monkeypatch, capsys):
-    def build(*args, **kwargs):
-        raise AssertionError("the refusal must come before any product or matrix")
-
-    monkeypatch.setattr(identities, "xpoly", build)
-    monkeypatch.setattr(symfun, "det", build)
+    monkeypatch.setattr(identities, "xpoly", _build)
+    monkeypatch.setattr(symfun, "det", _build)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "dual-determinant", "--n", "1", "--m", "10")
     assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -52,17 +53,19 @@ def test_verifiers_reject_sizes_below_one_by_their_own_options():
             check()
 
 
+class Built(Exception):
+    """Raised by a patched construction step: the check got past its refusals."""
+
+
+def _build(*args, **kwargs):
+    raise Built
+
+
 def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
     # the closed form at sink (m, 1) has 2^(m-1) terms; a refusal that came
     # late would grow until the process runs out of memory
-    class Built(Exception):
-        pass
-
-    def build(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(lgv, "path_matrix", build)
-    monkeypatch.setattr(lgv, "lemma_product", build)
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(lgv, "lemma_product", _build)
     message = r"^main-lemma at m=19 > 18 needs closed forms of 262144 terms$"
     with pytest.raises(TooLarge, match=message):
         verify_main_lemma(19, 1)
@@ -75,13 +78,7 @@ def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
 def test_vandermonde_refuses_n_past_9_before_expanding(monkeypatch):
     # the Vandermonde has n! terms; n = 9 takes about half a minute, and each
     # step of n multiplies time and memory by n
-    class Built(Exception):
-        pass
-
-    def build(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(symfun, "vandermonde", build)
+    monkeypatch.setattr(symfun, "vandermonde", _build)
     with pytest.raises(TooLarge, match=r"^vandermonde at n=10 > 9 expands n! = 3628800 terms$"):
         verify_vandermonde(10)
     with pytest.raises(Built):  # n = 9 (362,880 terms) is still checked
@@ -132,21 +129,50 @@ def test_cauchy_verifier():
 
 
 def test_cauchy_refuses_exploding_grids(monkeypatch):
-    # (degree_cap + 1)^n <= 100000 and n <= 9: n = 5 at cap 9 takes 12 s,
-    # n = 6 at cap 5 6 s, n = 9 at cap 2 16 s; n = 10 ran past a minute at cap 0
-    class Built(Exception):
-        pass
-
-    def build(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(lgv, "path_matrix", build)
-    for n, cap in [(5, 9), (6, 5), (7, 4), (8, 3), (9, 2), (4, 16)]:
+    # (degree_cap + 1)^n <= 100000 and n <= 9; the determinant is expanded in
+    # full before truncation, which takes 12 s at n = 5, cap 9 and 6 s at n = 6,
+    # cap 5; n = 10 ran past a minute at cap 0
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    for n, cap in [(4, 16), (3, 45), (2, 1), (1, 0)]:
         with pytest.raises(Built):
             verify_cauchy(n, cap)
     for n, cap in [(12, 12), (5, 10), (6, 6), (8, 4), (10, 0), (4, 17)]:
         with pytest.raises(TooLarge):
             verify_cauchy(n, cap)
+
+
+def test_cauchy_refuses_a_cap_below_n_choose_2_before_building(monkeypatch):
+    # every term of det(e(a_i, b_j)) and of Vdm(x) * Vdm(y) has degree >= n(n-1),
+    # so below degree_cap = n(n-1)/2 both truncated sides are 0
+    assert verify_cauchy(2, 1).status == verify_cauchy(3, 3).status == VERIFIED
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    for n, cap in [(2, 0), (3, 2), (5, 4), (5, 9), (6, 5), (7, 4), (8, 3), (9, 2)]:
+        least = n * (n - 1) // 2
+        message = f"cauchy at n={n} needs degree_cap >= n(n-1)/2 = {least};"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_cauchy(n, cap)
+
+
+def test_cauchy_grid_leaves_out_caps_below_n_choose_2():
+    def points(**config):
+        return [g.points for g in IDENTITIES["cauchy"].grid(SuiteConfig(**config))]
+
+    assert points() == [[{"n": 1, "degree_cap": 4}], [{"n": 2, "degree_cap": 4}]]
+    assert points(cauchy_cap=0) == [[{"n": 1, "degree_cap": 0}]]
+    assert points(cauchy_cap=1) == [[{"n": 1, "degree_cap": 1}], [{"n": 2, "degree_cap": 1}]]
+    [report] = run_suite(SuiteConfig(cauchy_cap=0, only=["cauchy"]))
+    assert (report.params, report.status) == ({"n": "1", "degree_cap": "0"}, VERIFIED)
+
+
+def test_newton_refuses_past_power_16_before_building(monkeypatch):
+    # the Newton form forms 3^power term products: power 16 takes 29 s, 17 105 s
+    for name in ("divided_differences", "newton_expand", "complete_homogeneous"):
+        monkeypatch.setattr(symfun, name, _build)
+    with pytest.raises(Built):
+        verify_newton(16)
+    for power in (17, 40, 10**9):
+        with pytest.raises(TooLarge, match=f"^newton at power={power} > 16 forms 3\\^{power} "):
+            verify_newton(power)
 
 
 def _strip_sum_zero_from_size_3(monkeypatch):
@@ -180,13 +206,7 @@ def test_cauchy_fails_when_the_series_is_only_the_empty_shape(monkeypatch):
 def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypatch):
     # prod(1 + x_i y_j) is bounded by its count of candidate terms, 2^m at
     # n = 1: (1, 21) takes 18 s, (1, 22) 48 s and (5, 5) 23 s
-    class Built(Exception):
-        pass
-
-    def build(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(identities, "xpoly", build)
+    monkeypatch.setattr(identities, "xpoly", _build)
     for n, m in [(4, 6), (6, 4), (3, 8), (2, 11), (1, 21)]:
         with pytest.raises(Built):
             verify_dual_cauchy(n, m)
@@ -198,13 +218,7 @@ def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypat
 
 def test_dual_determinant_refuses_past_n_plus_m_9_before_building(monkeypatch):
     # every split of n + m = 9 takes 7-12 s; (1, 9) outgrew 2 GB
-    class Built(Exception):
-        pass
-
-    def build(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(identities, "xpoly", build)
+    monkeypatch.setattr(identities, "xpoly", _build)
     for n, m in [(1, 8), (4, 5), (8, 1)]:
         with pytest.raises(Built):
             verify_dual_determinant(n, m)

@@ -1,4 +1,6 @@
-"""The packed monomial keys: graded-lex order, the degree limit, heap and synthetic division."""
+"""The packed monomial keys: graded-lex order, the degree limit, long and synthetic division."""
+
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,6 +8,8 @@ from hypothesis import example, given, strategies as st
 import test_ring
 from mutants import mutant
 from schurpaths import combinat, ring
+from schurpaths.cli import main
+from schurpaths.identities import all_verified, run_suite
 from schurpaths.ring import (
     MAX_DEGREE,
     DegreeOverflow,
@@ -176,7 +180,7 @@ def test_products_and_quotients_at_the_limit():
         f"x1^{half + 1}*a12^{half} - x1^{half}*y3*a12^{half} + t*x1 - t*y3"
     )
     assert exact_div(product, q) == p  # synthetic division, next to the limit
-    assert exact_div(product, p) == q  # the heap
+    assert exact_div(product, p) == q  # long division
     assert parse_poly(canonical_text(product)) == product
 
     merged = substitute_family(xpoly(1) ** 100 * apoly(1) ** 27, Family.X, Family.A, 0)
@@ -236,12 +240,12 @@ def test_unit_keys_refuse_an_index_as_variables_do():
         Variable(Family.T, 1)
 
 
-# -- heap division against the max() scan -------------------------------------------
+# -- long division against the max() scan -------------------------------------------
 
 
 @given(polynomials(), polynomials(max_terms=4))
-@example(2 * xpoly(1) - 2, xpoly(1) + 1)  # the pushed product -2*x1 pops before the constant -2
-def test_heap_division_matches_scan_division(p, d):
+@example(2 * xpoly(1) - 2, xpoly(1) + 1)  # the product -2*x1 leads before the constant -2
+def test_long_division_matches_scan_division(p, d):
     if d.is_zero():
         return
     product = p * d
@@ -249,7 +253,7 @@ def test_heap_division_matches_scan_division(p, d):
 
 
 @given(polynomials(), polynomials(max_terms=4))
-def test_heap_division_fails_where_scan_division_fails(p, d):
+def test_long_division_fails_where_scan_division_fails(p, d):
     if d.is_zero():
         return
     try:
@@ -322,11 +326,41 @@ def test_only_a_difference_of_two_variables_takes_synthetic_division(monkeypatch
     assert bool(calls) == (d in _LINEAR)
 
 
+def test_every_division_of_the_suite_and_the_cli_is_synthetic(monkeypatch, capsys):
+    # long division is slow by design because nothing hot reaches it: if a
+    # change sends one of these divisions through it, this fails
+    divide, linear_div = ring.exact_div, ring._linear_div
+    divisions, synthetic = [], []
+
+    def exact_div_spy(p, d):
+        if p:
+            divisions.append(d)
+        return divide(p, d)
+
+    def linear_div_spy(*args):
+        synthetic.append(args)
+        return linear_div(*args)
+
+    monkeypatch.setattr(ring, "_linear_div", linear_div_spy)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "schurpaths" and getattr(module, "exact_div", None) is divide:
+            monkeypatch.setattr(module, "exact_div", exact_div_spy)
+    for run in (
+        lambda: all_verified(run_suite()),
+        lambda: main(["schur", "--shape", "[2,1]", "--n", "3", "--method", "bialternant"]) == 0,
+        lambda: main(["verify", "newton"]) == 0,
+    ):
+        divisions.clear()
+        synthetic.clear()
+        assert run()
+        assert divisions and len(synthetic) == len(divisions)
+
+
 # -- named mutants that the ring tests must catch ------------------------------------
 #
 # Every exact_div call of the package divides by some x_i - x_j, and no identity
-# check reads printed text, so the suite's fault table reaches neither the heap
-# nor canonical_text.  Each row recompiles a ring function with one fragment
+# check reads printed text, so the suite's fault table reaches neither long
+# division nor canonical_text.  Each row recompiles a ring function with one fragment
 # replaced; a canary shows the fault is live, and the named test must then fail.
 
 
@@ -354,15 +388,13 @@ _RING_MUTANTS = {
         lambda: ring.add_mul(_x1, 2 * _x2, _x3 + 1) == 2 * _x2 * (_x3 + 1),
         _run_add_mul_tests,
     ),
-    "heap-quotient-key-keeps-the-lead": (
-        "exact_div", "key - lead, -order", "key, -order",
-        lambda: _raises(NotDivisible, exact_div, 2 * _x1**2 - 2, _x1 + 1),
-        lambda monkeypatch: test_heap_division_matches_scan_division(),
-    ),
-    "heap-pushes-a-product-at-its-tail-term-priority": (
-        "exact_div", "(-q_order - tail_order, product)", "(-tail_order, product)",
-        lambda: _raises(NotDivisible, exact_div, 2 * _x1**2 - 2, _x1 + 1),
-        lambda monkeypatch: test_heap_division_matches_scan_division(),
+    "long-division-quotient-key-keeps-the-lead": (
+        # the remainder still loses its lead, so the loop ends
+        "exact_div",
+        "quotient.update(term._terms)",
+        "quotient[monomial._key] = coeff // lead_coeff",
+        lambda: exact_div(2 * _x1**2 - 2, _x1 + 1) == 2 * _x1**2 - 2 * _x1,
+        lambda monkeypatch: test_long_division_matches_scan_division(),
     ),
     "dispatch-drops-the-unit-coefficient-condition": (
         "exact_div",

@@ -146,6 +146,15 @@ def test_exact_div_examples():
         exact_div(xpoly(2) ** 2, xpoly(2) - xpoly(1))
     with pytest.raises(NotDivisible):
         exact_div(xpoly(1) + 1, Polynomial.const(2))  # integer coefficient blocks
+    # every other divisor goes through long division, which names the blocked leading term
+    x1, x2, y2 = xpoly(1), xpoly(2), ypoly(2)
+    for p, d, message in [
+        (x1**2 + 1, x1 + 2, "leading term 5*1 is not divisible by 1*x1"),
+        (2 * x1**2 - 2 * x2**2, 4 * x1 - 4 * x2, "leading term 2*x1^2 is not divisible by 4*x1"),
+        (x1**3 * y2 + x2, x1 * y2 + 1, "leading term -1*x1^2 is not divisible by 1*x1*y2"),
+    ]:
+        with pytest.raises(NotDivisible, match=f"^{re.escape(message)}$"):
+            exact_div(p, d)
     with pytest.raises(ZeroDivisionError):
         exact_div(xpoly(1), Polynomial.zero())
 
