@@ -11,9 +11,12 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - main-lemma past m = 18
 - newton past power 16
 - vandermonde, verified or summed by paths, past n = 9
-- cauchy past n = 9, past (degree_cap + 1)^n = 100000, or past a partition
-  list of 20000 (a degree_cap below n(n-1)/2, where both truncated sides
-  are 0, is a usage error)
+- schur --method bialternant past n = 9, verify bialternant past n = 8 and
+  verify factorial-schur past n = 5 (each expands an alternant of at least
+  n! terms)
+- cauchy past n = 9, past (degree_cap + 1)^n = 100000, past a series of
+  400000 terms, or past a partition list of 20000 (a degree_cap below
+  n(n-1)/2, where both truncated sides are 0, is a usage error)
 - dual-cauchy and dual-determinant past 4,000,000 candidate terms of
   prod(1 + x_i y_j), and dual-determinant past n + m = 9
 - a degree beyond the ring's packed-monomial limit
@@ -35,6 +38,7 @@ from .ring import DegreeOverflow, Polynomial, canonical_text
 
 
 _MAX_SYSTEMS = 1_000_000
+_MAX_BIALTERNANT_ROUTE_N = 9  # its n!-term alternant: 11 s for (1) at n = 9, past 20 s at n = 10
 
 
 def _schur_by_method(shape, n: int, method: str) -> Polynomial:
@@ -45,6 +49,7 @@ def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if method == "jacobitrudi":
         return symfun.jacobi_trudi(shape, n)
     if method == "bialternant":
+        lgv.check_factorial_size("schur --method bialternant", n, _MAX_BIALTERNANT_ROUTE_N)
         return symfun.bialternant(shape, n)
     if method == "lgv":
         return lgv.schur_via_lgv(shape, n)

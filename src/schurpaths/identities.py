@@ -44,7 +44,6 @@ from .ring import (
     substitute_family,
     substitute_zero,
     tpoly,
-    truncate,
     xpoly,
     ypoly,
 )
@@ -56,10 +55,15 @@ ERROR = "ERROR"
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
-_MAX_CAUCHY_CHOICES = 100_000  # (degree_cap + 1)^n: the full det takes 12 s at n = 5, cap 9
+_MAX_CAUCHY_CHOICES = 100_000  # (degree_cap + 1)^n, sized on the full det: 12 s at n = 5, cap 9
+_MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s at cap 26
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 9  # dual-determinant's n + m: every (n, m) with n + m = 9 takes 7-12 s
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
+# both expand an alternant of at least n! terms: bialternant of (1) takes 13 s at n = 8 and
+# runs past 20 s at n = 9; factorial-schur of (3,2,1) takes 1.8 s at n = 5 and past 20 s at 6
+_MAX_BIALTERNANT_N = 8
+_MAX_FACTORIAL_SCHUR_N = 5
 
 @dataclass
 class CheckReport:
@@ -266,6 +270,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """The full reduction chain from path systems to the alternant quotient."""
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
+    lgv.check_factorial_size("bialternant", n, _MAX_BIALTERNANT_N)
     shape = partition(shape)
     padded = fit_shape(shape, n)
     checker = _Checker("bialternant", shape=shape, n=n)
@@ -331,6 +336,13 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
             f"cauchy at n={n} needs degree_cap >= n(n-1)/2 = {offset};"
             f" at degree_cap={degree_cap} both truncated sides are 0"
         )
+    # degree 2d of the series holds every x^alpha y^beta with |alpha| = |beta| = d
+    terms = sum(comb(d + n - 1, n - 1) ** 2 for d in range(degree_cap - offset + 1))
+    if terms > _MAX_CAUCHY_SERIES_TERMS:
+        raise TooLarge(
+            f"cauchy at n={n}, degree_cap={degree_cap} sums a series of"
+            f" {terms} > {_MAX_CAUCHY_SERIES_TERMS} terms"
+        )
     checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
     scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
     sources, sinks = lgv.cauchy_endpoints(n)
@@ -344,7 +356,7 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
             checker.eq(matrix.entry(i, j), geometric, step="entry-vs-geometric", entry=entry)
             expected = intcheck.geometric(i + 1, j + 1, degree_cap)
             checker.anchor("geometric", geometric, expected, entry=entry)
-    lhs = truncate(symfun.det(matrix), 2 * degree_cap)
+    lhs = symfun.det(matrix, degree_cap=2 * degree_cap)
     vdm_x = symfun.vandermonde(n)
     vdm_y = _to_y(vdm_x)
     checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
@@ -441,6 +453,7 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     """Factorial tableau sum vs the falling-power determinant quotient."""
     if n < 1:
         raise ValueError("factorial-schur check needs n >= 1")
+    lgv.check_factorial_size("factorial-schur", n, _MAX_FACTORIAL_SCHUR_N)
     shape = partition(shape)
     checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)

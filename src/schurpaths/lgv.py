@@ -535,11 +535,15 @@ def vandermonde_scheme(n: int) -> Scheme:
     return schur_weighted_scheme(n=n, col_bound=n, truncated=True)
 
 
+def check_factorial_size(what: str, n: int, limit: int) -> None:
+    """TooLarge past n = limit, for a computation that expands at least n! terms."""
+    if n > limit:
+        raise TooLarge(f"{what} at n={n} > {limit} expands n! = {factorial(n)} terms")
+
+
 def check_vandermonde_size(n: int) -> None:
     """TooLarge past n = 9, where the Vandermonde's n! terms take minutes to sum."""
-    if n > _MAX_VANDERMONDE_N:
-        terms = factorial(n)
-        raise TooLarge(f"vandermonde at n={n} > {_MAX_VANDERMONDE_N} expands n! = {terms} terms")
+    check_factorial_size("vandermonde", n, _MAX_VANDERMONDE_N)
 
 
 def vandermonde_endpoints(n: int) -> tuple[list[Point], list[Point]]:

@@ -18,8 +18,8 @@ field, no field can carry as long as the total degree stays at or below
 MAX_DEGREE (127); a product that could exceed it raises DegreeOverflow
 before any arithmetic is done.  The packed order is not the graded-lex
 order: where order matters (the leading term and canonical text) the
-fields are regrouped family by family into a key whose integer order is the
-graded-lex order for the variables at hand.
+fields of all keys are regrouped at once, family by family, into byte
+records whose order is the graded-lex order (_grlex_records).
 
 Coefficients are Python ints, so nothing else ever overflows.  Canonical
 form is maintained everywhere: no zero coefficient is ever stored, and two
@@ -34,10 +34,9 @@ m and scales its coefficients by c, and nothing in it can cancel; the power
 of one term multiplies its key by the exponent and powers its coefficient; a
 sum and a difference, in either operand order, are one merge (_merged) that
 subtracts without negating first.  The tests check each of these against a
-term-by-term oracle.  Canonical text is printed in column passes: each
-variable's exponent column is sliced out of the sorted keys at once and
-mapped through a table of factor strings, and only the sign and coefficient
-are handled term by term.
+term-by-term oracle.  Canonical text is printed with no step per term:
+each column of the sorted records, and the column of coefficients, is
+mapped through a table of strings into one piece list, joined once.
 
 All values are immutable and every operation is a pure function; values can
 be shared freely across threads.
@@ -48,7 +47,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import reduce
+from functools import cache, reduce
+from itertools import repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -159,21 +159,41 @@ def _byte_length(key: int) -> int:
     return (key.bit_length() + 7) // 8
 
 
-def _grlex_width(top_key: int) -> int:
-    """Bytes to unpack so that every family shows the same number of fields.
+@cache
+def _grlex_order(width: int) -> tuple[int, ...]:
+    """The fields of `width`-byte keys in graded-lex order: degree, t, x1.., y1.., a1..
 
-    `top_key` must be at least as long as every key that will be compared.
+    Every comparison of monomials (the leading term and canonical text)
+    reads the fields in this order.
     """
-    return 3 * (_byte_length(top_key) // 3) + 2
+    fields = range(width)
+    return (*fields[:2], *fields[2::3], *fields[3::3], *fields[4::3])
 
 
-def _grlex_bytes(key: int, width: int) -> bytes:
-    """Degree, then t, x1..xN, y1..yN, a1..aN: compares as graded-lex.
+def _grlex_records(keys: Iterable[int], present: int) -> tuple[list[bytes], list[int]]:
+    """The graded-lex record of each key, in the keys' order, and the fields it holds.
 
-    The same byte sequence, read in variable order, is the exponent vector.
+    `present` is the OR of the keys.  A record is the degree and then every
+    field that is nonzero in `present`, in _grlex_order, one byte each; so
+    two records compare as their monomials do in graded-lex order.  All keys
+    are written into one buffer, each record byte is one strided slice of
+    it, and one regular-expression scan cuts the result into records.
     """
-    b = key.to_bytes(width, "little")
-    return b[:2] + b[2::3] + b[3::3] + b[4::3]
+    width = _byte_length(present) or 1
+    top = present.to_bytes(width, "little")
+    fields = [0] + [f for f in _grlex_order(width)[1:] if top[f]]
+    packed = b"".join(map(int.to_bytes, keys, repeat(width), repeat("little")))
+    size = len(fields)
+    buffer = bytearray(len(packed) // width * size)
+    for j, field in enumerate(fields):
+        buffer[j::size] = packed[field::width]
+    return re.findall(b"(?s).{%d}" % size, buffer), fields
+
+
+@cache
+def _field_text(field: int) -> str:
+    """The name of the variable that `field` holds, as printed."""
+    return _variable_at(field).text()
 
 
 def _divides(small: int, big: int) -> bool:
@@ -365,8 +385,8 @@ class Polynomial:
         """The graded-lex leading (monomial, coefficient) pair."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        width = _grlex_width(max(self._terms))
-        key = max(self._terms, key=lambda k: _grlex_bytes(k, width))
+        records, _ = _grlex_records(self._terms, reduce(or_, self._terms))
+        _, key = max(zip(records, self._terms))
         return Monomial._of_key(key), self._terms[key]
 
     def variables(self) -> set[Variable]:
@@ -784,31 +804,37 @@ def canonical_text(p: Polynomial) -> str:
     Grammar: poly := "0" | term (" + " term | " - " term)*, with the sign of
     the leading term absorbed into an optional leading "-".  A term's integer
     coefficient is omitted when |coeff| = 1 and at least one variable factor
-    exists; exponents appear only when >= 2.  The sorted graded-lex keys
-    are joined into one buffer, from which each variable that occurs slices
-    its exponent column; the column's table of factor strings ("", "*x3",
-    "*x3^2", ...) ends at that position's byte of the OR of all keys.
+    exists; exponents appear only when >= 2.
+
+    No Python statement runs once per term.  The graded-lex records of the
+    keys (_grlex_records) are sorted and joined into one buffer, in which
+    record byte j of every term is one stride.  The text is one piece list
+    with a slot for each record byte.  The degree slots take the signs and
+    coefficients (" - 12", " + 1"), mapped through a table over the distinct
+    coefficients.  Each variable's slots take its factor strings ("", "*x3",
+    "*x3^2", ...), mapped from its stride through a table that ends at its
+    byte of the OR of all keys.  The list is joined once, and one replace of
+    " 1*" drops each unit coefficient with its "*": no other coefficient
+    prints a space, a lone 1 and a "*" in a row, and the constant term has
+    no "*".
     """
-    present = reduce(or_, p._terms, 0)
+    terms = p._terms
+    present = reduce(or_, terms, 0)
     if not present:  # zero or a constant
-        return str(p._terms.get(0, 0))
-    width = _grlex_width(present)
-    coefficients = {_grlex_bytes(k, width): c for k, c in p._terms.items()}
-    ordered = sorted(coefficients, reverse=True)
-    keys = b"".join(ordered)
-    # variable names in the positions of _grlex_bytes (position 0 is the degree)
-    names = ["", "t"] + [f"{c}{i}" for c in "xya" for i in range(1, (width - 2) // 3 + 1)]
-    columns = []
-    for j, top in enumerate(_grlex_bytes(present, width)):
-        if j and top:
-            factors = ["", f"*{names[j]}"] + [f"*{names[j]}^{e}" for e in range(2, top + 1)]
-            columns.append(map(factors.__getitem__, keys[j::width]))
-    # every body but a constant's starts with "*"; a unit coefficient drops it
-    text = "".join(
-        (" - " if c < 0 else " + ")
-        + (body[1:] if (c == 1 or c == -1) and body else f"{abs(c)}{body}")
-        for body, c in zip(map("".join, zip(*columns)), map(coefficients.__getitem__, ordered))
-    )
+        return str(terms.get(0, 0))
+    records, fields = _grlex_records(terms, present)
+    coefficient_of = dict(zip(records, terms.values()))
+    records.sort(reverse=True)
+    ordered = b"".join(records)
+    size = len(fields)
+    signed = {c: (" - " if c < 0 else " + ") + str(abs(c)) for c in set(terms.values())}
+    pieces = [""] * len(ordered)
+    pieces[::size] = map(signed.__getitem__, map(coefficient_of.__getitem__, records))
+    for j, field in enumerate(fields[1:], 1):
+        name, top = _field_text(field), present >> _FIELD_BITS * field & _DEGREE_MASK
+        factors = ["", f"*{name}"] + [f"*{name}^{e}" for e in range(2, top + 1)]
+        pieces[j::size] = map(factors.__getitem__, ordered[j::size])
+    text = "".join(pieces).replace(" 1*", " ")
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 

@@ -62,7 +62,7 @@ class PolyMatrix:
         return self.entries[i * self.n_cols : (i + 1) * self.n_cols]
 
 
-def det(matrix: PolyMatrix) -> Polynomial:
+def det(matrix: PolyMatrix, degree_cap: int | None = None) -> Polynomial:
     """Exact determinant by Laplace expansion memoised over column subsets.
 
     Division-free, with n * 2^(n-1) entry-by-minor products for an n x n
@@ -70,7 +70,10 @@ def det(matrix: PolyMatrix) -> Polynomial:
     size n - i to the minor on rows i..n-1 and those columns; expanding
     along row i, entry (i, j) enters with the sign given by the parity of
     the chosen columns below j.  Each product is added into its minor's
-    running sum in one pass (ring.add_mul).
+    running sum in one pass (ring.add_mul).  With degree_cap every product
+    drops its terms above that degree, so the result is the determinant in
+    the degree-capped ring: truncate(det(matrix), degree_cap), since
+    truncation is a ring quotient, without forming the terms above the cap.
     """
     n = matrix.n_rows
     if n != matrix.n_cols:
@@ -89,7 +92,9 @@ def det(matrix: PolyMatrix) -> Polynomial:
                     odd = not odd
                 elif row[j]:
                     key = cols | bit
-                    grown[key] = add_mul(grown.get(key, zero), (negated if odd else row)[j], minor)
+                    grown[key] = add_mul(
+                        grown.get(key, zero), (negated if odd else row)[j], minor, degree_cap
+                    )
         minors = {cols: minor for cols, minor in grown.items() if minor}
     return minors.get((1 << n) - 1, Polynomial.zero())
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from schurpaths import identities, lgv, symfun
+from schurpaths import combinat, identities, lgv, symfun
 from schurpaths.cli import build_parser, main
 from schurpaths.identities import IDENTITIES, REQUIRED, SuiteConfig
 
@@ -224,6 +224,7 @@ def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, cap
         ("5", "10", "cauchy at n=5, degree_cap=10 multiplies out (degree_cap + 1)^n = 161051"
          " > 100000 entry-term choices"),
         ("10", "1", "vandermonde at n=10 > 9 expands n! = 3628800 terms"),
+        ("3", "26", "cauchy at n=3, degree_cap=26 sums a series of 486980 > 400000 terms"),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "cauchy", "--n", n, "--degree-cap", cap)
@@ -251,6 +252,34 @@ def test_verify_dual_determinant_refuses_n_plus_m_past_9_at_once(monkeypatch, ca
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == "refused: dual-determinant at n=1, m=10 needs n + m <= 9 for its determinant\n"
+
+
+_ALTERNANT_EXPANSIONS = [
+    # (argv at the largest n that runs, the refused n, the refusal)
+    (("schur", "--shape", "[1]", "--method", "bialternant"), 9,
+     "schur --method bialternant at n=10 > 9 expands n! = 3628800 terms"),
+    (("verify", "bialternant", "--shape", "[1]"), 8,
+     "bialternant at n=9 > 8 expands n! = 362880 terms"),
+    (("verify", "factorial-schur", "--shape", "[3,2,1]"), 5,
+     "factorial-schur at n=6 > 5 expands n! = 720 terms"),
+]
+
+
+@pytest.mark.parametrize("argv, largest, message", _ALTERNANT_EXPANSIONS)
+def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
+    monkeypatch, capsys, argv, largest, message
+):
+    for name in ("bialternant", "alternant", "factorial_alternant", "det", "vandermonde"):
+        monkeypatch.setattr(symfun, name, _build)
+    for name in ("schur_tableaux", "factorial_schur_tableaux"):
+        monkeypatch.setattr(combinat, name, _build)
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--n", str(largest + 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"refused: {message}\n")
+    with pytest.raises(AssertionError, match="the refusal must come before"):
+        main([*argv, "--n", str(largest)])  # the bound itself starts building
 
 
 def test_verify_corollary_empty_grid_is_usage_error(capsys):

@@ -129,14 +129,15 @@ def test_cauchy_verifier():
 
 
 def test_cauchy_refuses_exploding_grids(monkeypatch):
-    # (degree_cap + 1)^n <= 100000 and n <= 9; the determinant is expanded in
-    # full before truncation, which takes 12 s at n = 5, cap 9 and 6 s at n = 6,
-    # cap 5; n = 10 ran past a minute at cap 0
+    # (degree_cap + 1)^n <= 100000 and n <= 9, sized when the determinant was
+    # expanded in full (12 s at n = 5, cap 9; 6 s at n = 6, cap 5; n = 10 ran
+    # past a minute at cap 0); and at most 400000 series terms, since the capped
+    # determinant lets n = 3 reach caps whose series takes minutes (cap 45)
     monkeypatch.setattr(lgv, "path_matrix", _build)
-    for n, cap in [(4, 16), (3, 45), (2, 1), (1, 0)]:
+    for n, cap in [(4, 16), (3, 25), (2, 63), (2, 1), (1, 0)]:
         with pytest.raises(Built):
             verify_cauchy(n, cap)
-    for n, cap in [(12, 12), (5, 10), (6, 6), (8, 4), (10, 0), (4, 17)]:
+    for n, cap in [(12, 12), (5, 10), (6, 6), (8, 4), (10, 0), (4, 17), (3, 26), (3, 45)]:
         with pytest.raises(TooLarge):
             verify_cauchy(n, cap)
 
@@ -657,7 +658,9 @@ def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
 
 def _det_sign_slip(monkeypatch):
     det = symfun.det
-    monkeypatch.setattr(symfun, "det", lambda m: -det(m) if m.n_rows >= 3 else det(m))
+    monkeypatch.setattr(
+        symfun, "det", lambda m, **cap: -det(m, **cap) if m.n_rows >= 3 else det(m, **cap)
+    )
 
 
 def _falling_power_off_by_one(monkeypatch):

@@ -14,6 +14,7 @@ from schurpaths.ring import (
     parse_poly,
     substitute_zero,
     tpoly,
+    truncate,
     xpoly,
     xvar,
 )
@@ -100,6 +101,16 @@ def leibniz_oracle(m):
             product = product * m.entry(i, perm[i])
         total = total + product
     return total
+
+
+def test_det_in_the_degree_capped_ring_is_the_truncated_det():
+    rng = random.Random(13)
+    for size in range(5):
+        for _ in range(6):
+            m = random_matrix(rng, size, max_vars=3)
+            full = det(m)
+            for cap in range(size + 2):
+                assert det(m, degree_cap=cap) == truncate(full, cap)
 
 
 def test_det_agrees_with_leibniz_oracle():
