@@ -14,11 +14,11 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - schur --method bialternant past n = 9, verify bialternant past n = 8 and
   verify factorial-schur past n = 5 (each expands an alternant of at least
   n! terms)
-- cauchy past n = 9, past (degree_cap + 1)^n = 100000, past a series of
-  400000 terms, or past a partition list of 20000 (a degree_cap below
-  n(n-1)/2, where both truncated sides are 0, is a usage error)
+- cauchy past a partition list of 20000 or a series of 400000 terms (a
+  degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
+  error)
 - dual-cauchy and dual-determinant past 4,000,000 candidate terms of
-  prod(1 + x_i y_j), and dual-determinant past n + m = 9
+  prod(1 + x_i y_j), and dual-determinant past n + m = 8
 - a degree beyond the ring's packed-monomial limit
 
 `--profile FILE`, given before the command, writes cProfile statistics of
@@ -34,7 +34,7 @@ import sys
 
 from . import combinat, identities, lgv, symfun
 from .combinat import parse_partition
-from .ring import DegreeOverflow, Polynomial, canonical_text
+from .ring import Polynomial, TooLarge, canonical_text
 
 
 _MAX_SYSTEMS = 1_000_000
@@ -49,7 +49,7 @@ def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if method == "jacobitrudi":
         return symfun.jacobi_trudi(shape, n)
     if method == "bialternant":
-        lgv.check_factorial_size("schur --method bialternant", n, _MAX_BIALTERNANT_ROUTE_N)
+        identities.check_factorial_size("schur --method bialternant", n, _MAX_BIALTERNANT_ROUTE_N)
         return symfun.bialternant(shape, n)
     if method == "lgv":
         return lgv.schur_via_lgv(shape, n)
@@ -146,7 +146,7 @@ def _preset_configuration(args):
         sources, sinks = lgv.schur_endpoints(shape, n)
     count = lgv.nonintersecting_count(scheme, sources, sinks)
     if count > _MAX_SYSTEMS:
-        raise lgv.TooLarge(
+        raise TooLarge(
             f"{count} non-intersecting path systems, more than the limit of {_MAX_SYSTEMS}"
         )
     return scheme, sources, sinks, count
@@ -155,7 +155,7 @@ def _preset_configuration(args):
 def cmd_paths(args) -> int:
     scheme, sources, sinks, count = _preset_configuration(args)
     if args.preset == "vandermonde":  # one system, but its weight has n! terms
-        lgv.check_vandermonde_size(args.n)
+        identities.check_vandermonde_size(args.n)
     text = canonical_text(lgv.nonintersecting_sum(scheme, sources, sinks))
     if args.json:
         print(json.dumps({"systems": count, "signed_sum": text}))
@@ -261,7 +261,7 @@ def _run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (lgv.TooLarge, DegreeOverflow) as exc:
+    except TooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
 

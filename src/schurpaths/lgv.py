@@ -40,23 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from . import symfun
 from .combinat import fit_shape, partition
-from .ring import Polynomial, add_mul, mul, truncate, xpoly, ypoly
+from .ring import Polynomial, add_mul, mul, xpoly, ypoly
 
 
 class OutOfBounds(ValueError):
     """A lattice point lies outside the scheme's working window."""
-
-
-class TooLarge(RuntimeError):
-    """A computation was refused to keep desk-scale runs bounded (CLI exit code 1)."""
-
-
-_MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
 
 
 class SchemeKind(Enum):
@@ -477,16 +469,12 @@ def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]
 def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> Polynomial:
     """det(e(a_i, b_j)): the determinant side of the LGV lemma.
 
-    On a degree-capped scheme the determinant is taken in the capped ring
-    (truncating afterwards is the same thing), matching the capped
-    path-system side.
+    On a degree-capped scheme the determinant is taken in the capped ring,
+    matching the capped path-system side.
     """
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
-    determinant = symfun.det(path_matrix(scheme, sources, sinks))
-    if scheme.degree_cap is not None:
-        determinant = truncate(determinant, scheme.degree_cap)
-    return determinant
+    return symfun.det(path_matrix(scheme, sources, sinks), degree_cap=scheme.degree_cap)
 
 
 def lemma_product(m: int, n: int) -> Polynomial:
@@ -533,17 +521,6 @@ def schur_via_lgv(shape: Sequence[int], n: int) -> Polynomial:
 
 def vandermonde_scheme(n: int) -> Scheme:
     return schur_weighted_scheme(n=n, col_bound=n, truncated=True)
-
-
-def check_factorial_size(what: str, n: int, limit: int) -> None:
-    """TooLarge past n = limit, for a computation that expands at least n! terms."""
-    if n > limit:
-        raise TooLarge(f"{what} at n={n} > {limit} expands n! = {factorial(n)} terms")
-
-
-def check_vandermonde_size(n: int) -> None:
-    """TooLarge past n = 9, where the Vandermonde's n! terms take minutes to sum."""
-    check_factorial_size("vandermonde", n, _MAX_VANDERMONDE_N)
 
 
 def vandermonde_endpoints(n: int) -> tuple[list[Point], list[Point]]:

@@ -17,7 +17,7 @@ is one borrow-free subtraction.  Since the degree field bounds every other
 field, no field can carry as long as the total degree stays at or below
 MAX_DEGREE (127); a product that could exceed it raises DegreeOverflow
 before any arithmetic is done.  The packed order is not the graded-lex
-order: where order matters (the leading term and canonical text) the
+order: where order matters (the largest terms and canonical text) the
 fields of all keys are regrouped at once, family by family, into byte
 records whose order is the graded-lex order (_grlex_records).
 
@@ -48,6 +48,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, reduce
+from heapq import nlargest
 from itertools import repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -65,7 +66,11 @@ class UnassignedVariable(LookupError):
     """eval_int met a variable with no value in the assignment."""
 
 
-class DegreeOverflow(OverflowError):
+class TooLarge(RuntimeError):
+    """A computation was refused to keep desk-scale runs bounded (CLI exit code 1)."""
+
+
+class DegreeOverflow(TooLarge, OverflowError):
     """A monomial of total degree above MAX_DEGREE was requested."""
 
 
@@ -261,10 +266,6 @@ class Monomial:
     def degree(self) -> int:
         return self._key & _DEGREE_MASK
 
-    def family_degree(self, family: Family) -> int:
-        b = self._key.to_bytes(_byte_length(self._key), "little")
-        return sum(b[_family_fields(family)])
-
     def mul(self, other: "Monomial") -> "Monomial":
         _check_degree(self.degree() + other.degree())
         return Monomial._of_key(self._key + other._key)
@@ -278,13 +279,6 @@ class Monomial:
         if not _divides(divisor._key, self._key):
             raise ValueError(f"{divisor.text()} does not divide {self.text()}")
         return Monomial._of_key(self._key - divisor._key)
-
-    def sort_key(self):
-        """Graded-lex key: compare by total degree, then earliest variable."""
-        return (
-            self.degree(),
-            tuple(((-v.family, -v.index), e) for v, e in self.exps),
-        )
 
     def text(self) -> str:
         if not self._key:
@@ -385,9 +379,13 @@ class Polynomial:
         """The graded-lex leading (monomial, coefficient) pair."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        records, _ = _grlex_records(self._terms, reduce(or_, self._terms))
-        _, key = max(zip(records, self._terms))
-        return Monomial._of_key(key), self._terms[key]
+        return self.largest(1)[0]
+
+    def largest(self, k: int) -> list[tuple[Monomial, int]]:
+        """The k graded-lex largest (monomial, coefficient) pairs, largest first."""
+        terms = self._terms
+        records, _ = _grlex_records(terms, reduce(or_, terms, 0))
+        return [(Monomial._of_key(key), terms[key]) for _, key in nlargest(k, zip(records, terms))]
 
     def variables(self) -> set[Variable]:
         present = reduce(or_, self._terms, 0)

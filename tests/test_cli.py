@@ -220,16 +220,34 @@ def test_verify_newton_refuses_past_power_16_at_once(monkeypatch, capsys):
 def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, capsys):
     monkeypatch.setattr(lgv, "path_matrix", _build)
     monkeypatch.setattr(symfun, "vandermonde", _build)
-    for n, cap, message in [
-        ("5", "10", "cauchy at n=5, degree_cap=10 multiplies out (degree_cap + 1)^n = 161051"
-         " > 100000 entry-term choices"),
-        ("10", "1", "vandermonde at n=10 > 9 expands n! = 3628800 terms"),
-        ("3", "26", "cauchy at n=3, degree_cap=26 sums a series of 486980 > 400000 terms"),
+    for n, cap in [("5", "10"), ("5", "15"), ("4", "17")]:  # the largest caps at n = 5 and 4
+        with pytest.raises(AssertionError, match="the refusal must come before"):
+            main(["verify", "cauchy", "--n", n, "--degree-cap", cap])
+    below = (
+        "error: cauchy at n={} needs degree_cap >= n(n-1)/2 = {};"
+        " at degree_cap={} both truncated sides are 0"
+    )
+    series = "refused: cauchy at n={}, degree_cap={} sums a series of {} > 400000 terms"
+    for n, cap, expected, message in [
+        (12, 12, 2, below.format(12, 66, 12)),
+        (10, 1, 2, below.format(10, 45, 1)),
+        (8, 4, 2, below.format(8, 28, 4)),
+        (6, 6, 2, below.format(6, 15, 6)),
+        (5, 16, 1, "refused: the truncated partition list would explode"),
+        (4, 18, 1, series.format(4, 18, 523276)),
+        (3, 26, 1, series.format(3, 26, 486980)),
     ]:
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "verify", "cauchy", "--n", n, "--degree-cap", cap)
+        code, out, err = run_cli(
+            capsys, "verify", "cauchy", "--n", str(n), "--degree-cap", str(cap)
+        )
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (1, "", f"refused: {message}\n")
+        assert (code, out, err) == (expected, "", message + "\n")
+
+
+def test_verify_cauchy_runs_at_n_5(capsys):
+    code, out, err = run_cli(capsys, "verify", "cauchy", "--n", "5", "--degree-cap", "10")
+    assert (code, out, err) == (0, "cauchy [n=5 degree_cap=10]: VERIFIED\n", "")
 
 
 def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, capsys):
@@ -244,14 +262,17 @@ def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, 
         )
 
 
-def test_verify_dual_determinant_refuses_n_plus_m_past_9_at_once(monkeypatch, capsys):
+def test_verify_dual_determinant_refuses_n_plus_m_past_8_at_once(monkeypatch, capsys):
     monkeypatch.setattr(identities, "xpoly", _build)
     monkeypatch.setattr(symfun, "det", _build)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "dual-determinant", "--n", "1", "--m", "10")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err == "refused: dual-determinant at n=1, m=10 needs n + m <= 9 for its determinant\n"
+    for n, m in [("1", "8"), ("8", "1"), ("1", "10")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "dual-determinant", "--n", n, "--m", m)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"refused: dual-determinant at n={n}, m={m} needs n + m <= 8 for its determinant\n"
+        )
 
 
 _ALTERNANT_EXPANSIONS = [

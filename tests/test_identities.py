@@ -29,8 +29,7 @@ from schurpaths.identities import (
     verify_newton,
     verify_vandermonde,
 )
-from schurpaths.lgv import TooLarge
-from schurpaths.ring import Polynomial, apoly, xpoly, xvar
+from schurpaths.ring import Polynomial, TooLarge, apoly, xpoly, xvar
 
 
 def test_main_lemma_verifier():
@@ -129,16 +128,23 @@ def test_cauchy_verifier():
 
 
 def test_cauchy_refuses_exploding_grids(monkeypatch):
-    # (degree_cap + 1)^n <= 100000 and n <= 9, sized when the determinant was
-    # expanded in full (12 s at n = 5, cap 9; 6 s at n = 6, cap 5; n = 10 ran
-    # past a minute at cap 0); and at most 400000 series terms, since the capped
-    # determinant lets n = 3 reach caps whose series takes minutes (cap 45)
+    # checked in order: a cap below n(n-1)/2 is a usage error; then at most
+    # C(n + cap, n) = 20000 partitions, which every n >= 6 exceeds from its least
+    # cap on (C(21, 6) = 54264); then at most 400000 series terms, since the
+    # capped determinant lets n = 3 reach caps whose series takes minutes (cap 45).
+    # The largest points that run: 10.6 s at n = 5, cap 15; 8.5 s at n = 4, cap 17
     monkeypatch.setattr(lgv, "path_matrix", _build)
-    for n, cap in [(4, 16), (3, 25), (2, 63), (2, 1), (1, 0)]:
+    for n, cap in [(5, 15), (5, 10), (4, 17), (4, 16), (3, 25), (2, 63), (2, 1), (1, 0)]:
         with pytest.raises(Built):
             verify_cauchy(n, cap)
-    for n, cap in [(12, 12), (5, 10), (6, 6), (8, 4), (10, 0), (4, 17), (3, 26), (3, 45)]:
-        with pytest.raises(TooLarge):
+    for n, cap in [(12, 12), (10, 1), (10, 0), (8, 4), (6, 6)]:
+        with pytest.raises(ValueError, match=f"^cauchy at n={n} needs degree_cap >= n"):
+            verify_cauchy(n, cap)
+    for n, cap in [(5, 16), (6, 15)]:
+        with pytest.raises(TooLarge, match="^the truncated partition list would explode$"):
+            verify_cauchy(n, cap)
+    for n, cap in [(4, 18), (3, 26), (3, 45)]:
+        with pytest.raises(TooLarge, match=f"^cauchy at n={n}, degree_cap={cap} sums a series"):
             verify_cauchy(n, cap)
 
 
@@ -217,14 +223,15 @@ def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypat
             verify_dual_cauchy(n, m)
 
 
-def test_dual_determinant_refuses_past_n_plus_m_9_before_building(monkeypatch):
-    # every split of n + m = 9 takes 7-12 s; (1, 9) outgrew 2 GB
+def test_dual_determinant_refuses_past_n_plus_m_8_before_building(monkeypatch):
+    # n + m = 8 takes 0.5 s at (1, 7) and 4.5 s at (4, 4); n + m = 9 takes 11 s
+    # at (1, 8), about 70 s at (2, 7) and past 150 s at (3, 6); (1, 9) outgrew 2 GB
     monkeypatch.setattr(identities, "xpoly", _build)
-    for n, m in [(1, 8), (4, 5), (8, 1)]:
+    for n, m in [(1, 7), (4, 4), (7, 1)]:
         with pytest.raises(Built):
             verify_dual_determinant(n, m)
-    for n, m in [(1, 9), (5, 5), (30, 30)]:
-        message = rf"^dual-determinant at n={n}, m={m} needs n \+ m <= 9 for its determinant$"
+    for n, m in [(1, 8), (4, 5), (8, 1), (1, 9), (5, 5), (30, 30)]:
+        message = rf"^dual-determinant at n={n}, m={m} needs n \+ m <= 8 for its determinant$"
         with pytest.raises(TooLarge, match=message):
             verify_dual_determinant(n, m)
 
@@ -299,6 +306,7 @@ def test_mismatch_texts_restrict_to_differing_terms():
         wide = wide + xpoly(1) ** i
     clipped, _ = _mismatch_texts(wide, Polynomial.zero())
     assert clipped.count("+") == 49
+    assert clipped == " + ".join(f"x1^{i}" for i in range(79, 29, -1))
 
 
 def test_report_json_shape():

@@ -139,14 +139,10 @@ def expected_text(p: Polynomial) -> str:
 def test_order_matches_the_reference(p):
     assert canonical_text(p) == expected_text(p)
     if p:
-        leading, coefficient = p.leading()
-        assert reference_key(leading) == max(reference_key(m) for m, _ in p.items())
-        assert coefficient == p.coefficient(leading)
-
-
-@given(st.lists(monomials(), min_size=2, max_size=8, unique=True))
-def test_sort_key_matches_the_reference(ms):
-    assert sorted(ms, key=Monomial.sort_key) == sorted(ms, key=reference_key)
+        pool = sorted({v for m, _ in p.items() for v, _ in m.exps})
+        ordered = sorted(p.items(), key=lambda mc: reference_key(mc[0], pool), reverse=True)
+        assert p.leading() == ordered[0]
+        assert p.largest(3) == ordered[:3]
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 2, 1, 1), (4, 2, 2), (2, 2, 2, 1, 1)])

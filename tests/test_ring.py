@@ -71,14 +71,14 @@ def test_variable_validation():
 
 
 def test_graded_lex_order():
-    def key(p):
-        (monomial, _), = p.items()
-        return monomial.sort_key()
+    def descending(*ps):  # one-term polynomials, listed from the graded-lex largest
+        total = sum(ps, Polynomial.zero())
+        return [Polynomial.term(m, c) for m, c in total.largest(len(ps))]
 
     x1, x2 = xpoly(1), xpoly(2)
-    assert key(x1 * x1) > key(x1 * x2) > key(x2 * x2)
-    assert key(x1 * x2) > key(x1)  # higher degree wins
-    assert key(tpoly()) > key(x1)  # t precedes x1
+    assert descending(x2 * x2, x1 * x1, x1 * x2) == [x1 * x1, x1 * x2, x2 * x2]
+    assert descending(x1, x1 * x2) == [x1 * x2, x1]  # higher degree wins
+    assert descending(x1, tpoly()) == [tpoly(), x1]  # t precedes x1
 
 
 def test_monomial_rejects_zero_exponent():
