@@ -171,8 +171,8 @@ def divide_by_vandermonde(p: Polynomial, n: int) -> Polynomial:
     that already holds the alternant divides it here without rebuilding it.
     The factors go in i-major order (1,2), (1,3), ..., (2,3), ..., which keeps
     the intermediate quotients small: for the alternant of (3,3,2,2) at n = 8
-    it takes 2.8 s, against 7-23 s in j-major, far-first or adjacent-first
-    order.
+    it takes 1.5 s, against 5-11 s in j-major, far-first or adjacent-first
+    order (one run each, CPython 3.11, 2 cores).
     """
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -65,11 +65,12 @@ def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
     # late would grow until the process runs out of memory
     monkeypatch.setattr(lgv, "path_matrix", _build)
     monkeypatch.setattr(lgv, "lemma_product", _build)
-    message = r"^main-lemma at m=19 > 18 needs closed forms of 262144 terms$"
+    message = r"^main-lemma at m=19 > 18 needs closed forms of 2\^18 terms$"
     with pytest.raises(TooLarge, match=message):
         verify_main_lemma(19, 1)
-    with pytest.raises(TooLarge, match=f"m=130 > 18 needs closed forms of {2 ** 129} terms"):
-        verify_main_lemma(130, 1)
+    for m in (130, 20000):  # 2^19999 has more digits than str() of an int may print
+        with pytest.raises(TooLarge, match=rf"m={m} > 18 needs closed forms of 2\^{m - 1} terms"):
+            verify_main_lemma(m, 1)
     with pytest.raises(Built):  # m = 18 (131,072 terms) is still checked
         verify_main_lemma(18, 1)
 
@@ -78,8 +79,10 @@ def test_vandermonde_refuses_n_past_9_before_expanding(monkeypatch):
     # the Vandermonde has n! terms; n = 9 takes about half a minute, and each
     # step of n multiplies time and memory by n
     monkeypatch.setattr(symfun, "vandermonde", _build)
-    with pytest.raises(TooLarge, match=r"^vandermonde at n=10 > 9 expands n! = 3628800 terms$"):
-        verify_vandermonde(10)
+    for n in (10, 3000):  # the message names 10!, never n!
+        message = rf"^vandermonde at n={n} > 9 expands n! >= 3628800 terms$"
+        with pytest.raises(TooLarge, match=message):
+            verify_vandermonde(n)
     with pytest.raises(Built):  # n = 9 (362,880 terms) is still checked
         verify_vandermonde(9)
 
@@ -597,7 +600,7 @@ def test_a_failing_anchor_reports_both_integers(monkeypatch):
 def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     # entry (0, 0) of every matrix with two or more sinks is off by x1: each
     # verifier must take its entries and determinants from lgv.path_matrix.
-    # bialternant's one matrix starts with M_change, so det M_change is off.
+    # bialternant's one matrix starts with M_change, so its diagonal is off.
     from schurpaths import lgv, symfun
 
     build = lgv.path_matrix
@@ -622,7 +625,7 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
         {"m": "3", "n": "3", "side": "path-sum-vs-product", "sink": "(1,1)"},
         {"n": "3", "m": "3", "side": "path-sum-vs-power", "t": "1", "sink": "(1,2)"},
         {"n": "3", "systems": "1", "side": "entry-vs-power", "entry": "(1,1)"},
-        {"shape": "[2,1]", "n": "3", "step": "determinant-factorization"},
+        {"shape": "[2,1]", "n": "3", "step": "change-diagonal-vs-vandermonde"},
         {"n": "2", "degree_cap": "4", "step": "entry-vs-geometric", "entry": "(1,1)"},
     ]
 
@@ -640,21 +643,56 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(2,1)"}
 
 
-def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
-    # M', M_change and M'' are blocks of one path matrix, so one weight memo serves them
+@pytest.mark.parametrize(
+    "entry, step",
+    [
+        ((0, 1), {"step": "change-matrix-triangular", "entry": "(1,2)"}),  # above the diagonal
+        ((1, 1), {"step": "change-diagonal-vs-vandermonde"}),  # on the diagonal of M_change
+        ((1, 4), {"step": "paths-through-primed", "entry": "(2,2)"}),  # in M'' alone
+    ],
+)
+def test_bialternant_reads_the_reduction_off_the_change_matrix(monkeypatch, entry, step):
+    # one entry of the swept matrix off by x1 is caught by the step that reads it
     from schurpaths import lgv
 
-    weigh, calls = lgv._horizontal_weight, []
+    build = lgv.path_matrix
+
+    def faulty(scheme, sources, sinks):
+        matrix = build(scheme, sources, sinks)
+        entries = list(matrix.entries)
+        entries[entry[0] * matrix.n_cols + entry[1]] += xpoly(1)
+        return symfun.PolyMatrix(matrix.n_rows, matrix.n_cols, entries)
+
+    monkeypatch.setattr(lgv, "path_matrix", faulty)
+    report = verify_bialternant((2, 1), 3)
+    assert (report.status, report.params) == (MISMATCH, {"shape": "[2,1]", "n": "3", **step})
+
+
+def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
+    # M', M_change and M'' are blocks of one path matrix, so one weight memo
+    # serves them.  The determinants are those of M', M'' and the alternant:
+    # det M_change is read off its diagonal, and det M'' = det M_change * det M'
+    # off the entries of M'' = M_change * M'
+    from schurpaths import lgv
+
+    weigh, det, calls, orders = lgv._horizontal_weight, symfun.det, [], []
 
     def counted(*args):
         calls.append(args)
         return weigh(*args)
 
+    def counted_det(matrix, **cap):
+        orders.append(matrix.n_rows)
+        return det(matrix, **cap)
+
     monkeypatch.setattr(lgv, "_horizontal_weight", counted)
+    monkeypatch.setattr(symfun, "det", counted_det)
     for shape, n in [((2, 1), 3), ((3, 1, 1), 4), ((), 2)]:
         calls.clear()
+        orders.clear()
         assert verify_bialternant(shape, n).status == VERIFIED
         assert len(calls) == len(set(calls)) > 0
+        assert orders == [n, n, n]
 
 
 # -- the fault table -------------------------------------------------------------------
@@ -788,6 +826,15 @@ def _strip_sum_unit_read_once(monkeypatch):
     monkeypatch.setattr(combinat, "x_shift_sums", lambda moves, index: shift_sums(moves, 1))
 
 
+def _schur_weights_as_jacobi_trudi(monkeypatch):  # x_j - x_(i+j) read as x_j
+    weights_as = mutant(
+        lgv._horizontal_weight,
+        "if scheme.kind == SchemeKind.JACOBI_TRUDI:",
+        "if scheme.kind != SchemeKind.CAUCHY_DOUBLED:",
+    )
+    monkeypatch.setattr(lgv, "_horizontal_weight", weights_as)
+
+
 def _square_path_sum():
     return lgv.e_weight(lgv.jacobi_trudi_scheme(n=2, col_bound=2), (1, 1), (2, 2))
 
@@ -849,6 +896,11 @@ _FAULTS = {
             "jacobi-trudi", "main-lemma", "newton", "vandermonde",
         },
     ),
+    "schur-weights-read-as-jacobi-trudi": (
+        _schur_weights_as_jacobi_trudi,
+        lambda: lgv._horizontal_weight(lgv.schur_weighted_scheme(2, 2), 1, 1) == xpoly(1),
+        {"bialternant", "corollary", "main-lemma", "vandermonde"},
+    ),
     "path-sweep-loses-a-summand": (
         _path_sweep_loses_a_summand,
         lambda: _square_path_sum() == xpoly(2),
@@ -901,3 +953,14 @@ def test_an_injected_fault_is_caught(monkeypatch, fault):
     assert all(r.status in (MISMATCH, ERROR) for r in failed)
     for r in failed:  # a MISMATCH names the check that failed
         assert r.status == ERROR or r.params.keys() & {"step", "side", "anchor"}, r
+
+
+def test_a_fault_below_the_primed_points_is_caught_on_the_change_diagonal(monkeypatch):
+    # x_(i+j) survives the truncation only where i + j <= n, which paths from a'
+    # never reach: M' still agrees with the tableau sum, and the diagonal of
+    # M_change is no longer the Vandermonde
+    _schur_weights_as_jacobi_trudi(monkeypatch)
+    for shape, n in [((), 2), ((2, 1), 3), ((3, 1), 4)]:
+        report = verify_bialternant(shape, n)
+        assert report.status == MISMATCH
+        assert report.params["step"] == "change-diagonal-vs-vandermonde"
