@@ -16,6 +16,7 @@ from .combinat import (
     partition_text,
     partitions_in_box,
     schur_tableaux,
+    ssyt_count,
     ssyt_enumerate,
 )
 from .identities import CheckReport, SuiteConfig, run_suite
@@ -89,6 +90,7 @@ __all__ = [
     "run_suite",
     "schur_tableaux",
     "schur_via_lgv",
+    "ssyt_count",
     "ssyt_enumerate",
     "truncate",
     "vandermonde",

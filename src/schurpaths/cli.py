@@ -7,8 +7,11 @@ paths (count non-intersecting path systems and their signed sum), render
 
 Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 2 = usage or config error.  The refusals:
-- paths or render on more than 10^6 path systems
-- main-lemma past m = 18
+- paths or render on more than 10^6 path systems, counted by the hook-content
+  formula before the walk
+- render --preset vandermonde past n = 20 (its longest path weighs 2^(n-1) terms)
+- main-lemma past m = 18, and main-lemma and corollary past 10^9 units of work
+  (terms and closed forms times variables)
 - newton past power 16
 - vandermonde, verified or summed by paths, past n = 9
 - schur --method bialternant past n = 9, verify bialternant past n = 8 and
@@ -38,6 +41,10 @@ from .ring import Polynomial, TooLarge, canonical_text
 
 
 _MAX_SYSTEMS = 1_000_000
+_PRINTED_SYSTEMS = 10**18  # a refusal names the system count up to here; the count stops past it
+# render weighs every path of the one Vandermonde system, the longest 2^(n-1) terms:
+# 1.6 s and 162 MB at n = 20, 3.0 s and 308 MB at 21, 8.7 s and 615 MB at 22
+_MAX_VANDERMONDE_RENDER_N = 20
 _MAX_BIALTERNANT_ROUTE_N = 9  # its n!-term alternant: 11 s for (1) at n = 9, past 20 s at n = 10
 
 
@@ -129,33 +136,47 @@ def cmd_suite(args) -> int:
     return 0 if identities.all_verified(reports) else 1
 
 
-def _preset_configuration(args):
-    """The preset's scheme, sources, sinks and system count; TooLarge above _MAX_SYSTEMS."""
+def _preset_configuration(args, check_vandermonde_size):
+    """The preset's scheme, sources, sinks and system count from the walk.
+
+    The vandermonde preset has one system, whose size `check_vandermonde_size(n)`
+    bounds; the schur preset refuses more than _MAX_SYSTEMS, counted by the
+    hook-content formula.  Both refuse before the walk.
+    """
     n = args.n
     if n < 1:
         raise ValueError("--n must be >= 1")
     if args.preset == "vandermonde":
         if args.shape is not None:
             raise ValueError("the vandermonde preset takes no --shape")
+        check_vandermonde_size(n)
         scheme, (sources, sinks) = lgv.vandermonde_scheme(n), lgv.vandermonde_endpoints(n)
     else:
         if args.shape is None:
             raise ValueError("the schur preset needs --shape")
         shape = combinat.fit_shape(parse_partition(args.shape), n)
+        systems = combinat.ssyt_count(shape, n, stop=_PRINTED_SYSTEMS)
+        if systems > _MAX_SYSTEMS:
+            many = systems if systems <= _PRINTED_SYSTEMS else f"over {_PRINTED_SYSTEMS}"
+            raise TooLarge(
+                f"{many} non-intersecting path systems, more than the limit of {_MAX_SYSTEMS}"
+            )
         scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=shape[0] + n)
         sources, sinks = lgv.schur_endpoints(shape, n)
-    count = lgv.nonintersecting_count(scheme, sources, sinks)
-    if count > _MAX_SYSTEMS:
+    return scheme, sources, sinks, lgv.nonintersecting_count(scheme, sources, sinks)
+
+
+def _check_render_size(n: int) -> None:
+    if n > _MAX_VANDERMONDE_RENDER_N:
         raise TooLarge(
-            f"{count} non-intersecting path systems, more than the limit of {_MAX_SYSTEMS}"
+            f"render of the vandermonde preset at n={n} > {_MAX_VANDERMONDE_RENDER_N}"
+            f" weighs a path of 2^{n - 1} terms"
         )
-    return scheme, sources, sinks, count
 
 
 def cmd_paths(args) -> int:
-    scheme, sources, sinks, count = _preset_configuration(args)
-    if args.preset == "vandermonde":  # one system, but its weight has n! terms
-        identities.check_vandermonde_size(args.n)
+    # one system, but its signed sum is the Vandermonde's n! terms
+    scheme, sources, sinks, count = _preset_configuration(args, identities.check_vandermonde_size)
     text = canonical_text(lgv.nonintersecting_sum(scheme, sources, sinks))
     if args.json:
         print(json.dumps({"systems": count, "signed_sum": text}))
@@ -166,7 +187,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_render(args) -> int:
-    scheme, sources, sinks, _ = _preset_configuration(args)
+    scheme, sources, sinks, _ = _preset_configuration(args, _check_render_size)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
     svg = lgv.path_systems_svg(sources, sinks, systems)
     try:

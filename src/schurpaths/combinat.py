@@ -8,12 +8,14 @@ along rows and strictly increasing down columns.
 The Schur polynomial sums x^T over those tableaux strip by strip, by the
 branching rule: the letters <= k of a tableau fill a subshape of lambda, and
 the letter k fills a horizontal strip of it.  The factorial Schur sum
-enumerates the tableaux one by one (`ssyt_enumerate`).
+enumerates the tableaux one by one (`ssyt_enumerate`); `ssyt_count` counts
+them by the hook-content formula without listing any.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby, product
+from math import gcd
 from typing import Iterable, Iterator
 
 from .ring import IndexUnderflow, Polynomial, apoly, x_shift_sums, x_word_sum, xpoly
@@ -125,6 +127,42 @@ def ssyt_enumerate(shape: Partition, n: int) -> Iterator[Tableau]:
             yield from fill(k + 1)
 
     yield from fill(0)
+
+
+def ssyt_count(shape: Partition, n: int, stop: int | None = None) -> int:
+    """The number of semistandard tableaux of the shape with letters 1..n, exact in integers.
+
+    The hook-content formula s_lambda(1^n) taken row pair by row pair, as the
+    product over rows i < j <= n of (lambda_i - lambda_j + j - i) / (j - i).
+    Rows of equal length give 1.  A run of `size` equal rows, each d shorter
+    than row i, starting c rows below it, gives
+    (c + d)...(c + d + size - 1) / c...(c + size - 1), written as the
+    min(d, size) factors (c + max(d, size) + t) / (c + t).  So a long row and
+    a long run of empty rows cost one factor: `[10000000]` at n = 2 is one.
+    Every factor is at least 1, so the product never falls: given `stop`, the
+    count ends once the product passes it and returns the product rounded up,
+    a lower bound of the count past `stop`.  0 when the shape has more than n
+    rows.
+    """
+    shape = partition(shape)
+    if len(shape) > n:
+        return 0
+    runs = [(part, len(list(equal))) for part, equal in groupby(shape)] + [(0, n - len(shape))]
+    num, den, first = 1, 1, 0  # the product num / den in lowest terms; the top row of run r
+    for r, (part, rows) in enumerate(runs[:-1]):  # no row is shorter than the last run
+        for i in range(first, first + rows):
+            top = first + rows  # the top row of the run below
+            for low, size in runs[r + 1 :]:
+                c, d = top - i, part - low
+                for t in range(min(d, size)):
+                    num, den = num * (c + max(d, size) + t), den * (c + t)
+                    common = gcd(num, den)
+                    num, den = num // common, den // common
+                    if stop is not None and num > stop * den:
+                        return -(-num // den)
+                top += size
+        first += rows
+    return num // den
 
 
 def tableau_monomial(tableau: Tableau) -> Polynomial:

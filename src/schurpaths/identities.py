@@ -29,7 +29,7 @@ import inspect
 import json
 import time
 from dataclasses import dataclass, fields
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, intcheck, lgv, symfun
@@ -56,13 +56,21 @@ ERROR = "ERROR"
 _MAX_DIFFERING_TERMS = 50
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
+# main-lemma and corollary: a term of a built path sum or closed form costs about as much
+# as 130 variables of its packed monomial, and each closed form, compared and anchored, as
+# much as 32 terms.  (terms + 32 * forms) * (variables + 130) units took 2.8-5.6 ns each
+# on 20 main-lemma grids and 3.7-9.2 ns on 10 corollary grids, so no grid under the bound
+# should pass about 9 s.  The slowest measured under it: main-lemma (12, 100) 2.5 s and
+# corollary (18, 18) 4.3 s; the fastest refused: main-lemma (14, 50) 3.4 s, corollary
+# (19, 19) 6.8 s
+_MAX_PATH_WORK = 10**9
 _MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s at cap 26
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 8  # dual-determinant's n + m: (4, 4) takes 4.5 s, (1, 8) 11 s, (2, 7) 70 s
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
-# both expand an alternant of at least n! terms: bialternant takes 1.4-2.0 s for (1) and 3.6 s
-# for (3,2,1) at n = 8, and 39 s for (1) at n = 9; factorial-schur of (3,2,1) takes 1.8 s at
-# n = 5 and past 20 s at 6
+# both expand an alternant of at least n! terms: bialternant takes 0.6-0.8 s for (1) and
+# 1.6-2.7 s for (3,2,1) at n = 8, and 11 s and 401 MB for (1) at n = 9; factorial-schur of
+# (3,2,1) takes 1.8 s at n = 5 and past 20 s at 6
 _MAX_BIALTERNANT_N = 8
 _MAX_FACTORIAL_SCHUR_N = 5
 _MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
@@ -75,6 +83,12 @@ def check_factorial_size(what: str, n: int, limit: int) -> None:
     """
     if n > limit:
         raise TooLarge(f"{what} at n={n} > {limit} expands n! >= {factorial(limit + 1)} terms")
+
+
+def _check_path_work(what: str, builds: str, terms: int, forms: int, variables: int) -> None:
+    """TooLarge when the work of `terms` built terms and `forms` closed forms passes the bound."""
+    if (terms + 32 * forms) * (variables + 130) > _MAX_PATH_WORK:
+        raise TooLarge(f"{what} builds {builds}, past its work bound of {_MAX_PATH_WORK}")
 
 
 def check_vandermonde_size(n: int) -> None:
@@ -192,6 +206,9 @@ def verify_main_lemma(m: int = 6, n: int = 6, *, corrupt_weights: bool = False) 
         raise TooLarge(
             f"main-lemma at m={m} > {_MAX_LEMMA_M} needs closed forms of 2^{m - 1} terms"
         )
+    builds = f"n*m closed forms of up to 2^{m - 1} terms in n + m variables"
+    forms = n * m
+    _check_path_work(f"main-lemma at m={m}, n={n}", builds, forms * 2 ** (m - 1), forms, n + m)
     checker = _Checker("main-lemma", m=m, n=n)
     scheme = lgv.schur_weighted_scheme(
         n=n, col_bound=m, truncated=False, corrupt_weights=corrupt_weights
@@ -210,6 +227,18 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
     """Truncated DP from (1, t) to (col, row) equals x_t^(col-1), 1 <= t < row <= n, col <= m."""
     if n < 2 or m < 1:
         raise ValueError("corollary check needs n >= 2 and m >= 1")
+    # the sweep from (1, t) for row `row` holds at (c, r) the product of x_t - x_k over
+    # r < k < r + c, with x_k = 0 past `row`: 2^min(c - 1, d) terms, d = row - r.  Over
+    # c <= m that is at_d, on at most (n - d)(n - d + 1)/2 pairs (row, t) at each d; the
+    # count stops once it passes the bound
+    terms, stop = 0, _MAX_PATH_WORK // (n + 130)
+    for d in range(n):
+        at_d = 2**m - 1 if m <= d + 1 else 2 ** (d + 1) - 1 + (m - d - 1) * 2**d
+        terms += at_d * (n - d) * (n - d + 1) // 2
+        if terms > stop:
+            break
+    builds = "path sums into n(n-1)m/2 closed forms in n variables"
+    _check_path_work(f"corollary at n={n}, m={m}", builds, terms, n * (n - 1) * m // 2, n)
     checker = _Checker("corollary", n=n, m=m)
     for row in range(2, n + 1):
         scheme = lgv.schur_weighted_scheme(n=row, col_bound=m, truncated=True)
@@ -224,7 +253,7 @@ def verify_corollary(n: int = 4, m: int = 5) -> CheckReport:
 
 
 def verify_vandermonde(n: int = 3) -> CheckReport:
-    """Product form vs determinant of powers vs the signed sum over the path systems."""
+    """Product vs determinant of powers vs signed sum; the path matrix is read as the powers."""
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
     check_vandermonde_size(n)
@@ -240,7 +269,6 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
             checker.anchor("power", power, intcheck.x(i) ** (n - j), entry=entry)
     checker.eq(symfun.alternant((), n), product, side="alternant-vs-product")
     checker.anchor("vandermonde", product, intcheck.vandermonde(intcheck.xs(n)))
-    checker.eq(symfun.det(matrix), product, side="lgv-det-vs-product")
     systems = lgv.nonintersecting_count(scheme, sources, sinks)
     checker.eq(Polynomial.const(systems), Polynomial.const(1), side="unique-system-count")
     signed_sum = lgv.nonintersecting_sum(scheme, sources, sinks)
@@ -284,12 +312,12 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """The full reduction chain from path systems to the alternant quotient.
 
     One path matrix holds M' (a' to b), M'' (a'' to b) and M_change (a'' to
-    a').  The chain reads the paper's two facts off its entries: every path
-    a''_i -> b_j passes exactly one a'_k, so M'' = M_change * M'; and no path
-    goes down, so M_change is lower triangular and its determinant is the
-    product of its diagonal, the Vandermonde.  With det M' = s_lambda and
-    det M'' = the alternant, multiplicativity gives alternant = Vdm * s_lambda,
-    and the quotient closes the chain.
+    a'), and the chain reads the paper's facts off single entries.  Every path
+    a''_i -> b_j passes exactly one a'_k, so M'' = M_change * M'; no path goes
+    down, so M_change is lower triangular; a''_i reaches a'_i along its row r
+    alone, so its diagonal entry is prod_{k > r} (x_r - x_k), and the diagonal
+    multiplies to the Vandermonde.  M'' holds the alternant's powers, so with
+    det M' = s_lambda, alternant = Vdm * s_lambda and the quotient closes it.
     """
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
@@ -313,36 +341,37 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     checker.anchor("schur", tableaux_side, intcheck.schur(shape, n))
     checker.eq(lgv.schur_via_lgv(shape, n), det_primed, step="lgv-sum-vs-primed-det")
 
-    mixed = symfun.PolyMatrix.from_rows([row[n:] for row in rows[:n]])
-    det_mixed = symfun.det(mixed)
+    mixed = [row[n:] for row in rows[:n]]
     change = [row[:n] for row in rows[:n]]
     # a''_i starts on row n-i+1 and a'_k lies on row n-k+1: a path reaches a'_k only for k <= i
     for i in range(n):
         for k in range(i + 1, n):
             above, entry = change[i][k], f"({i + 1},{k + 1})"
             checker.eq(above, Polynomial.zero(), step="change-matrix-triangular", entry=entry)
-    diagonal = Polynomial.one()
-    for i in range(n):
-        diagonal = diagonal * change[i][i]
-    checker.eq(diagonal, symfun.vandermonde(n), step="change-diagonal-vs-vandermonde")
-    checker.anchor("vandermonde", diagonal, intcheck.vandermonde(intcheck.xs(n)))
+    for i in range(1, n + 1):  # a''_i reaches a'_i along its row r alone
+        r, entry, factors = n - i + 1, f"({i},{i})", Polynomial.one()
+        for k in range(r + 1, n + 1):
+            factors = factors * (xpoly(r) - xpoly(k))
+        step = "change-diagonal-vs-vandermonde"
+        checker.eq(change[i - 1][i - 1], factors, step=step, entry=entry)
+        expected = prod(intcheck.x(r) - intcheck.x(k) for k in range(r + 1, n + 1))
+        checker.anchor("vandermonde", factors, expected, entry=entry)
     for i in range(n):
         for j in range(n):
             through = Polynomial.zero()
             for k in range(i + 1):
                 through = add_mul(through, change[i][k], primed_rows[k][j])
             entry = f"({i + 1},{j + 1})"
-            checker.eq(mixed.entry(i, j), through, step="paths-through-primed", entry=entry)
+            checker.eq(mixed[i][j], through, step="paths-through-primed", entry=entry)
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             exponent, entry = padded[j - 1] + n - j, f"({i},{j})"
             power = xpoly(i) ** exponent
-            checker.eq(mixed.entry(n - i, n - j), power, step="power-entry", entry=entry)
+            checker.eq(mixed[n - i][n - j], power, step="power-entry", entry=entry)
             checker.anchor("power", power, intcheck.x(i) ** exponent, entry=entry)
     alternant = symfun.alternant(shape, n)
-    checker.eq(det_mixed, alternant, step="mixed-det-vs-alternant")
-    checker.anchor("alternant", det_mixed, intcheck.alternant(shape, n))
+    checker.anchor("alternant", alternant, intcheck.alternant(shape, n))
     quotient = symfun.divide_by_vandermonde(alternant, n)
     checker.eq(quotient, tableaux_side, step="quotient-vs-tableaux")
     return checker.report()

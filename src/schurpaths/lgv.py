@@ -155,15 +155,6 @@ def _horizontal_weight(scheme: Scheme, row: int, col: int) -> Polynomial:
     return _truncated(ypoly, mirrored, cut) - _truncated(ypoly, col - 1 + mirrored, cut)
 
 
-def _edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
-    """The weight of the lattice edge frm -> to, checked step by step: the sweeps' reference."""
-    if to.row == frm.row + 1 and to.col == frm.col:
-        return Polynomial.one()
-    if to.row == frm.row and to.col - frm.col == (1 if _moves_right(scheme, frm.row) else -1):
-        return _horizontal_weight(scheme, frm.row, frm.col)
-    raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
-
-
 def _weights(scheme: Scheme):
     """weight(row, col) of the scheme's horizontal edges, each computed once per memo."""
     return cache(partial(_horizontal_weight, scheme))

@@ -1,9 +1,10 @@
 """Brute-force oracle for the row-by-row path-system machine in `lgv`.
 
-`dfs_paths` walks every directed path depth-first, and `brute_force_systems`
-assembles the non-intersecting systems from the table of all paths between
-every source/sink pair.  Both are exponential and serve only as the slow
-reference that the machine is checked against.
+`edge_weight` weighs one lattice edge, checked step by step.  `dfs_paths`
+walks every directed path depth-first and multiplies those weights, and
+`brute_force_systems` assembles the non-intersecting systems from the table
+of all paths between every source/sink pair.  Both are exponential and serve
+only as the slow reference that the machine is checked against.
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ from schurpaths.lgv import (
     Point,
     Scheme,
     SchemeKind,
-    _edge_weight,
+    _horizontal_weight,
     _in_window,
     _moves_right,
     _permutation_sign,
     system_weight,
 )
 from schurpaths.ring import Polynomial, mul
+
+
+def edge_weight(scheme: Scheme, frm: Point, to: Point) -> Polynomial:
+    """The weight of the lattice edge frm -> to, checked step by step: the sweeps' reference."""
+    if to.row == frm.row + 1 and to.col == frm.col:
+        return Polynomial.one()
+    if to.row == frm.row and to.col - frm.col == (1 if _moves_right(scheme, frm.row) else -1):
+        return _horizontal_weight(scheme, frm.row, frm.col)
+    raise ValueError(f"{tuple(frm)} -> {tuple(to)} is not a lattice edge")
 
 
 def dfs_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:
@@ -49,7 +59,7 @@ def dfs_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:
         if p == b:
             weight = Polynomial.one()
             for frm, to in zip(trail, trail[1:]):
-                weight = mul(weight, _edge_weight(scheme, frm, to), scheme.degree_cap)
+                weight = mul(weight, edge_weight(scheme, frm, to), scheme.degree_cap)
             yield LatticePath(tuple(trail), weight)
             return
         for q in moves(p):

@@ -187,6 +187,26 @@ def test_verify_main_lemma_refuses_an_oversized_grid(monkeypatch, capsys):
         assert err == f"refused: main-lemma at m={m} > 18 needs closed forms of {terms} terms\n"
 
 
+def test_verify_main_lemma_and_corollary_refuse_past_their_work_bound_at_once(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(lgv, "schur_weighted_scheme", _build)
+    lemma = "n*m closed forms of up to 2^2 terms in n + m variables"
+    corollary = "path sums into n(n-1)m/2 closed forms in n variables"
+    for argv, what, builds in [
+        (["main-lemma", "--m", "3", "--n", "100000"], "main-lemma at m=3, n=100000", lemma),
+        (["main-lemma", "--m", "3", "--n", "3000"], "main-lemma at m=3, n=3000", lemma),
+        (["corollary", "--n", "300", "--m", "3"], "corollary at n=300, m=3", corollary),
+        (["corollary", "--n", "4", "--m", "10000000"], "corollary at n=4, m=10000000", corollary),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"refused: {what} builds {builds}, past its work bound of 1000000000\n"
+
+
 def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
     monkeypatch.setattr(symfun, "vandermonde", _build)
     monkeypatch.setattr(lgv, "path_matrix", _build)
@@ -493,7 +513,9 @@ def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
-def test_paths_vandermonde_refuses_n_past_9_at_once_but_render_lists_it(tmp_path, capsys):
+def test_paths_vandermonde_refuses_n_past_9_at_once_but_render_lists_it(
+    monkeypatch, tmp_path, capsys
+):
     # one system, whose signed sum is the Vandermonde's n! terms; render does not sum it
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "paths", "--preset", "vandermonde", "--n", "11")
@@ -505,6 +527,21 @@ def test_paths_vandermonde_refuses_n_past_9_at_once_but_render_lists_it(tmp_path
         capsys, "render", "--preset", "vandermonde", "--n", "11", "--out", str(out_file)
     )
     assert (code, out) == (0, f"wrote {out_file} (1 systems)\n")
+    # render weighs each path, the longest one of 2^(n-1) terms, and refuses past n = 20
+    out_file = tmp_path / "v50.svg"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "render", "--preset", "vandermonde", "--n", "50", "--out", str(out_file)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "refused: render of the vandermonde preset at n=50 > 20 weighs a path of 2^49 terms\n"
+    )
+    assert not out_file.exists()
+    monkeypatch.setattr(lgv, "nonintersecting_systems", _build)
+    with pytest.raises(AssertionError, match="the refusal must come before"):
+        main(["render", "--preset", "vandermonde", "--n", "20", "--out", str(out_file)])
 
 
 def test_paths_refuses_explosive_configuration(capsys):
@@ -513,6 +550,34 @@ def test_paths_refuses_explosive_configuration(capsys):
     )
     assert code == 1
     assert "refused" in err
+
+
+@pytest.mark.parametrize("command", ["paths", "render"])
+def test_schur_preset_refuses_by_the_hook_content_count_before_the_walk(
+    monkeypatch, tmp_path, capsys, command
+):
+    # [300] at n = 300 has C(599, 300) systems, more than the walk could count; the
+    # count stops past 10^18 and names no larger number
+    for name in ("nonintersecting_count", "nonintersecting_systems", "nonintersecting_sum"):
+        monkeypatch.setattr(lgv, name, _build)
+    out_file = tmp_path / "figure.svg"
+    argv = [command, "--preset", "schur"]
+    if command == "render":
+        argv += ["--out", str(out_file)]
+    for shape, n, count in [
+        ("[300]", "300", "over 1000000000000000000"),
+        ("[10000000]", "2", "10000001"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--shape", shape, "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"refused: {count} non-intersecting path systems, more than the limit of 1000000\n"
+        )
+    assert not out_file.exists()
+    with pytest.raises(AssertionError, match="the refusal must come before"):
+        main([*argv, "--shape", "[35]", "--n", "6"])  # 658,008 systems: admitted
 
 
 def test_render_refuses_explosive_configuration(tmp_path, capsys):

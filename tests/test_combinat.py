@@ -18,6 +18,7 @@ from schurpaths.combinat import (
     partition_text,
     partitions_in_box,
     schur_tableaux,
+    ssyt_count,
     ssyt_enumerate,
     tableau_monomial,
 )
@@ -161,6 +162,33 @@ def test_ssyt_against_brute_force_oracle():
 def test_ssyt_deterministic_order():
     assert list(ssyt_enumerate((2, 1), 3)) == list(ssyt_enumerate((2, 1), 3))
     assert len(list(ssyt_enumerate((2, 1), 3))) == 8
+
+
+def test_ssyt_count_is_the_number_of_path_systems():
+    # the hook-content count against the row-by-row walk and the enumeration
+    from schurpaths import lgv
+
+    for n in range(1, 6):
+        for shape in partitions_in_box(n, 5):
+            if sum(shape) > 5:
+                continue
+            scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=(shape[0] if shape else 0) + n)
+            walked = lgv.nonintersecting_count(scheme, *lgv.schur_endpoints(shape, n))
+            assert ssyt_count(shape, n) == walked == len(list(ssyt_enumerate(shape, n)))
+    assert ssyt_count((1, 1, 1), 2) == 0
+
+
+def test_ssyt_count_is_quick_on_huge_shapes_and_stops_past_its_bound():
+    assert ssyt_count((10_000_000,), 2) == 10_000_001  # one factor, not 10^7 cells
+    assert ssyt_count((1,), 1_000_000) == 1_000_000  # one factor for the empty rows
+    assert ssyt_count((300,), 300) == comb(599, 300)
+    assert ssyt_count((50,), 12) == 418_094_152_866
+    # the running product only grows, so a stopped count is a lower bound past `stop`
+    for shape, n in [((300,), 300), ((50,), 12)]:
+        assert 10**6 < ssyt_count(shape, n, stop=10**6) <= ssyt_count(shape, n)
+    staircase = tuple(range(3000, 0, -1))  # 4.5 million pairs of rows of unequal length
+    assert ssyt_count(staircase, 3000, stop=10**6) > 10**6
+    assert ssyt_count((3, 3, 2, 2), 8, stop=10**6) == ssyt_count((3, 3, 2, 2), 8) == 31752
 
 
 def test_tableau_monomial_examples():

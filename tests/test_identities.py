@@ -75,6 +75,26 @@ def test_main_lemma_refuses_an_oversized_grid_before_building_it(monkeypatch):
         verify_main_lemma(18, 1)
 
 
+def test_main_lemma_and_corollary_refuse_past_their_work_bound_before_building(monkeypatch):
+    # (terms + 32 * closed forms) * (variables + 130) past 10^9: measured at 3-9 ns a unit
+    monkeypatch.setattr(lgv, "path_matrix", _build)
+    monkeypatch.setattr(lgv, "schur_weighted_scheme", _build)
+    for check, args in [
+        (verify_main_lemma, (3, 100000)), (verify_main_lemma, (18, 4)),
+        (verify_main_lemma, (2, 10**4000)), (verify_corollary, (300, 3)),
+        (verify_corollary, (20, 20)), (verify_corollary, (10**4000, 3)),
+    ]:
+        with pytest.raises(TooLarge, match="past its work bound of 1000000000$"):
+            check(*args)
+    # the suite and acceptance points, and the largest grids measured under the bound
+    for check, args in [
+        (verify_main_lemma, (6, 6)), (verify_main_lemma, (18, 2)), (verify_main_lemma, (3, 2000)),
+        (verify_corollary, (4, 5)), (verify_corollary, (100, 3)), (verify_corollary, (18, 18)),
+    ]:
+        with pytest.raises(Built):
+            check(*args)
+
+
 def test_vandermonde_refuses_n_past_9_before_expanding(monkeypatch):
     # the Vandermonde has n! terms; n = 9 takes about half a minute, and each
     # step of n multiplies time and memory by n
@@ -625,12 +645,12 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
         {"m": "3", "n": "3", "side": "path-sum-vs-product", "sink": "(1,1)"},
         {"n": "3", "m": "3", "side": "path-sum-vs-power", "t": "1", "sink": "(1,2)"},
         {"n": "3", "systems": "1", "side": "entry-vs-power", "entry": "(1,1)"},
-        {"shape": "[2,1]", "n": "3", "step": "change-diagonal-vs-vandermonde"},
+        {"shape": "[2,1]", "n": "3", "step": "change-diagonal-vs-vandermonde", "entry": "(1,1)"},
         {"n": "2", "degree_cap": "4", "step": "entry-vs-geometric", "entry": "(1,1)"},
     ]
 
     # negating the first two rows of every matrix keeps each determinant, so
-    # only bialternant's power entries, which read M'' itself, see it
+    # only bialternant's entry reads see it: its first diagonal entry is -1
     def negated(scheme, sources, sinks):
         matrix = build(scheme, sources, sinks)
         cut = 2 * matrix.n_cols if len(sources) >= 2 else 0
@@ -640,14 +660,29 @@ def test_each_lgv_verifier_reads_the_path_matrix(monkeypatch):
     monkeypatch.setattr(lgv, "path_matrix", negated)
     report = verify_bialternant((2, 1), 3)
     assert report.status == MISMATCH
-    assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(2,1)"}
+    diagonal = {"step": "change-diagonal-vs-vandermonde", "entry": "(1,1)"}
+    assert report.params == {"shape": "[2,1]", "n": "3", **diagonal}
+
+    # negating the last two columns keeps det M', M_change and M'' = M_change * M',
+    # so only the power entries, which read M'' itself, see it
+    def negated_columns(scheme, sources, sinks):
+        matrix = build(scheme, sources, sinks)
+        last = range(matrix.n_cols - 2, matrix.n_cols)
+        entries = [-e if k % matrix.n_cols in last else e for k, e in enumerate(matrix.entries)]
+        return symfun.PolyMatrix(matrix.n_rows, matrix.n_cols, entries)
+
+    monkeypatch.setattr(lgv, "path_matrix", negated_columns)
+    report = verify_bialternant((2, 1), 3)
+    assert report.status == MISMATCH
+    assert report.params == {"shape": "[2,1]", "n": "3", "step": "power-entry", "entry": "(1,1)"}
 
 
 @pytest.mark.parametrize(
     "entry, step",
     [
         ((0, 1), {"step": "change-matrix-triangular", "entry": "(1,2)"}),  # above the diagonal
-        ((1, 1), {"step": "change-diagonal-vs-vandermonde"}),  # on the diagonal of M_change
+        # on the diagonal of M_change
+        ((1, 1), {"step": "change-diagonal-vs-vandermonde", "entry": "(2,2)"}),
         ((1, 4), {"step": "paths-through-primed", "entry": "(2,2)"}),  # in M'' alone
     ],
 )
@@ -670,12 +705,15 @@ def test_bialternant_reads_the_reduction_off_the_change_matrix(monkeypatch, entr
 
 def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
     # M', M_change and M'' are blocks of one path matrix, so one weight memo
-    # serves them.  The determinants are those of M', M'' and the alternant:
-    # det M_change is read off its diagonal, and det M'' = det M_change * det M'
-    # off the entries of M'' = M_change * M'
+    # serves them.  The determinants are those of M' and the alternant: each
+    # diagonal entry of M_change is read as its row's factors of the
+    # Vandermonde, which is never expanded, M'' = M_change * M' entry by entry,
+    # and M'' as the alternant's powers.  The Vandermonde check takes one
+    # determinant, of the powers: its path matrix is read entry by entry
     from schurpaths import lgv
 
     weigh, det, calls, orders = lgv._horizontal_weight, symfun.det, [], []
+    vandermonde, expanded = symfun.vandermonde, []
 
     def counted(*args):
         calls.append(args)
@@ -685,14 +723,23 @@ def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
         orders.append(matrix.n_rows)
         return det(matrix, **cap)
 
+    def counted_vandermonde(n):
+        expanded.append(n)
+        return vandermonde(n)
+
     monkeypatch.setattr(lgv, "_horizontal_weight", counted)
     monkeypatch.setattr(symfun, "det", counted_det)
+    monkeypatch.setattr(symfun, "vandermonde", counted_vandermonde)
     for shape, n in [((2, 1), 3), ((3, 1, 1), 4), ((), 2)]:
         calls.clear()
         orders.clear()
         assert verify_bialternant(shape, n).status == VERIFIED
         assert len(calls) == len(set(calls)) > 0
-        assert orders == [n, n, n]
+        assert (orders, expanded) == ([n, n], [])
+        orders.clear()
+        assert verify_vandermonde(n).status == VERIFIED
+        assert (orders, expanded) == ([n], [n])
+        expanded.clear()
 
 
 # -- the fault table -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lgv_oracle import brute_force_sum, brute_force_systems, dfs_paths
+from lgv_oracle import brute_force_sum, brute_force_systems, dfs_paths, edge_weight
 from schurpaths.combinat import partitions_in_box, schur_tableaux
 from schurpaths.lgv import (
     OutOfBounds,
@@ -131,8 +131,6 @@ def test_path_matrix_entries_are_oracle_sums(config):
 
 
 def test_an_edge_runs_only_in_its_row_s_direction():
-    from schurpaths.lgv import _edge_weight
-
     x1, x2, y1, y2 = xpoly(1), xpoly(2), ypoly(1), ypoly(2)
     cases = [  # scheme, the step on row 1 or the given row with the direction, its weight
         (jacobi_trudi_scheme(n=2, col_bound=3), 1, x1),
@@ -140,18 +138,18 @@ def test_an_edge_runs_only_in_its_row_s_direction():
         (cauchy_doubled_scheme(2, 2), 1, x1 - x2),  # the lower half moves right
     ]
     for scheme, row, weight in cases:
-        assert _edge_weight(scheme, Point(1, row), Point(2, row)) == weight
-        assert _edge_weight(scheme, Point(2, row), Point(2, row + 1)) == Polynomial.one()
+        assert edge_weight(scheme, Point(1, row), Point(2, row)) == weight
+        assert edge_weight(scheme, Point(2, row), Point(2, row + 1)) == Polynomial.one()
         with pytest.raises(ValueError, match="is not a lattice edge"):
-            _edge_weight(scheme, Point(2, row), Point(1, row))
+            edge_weight(scheme, Point(2, row), Point(1, row))
     # the upper half of the doubled graph moves left: row 4 mirrors row 1
     doubled = cauchy_doubled_scheme(2, 2)
-    assert _edge_weight(doubled, Point(2, 4), Point(1, 4)) == y1 - y2
+    assert edge_weight(doubled, Point(2, 4), Point(1, 4)) == y1 - y2
     with pytest.raises(ValueError, match="is not a lattice edge"):
-        _edge_weight(doubled, Point(1, 4), Point(2, 4))
+        edge_weight(doubled, Point(1, 4), Point(2, 4))
     for frm, to in [(Point(1, 1), Point(3, 1)), (Point(1, 2), Point(1, 1)), (Point(1, 1), Point(2, 2))]:
         with pytest.raises(ValueError, match="is not a lattice edge"):
-            _edge_weight(doubled, frm, to)
+            edge_weight(doubled, frm, to)
 
 
 @pytest.mark.parametrize("scheme, sources, sinks", [
@@ -537,13 +535,11 @@ def test_systems_match_oracle_on_random_doubled_configurations():
 
 
 def test_path_weights_are_edge_products():
-    from schurpaths.lgv import _edge_weight
-
     scheme = schur_weighted_scheme(n=3, col_bound=4, truncated=True)
     for path in enumerate_paths(scheme, Point(1, 1), Point(3, 3)):
         product = Polynomial.one()
         for frm, to in zip(path.vertices, path.vertices[1:]):
-            product = product * _edge_weight(scheme, frm, to)
+            product = product * edge_weight(scheme, frm, to)
         assert product == path.weight
 
 
