@@ -13,15 +13,14 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - main-lemma past m = 18, and main-lemma and corollary past 10^9 units of work
   (terms and closed forms times variables)
 - newton past power 16
-- vandermonde, verified or summed by paths, past n = 9
-- schur --method bialternant past n = 9, verify bialternant past n = 8 and
-  verify factorial-schur past n = 5 (each expands an alternant of at least
-  n! terms)
+- verify vandermonde, paths --preset vandermonde, schur --method bialternant
+  and verify bialternant past n = 8, and verify factorial-schur past n = 5
+  (each expands an alternant of at least n! terms)
 - cauchy past a partition list of 20000 or a series of 400000 terms (a
   degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
   error)
-- dual-cauchy and dual-determinant past 4,000,000 candidate terms of
-  prod(1 + x_i y_j), and dual-determinant past n + m = 8
+- dual-cauchy past 4,000,000 candidate terms of prod(1 + x_i y_j), and
+  dual-determinant past n + m = 8
 - a degree beyond the ring's packed-monomial limit
 
 `--profile FILE`, given before the command, writes cProfile statistics of
@@ -45,7 +44,6 @@ _PRINTED_SYSTEMS = 10**18  # a refusal names the system count up to here; the co
 # render weighs every path of the one Vandermonde system, the longest 2^(n-1) terms:
 # 1.6 s and 162 MB at n = 20, 3.0 s and 308 MB at 21, 8.7 s and 615 MB at 22
 _MAX_VANDERMONDE_RENDER_N = 20
-_MAX_BIALTERNANT_ROUTE_N = 9  # its n!-term alternant: 11 s for (1) at n = 9, past 20 s at n = 10
 
 
 def _schur_by_method(shape, n: int, method: str) -> Polynomial:
@@ -56,7 +54,7 @@ def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if method == "jacobitrudi":
         return symfun.jacobi_trudi(shape, n)
     if method == "bialternant":
-        identities.check_factorial_size("schur --method bialternant", n, _MAX_BIALTERNANT_ROUTE_N)
+        identities.check_factorial_size("schur --method bialternant", n, identities.MAX_ALTERNANT_N)
         return symfun.bialternant(shape, n)
     if method == "lgv":
         return lgv.schur_via_lgv(shape, n)
@@ -136,12 +134,12 @@ def cmd_suite(args) -> int:
     return 0 if identities.all_verified(reports) else 1
 
 
-def _preset_configuration(args, check_vandermonde_size):
-    """The preset's scheme, sources, sinks and system count from the walk.
+def _preset_configuration(args, check_size):
+    """The preset's scheme, sources and sinks.
 
-    The vandermonde preset has one system, whose size `check_vandermonde_size(n)`
+    The vandermonde preset has one system, whose size `check_size(n)`
     bounds; the schur preset refuses more than _MAX_SYSTEMS, counted by the
-    hook-content formula.  Both refuse before the walk.
+    hook-content formula.  Both refuse before any walk.
     """
     n = args.n
     if n < 1:
@@ -149,7 +147,7 @@ def _preset_configuration(args, check_vandermonde_size):
     if args.preset == "vandermonde":
         if args.shape is not None:
             raise ValueError("the vandermonde preset takes no --shape")
-        check_vandermonde_size(n)
+        check_size(n)
         scheme, (sources, sinks) = lgv.vandermonde_scheme(n), lgv.vandermonde_endpoints(n)
     else:
         if args.shape is None:
@@ -163,7 +161,7 @@ def _preset_configuration(args, check_vandermonde_size):
             )
         scheme = lgv.jacobi_trudi_scheme(n=n, col_bound=shape[0] + n)
         sources, sinks = lgv.schur_endpoints(shape, n)
-    return scheme, sources, sinks, lgv.nonintersecting_count(scheme, sources, sinks)
+    return scheme, sources, sinks
 
 
 def _check_render_size(n: int) -> None:
@@ -176,7 +174,11 @@ def _check_render_size(n: int) -> None:
 
 def cmd_paths(args) -> int:
     # one system, but its signed sum is the Vandermonde's n! terms
-    scheme, sources, sinks, count = _preset_configuration(args, identities.check_vandermonde_size)
+    scheme, sources, sinks = _preset_configuration(
+        args,
+        lambda n: identities.check_factorial_size("vandermonde", n, identities.MAX_ALTERNANT_N),
+    )
+    count = lgv.nonintersecting_count(scheme, sources, sinks)
     text = canonical_text(lgv.nonintersecting_sum(scheme, sources, sinks))
     if args.json:
         print(json.dumps({"systems": count, "signed_sum": text}))
@@ -187,7 +189,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_render(args) -> int:
-    scheme, sources, sinks, _ = _preset_configuration(args, _check_render_size)
+    scheme, sources, sinks = _preset_configuration(args, _check_render_size)
     systems = list(lgv.nonintersecting_systems(scheme, sources, sinks))
     svg = lgv.path_systems_svg(sources, sinks, systems)
     try:

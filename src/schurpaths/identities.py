@@ -68,12 +68,13 @@ _MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s a
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 8  # dual-determinant's n + m: (4, 4) takes 4.5 s, (1, 8) 11 s, (2, 7) 70 s
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
-# both expand an alternant of at least n! terms: bialternant takes 0.6-0.8 s for (1) and
-# 1.6-2.7 s for (3,2,1) at n = 8, and 11 s and 401 MB for (1) at n = 9; factorial-schur of
-# (3,2,1) takes 1.8 s at n = 5 and past 20 s at 6
-_MAX_BIALTERNANT_N = 8
+# the plain alternant det(x_j^(lambda_i + n - i)) of verify vandermonde and bialternant, paths
+# --preset vandermonde and schur --method bialternant has n! terms: 0.5-1.9 s at n = 8; at
+# n = 9 (362,880 terms), one run each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s,
+# and verify bialternant and the schur route 7-9 s for (1) and 12-15 s for (2,1), 359-455 MB
+MAX_ALTERNANT_N = 8
+# the factorial alternant is far larger: (3,2,1) takes 1.8 s at n = 5 and past 20 s at 6
 _MAX_FACTORIAL_SCHUR_N = 5
-_MAX_VANDERMONDE_N = 9  # the Vandermonde expands to n! terms, 362,880 at n = 9
 
 
 def check_factorial_size(what: str, n: int, limit: int) -> None:
@@ -89,11 +90,6 @@ def _check_path_work(what: str, builds: str, terms: int, forms: int, variables: 
     """TooLarge when the work of `terms` built terms and `forms` closed forms passes the bound."""
     if (terms + 32 * forms) * (variables + 130) > _MAX_PATH_WORK:
         raise TooLarge(f"{what} builds {builds}, past its work bound of {_MAX_PATH_WORK}")
-
-
-def check_vandermonde_size(n: int) -> None:
-    """TooLarge past n = 9, where the Vandermonde's n! terms take minutes to sum."""
-    check_factorial_size("vandermonde", n, _MAX_VANDERMONDE_N)
 
 
 @dataclass
@@ -256,7 +252,7 @@ def verify_vandermonde(n: int = 3) -> CheckReport:
     """Product vs determinant of powers vs signed sum; the path matrix is read as the powers."""
     if n < 1:
         raise ValueError("vandermonde check needs n >= 1")
-    check_vandermonde_size(n)
+    check_factorial_size("vandermonde", n, MAX_ALTERNANT_N)
     checker = _Checker("vandermonde", n=n)
     product = symfun.vandermonde(n)
     scheme = lgv.vandermonde_scheme(n)
@@ -321,7 +317,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     """
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
-    check_factorial_size("bialternant", n, _MAX_BIALTERNANT_N)
+    check_factorial_size("bialternant", n, MAX_ALTERNANT_N)
     shape = partition(shape)
     padded = fit_shape(shape, n)
     checker = _Checker("bialternant", shape=shape, n=n)
@@ -451,13 +447,8 @@ def _dual_terms(n: int, m: int) -> int:
     return sum(a * b for a, b in zip(*counts))
 
 
-def _dual_product(identity: str, n: int, m: int) -> Polynomial:
-    """prod(1 + x_i y_j) over i <= n, j <= m; TooLarge before any product past _MAX_DUAL_TERMS."""
-    # its 2^max(n, m) terms with one x_i or one y_j are distinct, so a long side is refused at once
-    if max(n, m) >= _MAX_DUAL_TERMS.bit_length() or _dual_terms(n, m) > _MAX_DUAL_TERMS:
-        raise TooLarge(
-            f"{identity} at n={n}, m={m} may expand prod(1 + x_i*y_j) past {_MAX_DUAL_TERMS} terms"
-        )
+def _dual_product(n: int, m: int) -> Polynomial:
+    """prod(1 + x_i y_j) over i <= n, j <= m."""
     product = Polynomial.one()
     for i in range(1, n + 1):
         for j in range(1, m + 1):
@@ -469,8 +460,14 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
     """Product of (1 + x_i y_j) vs the conjugate-paired Schur expansion."""
     if n < 1 or m < 1:
         raise ValueError("dual cauchy needs n, m >= 1")
+    # the product's 2^max(n, m) terms with one x_i or one y_j are distinct, so a long side is
+    # refused at once; dual-determinant's n + m <= 8 admits at most _dual_terms(4, 4) = 38,165
+    if max(n, m) >= _MAX_DUAL_TERMS.bit_length() or _dual_terms(n, m) > _MAX_DUAL_TERMS:
+        raise TooLarge(
+            f"dual-cauchy at n={n}, m={m} may expand prod(1 + x_i*y_j) past {_MAX_DUAL_TERMS} terms"
+        )
     checker = _Checker("dual-cauchy", n=n, m=m)
-    lhs = _dual_product("dual-cauchy", n, m)
+    lhs = _dual_product(n, m)
     rhs = Polynomial.zero()
     box = combinat.partitions_in_box(n, m)
     for shape in box:
@@ -506,7 +503,7 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
             f"dual-determinant at n={n}, m={m} needs n + m <= {_MAX_DUAL_ORDER} for its determinant"
         )
     checker = _Checker("dual-determinant", n=n, m=m)
-    pairs = _dual_product("dual-determinant", n, m)
+    pairs = _dual_product(n, m)
     determinant = symfun.det(_dual_matrix(n, m))
     product = symfun.vandermonde(n) * _to_y(symfun.vandermonde(m)) * pairs
     epsilon = -1 if (n * m) % 2 else 1

@@ -210,12 +210,12 @@ def test_verify_main_lemma_and_corollary_refuse_past_their_work_bound_at_once(
 def test_verify_vandermonde_refuses_n_past_9_at_once(monkeypatch, capsys):
     monkeypatch.setattr(symfun, "vandermonde", _build)
     monkeypatch.setattr(lgv, "path_matrix", _build)
-    for n in ("10", "3000"):  # 3000! has more digits than str() of an int may print
+    for n in ("9", "3000"):  # 3000! has more digits than str() of an int may print
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "vandermonde", "--n", n)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err == f"refused: vandermonde at n={n} > 9 expands n! >= 3628800 terms\n"
+        assert err == f"refused: vandermonde at n={n} > 8 expands n! >= 362880 terms\n"
 
 
 def test_verify_cauchy_at_n_5_is_quick(monkeypatch, capsys):
@@ -302,13 +302,16 @@ def test_verify_dual_determinant_refuses_n_plus_m_past_8_at_once(monkeypatch, ca
 
 
 _ALTERNANT_EXPANSIONS = [
-    # (argv at the largest n that runs, the refused n, the refusal at n)
-    (("schur", "--shape", "[1]", "--method", "bialternant"), 9,
-     "schur --method bialternant at n={} > 9 expands n! >= 3628800 terms"),
+    # (argv at the largest n that runs, the refused n, the refusal at n); all but
+    # factorial-schur expand the plain n!-term alternant and share one bound
+    (("schur", "--shape", "[1]", "--method", "bialternant"), 8,
+     "schur --method bialternant at n={} > 8 expands n! >= 362880 terms"),
     (("verify", "bialternant", "--shape", "[1]"), 8,
      "bialternant at n={} > 8 expands n! >= 362880 terms"),
     (("verify", "factorial-schur", "--shape", "[3,2,1]"), 5,
      "factorial-schur at n={} > 5 expands n! >= 720 terms"),
+    (("verify", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms"),
+    (("paths", "--preset", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms"),
 ]
 
 
@@ -320,7 +323,8 @@ def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
         monkeypatch.setattr(symfun, name, _build)
     for name in ("schur_tableaux", "factorial_schur_tableaux"):
         monkeypatch.setattr(combinat, name, _build)
-    monkeypatch.setattr(lgv, "path_matrix", _build)
+    for name in ("path_matrix", "vandermonde_scheme"):
+        monkeypatch.setattr(lgv, name, _build)
     for n in (largest + 1, 3000):  # 3000! has more digits than str() of an int may print
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, "--n", str(n))
@@ -481,7 +485,9 @@ def test_paths_json(capsys):
     assert json.loads(out) == {"systems": 1, "signed_sum": "x1 - x2"}
 
 
-def test_render_writes_wellformed_svg(tmp_path, capsys):
+def test_render_writes_wellformed_svg(monkeypatch, tmp_path, capsys):
+    # render lists the systems it draws; only paths prints the walk's count
+    monkeypatch.setattr(lgv, "nonintersecting_count", _build)
     out_file = tmp_path / "figure.svg"
     code, out, _ = run_cli(
         capsys,
@@ -517,11 +523,12 @@ def test_paths_vandermonde_refuses_n_past_9_at_once_but_render_lists_it(
     monkeypatch, tmp_path, capsys
 ):
     # one system, whose signed sum is the Vandermonde's n! terms; render does not sum it
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "paths", "--preset", "vandermonde", "--n", "11")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err == "refused: vandermonde at n=11 > 9 expands n! >= 3628800 terms\n"
+    for n in ("9", "11"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "paths", "--preset", "vandermonde", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"refused: vandermonde at n={n} > 8 expands n! >= 362880 terms\n"
     out_file = tmp_path / "v11.svg"
     code, out, _ = run_cli(
         capsys, "render", "--preset", "vandermonde", "--n", "11", "--out", str(out_file)

@@ -96,15 +96,15 @@ def test_main_lemma_and_corollary_refuse_past_their_work_bound_before_building(m
 
 
 def test_vandermonde_refuses_n_past_9_before_expanding(monkeypatch):
-    # the Vandermonde has n! terms; n = 9 takes about half a minute, and each
+    # the Vandermonde has n! terms; n = 9 took 21-26 s and 455 MB, and each
     # step of n multiplies time and memory by n
     monkeypatch.setattr(symfun, "vandermonde", _build)
-    for n in (10, 3000):  # the message names 10!, never n!
-        message = rf"^vandermonde at n={n} > 9 expands n! >= 3628800 terms$"
+    for n in (9, 3000):  # the message names 9!, never n!
+        message = rf"^vandermonde at n={n} > 8 expands n! >= 362880 terms$"
         with pytest.raises(TooLarge, match=message):
             verify_vandermonde(n)
-    with pytest.raises(Built):  # n = 9 (362,880 terms) is still checked
-        verify_vandermonde(9)
+    with pytest.raises(Built):  # n = 8 (40,320 terms) is still checked
+        verify_vandermonde(8)
 
 
 def test_main_lemma_negative_control():
@@ -248,11 +248,18 @@ def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypat
 
 def test_dual_determinant_refuses_past_n_plus_m_8_before_building(monkeypatch):
     # n + m = 8 takes 0.5 s at (1, 7) and 4.5 s at (4, 4); n + m = 9 takes 11 s
-    # at (1, 8), about 70 s at (2, 7) and past 150 s at (3, 6); (1, 9) outgrew 2 GB
+    # at (1, 8), about 70 s at (2, 7) and past 150 s at (3, 6); (1, 9) outgrew 2 GB.
+    # Under the bound the product has at most _dual_terms(4, 4) = 38,165 candidate
+    # terms, far below dual-cauchy's bound, so they are never counted
+    def count(n, m):
+        raise AssertionError("dual-determinant counted the product's terms")
+
+    monkeypatch.setattr(identities, "_dual_terms", count)
     monkeypatch.setattr(identities, "xpoly", _build)
-    for n, m in [(1, 7), (4, 4), (7, 1)]:
-        with pytest.raises(Built):
-            verify_dual_determinant(n, m)
+    for n in range(1, 8):
+        for m in range(1, 9 - n):
+            with pytest.raises(Built):
+                verify_dual_determinant(n, m)
     for n, m in [(1, 8), (4, 5), (8, 1), (1, 9), (5, 5), (30, 30)]:
         message = rf"^dual-determinant at n={n}, m={m} needs n \+ m <= 8 for its determinant$"
         with pytest.raises(TooLarge, match=message):
