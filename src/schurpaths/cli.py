@@ -13,9 +13,9 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - main-lemma past m = 18, and main-lemma and corollary past 10^9 units of work
   (terms and closed forms times variables)
 - newton past power 16
-- verify vandermonde, paths --preset vandermonde, schur --method bialternant
-  and verify bialternant past n = 8, and verify factorial-schur past n = 5
-  (each expands an alternant of at least n! terms)
+- verify vandermonde, paths --preset vandermonde and verify bialternant past
+  n = 8, and verify factorial-schur past n = 5 (the first three expand the
+  plain alternant of n! terms)
 - cauchy past a partition list of 20000 or a series of 400000 terms (a
   degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
   error)
@@ -54,7 +54,6 @@ def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if method == "jacobitrudi":
         return symfun.jacobi_trudi(shape, n)
     if method == "bialternant":
-        identities.check_factorial_size("schur --method bialternant", n, identities.MAX_ALTERNANT_N)
         return symfun.bialternant(shape, n)
     if method == "lgv":
         return lgv.schur_via_lgv(shape, n)

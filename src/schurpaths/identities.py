@@ -68,12 +68,15 @@ _MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s a
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 8  # dual-determinant's n + m: (4, 4) takes 4.5 s, (1, 8) 11 s, (2, 7) 70 s
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
-# the plain alternant det(x_j^(lambda_i + n - i)) of verify vandermonde and bialternant, paths
-# --preset vandermonde and schur --method bialternant has n! terms: 0.5-1.9 s at n = 8; at
-# n = 9 (362,880 terms), one run each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s,
-# and verify bialternant and the schur route 7-9 s for (1) and 12-15 s for (2,1), 359-455 MB
+# the plain alternant det(x_j^(lambda_i + n - i)) that verify vandermonde and bialternant and
+# paths --preset vandermonde expand has n! terms: 0.5-1.9 s at n = 8; at n = 9 (362,880
+# terms), one run each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s, and verify
+# bialternant, which builds it for its integer anchor alone, 1.0 s and 120 MB for (1) and (2,1)
 MAX_ALTERNANT_N = 8
-# the factorial alternant is far larger: (3,2,1) takes 1.8 s at n = 5 and past 20 s at 6
+# factorial-schur costs its tableau side, which lists the tableaux one by one; one run each:
+# the rows of size <= 6 take 0.46 s at n = 5, 1.5 s at 6 and 6.1 s at 7, (4,3,2,1) 2.5 s at
+# n = 5 and 61 s (200 MB) at n = 6, where its normal-form quotient takes 0.9 s, and
+# (5,4,3,2,1), under the bound, 106 s (621 MB) at n = 5
 _MAX_FACTORIAL_SCHUR_N = 5
 
 
@@ -313,7 +316,10 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     down, so M_change is lower triangular; a''_i reaches a'_i along its row r
     alone, so its diagonal entry is prod_{k > r} (x_r - x_k), and the diagonal
     multiplies to the Vandermonde.  M'' holds the alternant's powers, so with
-    det M' = s_lambda, alternant = Vdm * s_lambda and the quotient closes it.
+    det M' = s_lambda, alternant = Vdm * s_lambda and the quotient closes it:
+    `symfun.bialternant` divides a_(lambda+delta) by a_delta in the
+    alternant's normal form, and the literal n!-term alternant, which keeps
+    this check under MAX_ALTERNANT_N, is built only for its integer anchor.
     """
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
@@ -368,8 +374,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
             checker.anchor("power", power, intcheck.x(i) ** exponent, entry=entry)
     alternant = symfun.alternant(shape, n)
     checker.anchor("alternant", alternant, intcheck.alternant(shape, n))
-    quotient = symfun.divide_by_vandermonde(alternant, n)
-    checker.eq(quotient, tableaux_side, step="quotient-vs-tableaux")
+    checker.eq(symfun.bialternant(shape, n), tableaux_side, step="quotient-vs-tableaux")
     return checker.report()
 
 

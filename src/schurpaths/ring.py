@@ -50,7 +50,7 @@ from enum import IntEnum
 from functools import cache, reduce
 from heapq import nlargest
 from itertools import repeat
-from operator import or_
+from operator import mul as _times, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -201,13 +201,30 @@ def _field_text(field: int) -> str:
     return _variable_at(field).text()
 
 
+def _set_fields(present: int) -> list[int]:
+    """The variable fields that are nonzero in `present` (an OR of keys), ascending.
+
+    Each step jumps to the lowest set bit, so the cost follows the fields
+    that are set, not every field up to the top one.
+    """
+    fields, field = [], 0
+    present >>= _FIELD_BITS  # past the degree field
+    while present:
+        step = ((present & -present).bit_length() - 1) // _FIELD_BITS + 1
+        field += step
+        fields.append(field)
+        present >>= step * _FIELD_BITS
+    return fields
+
+
 def _divides(small: int, big: int) -> bool:
     """True iff every field of `small` is at most the same field of `big`."""
     guard = int.from_bytes(b"\x80" * max(_byte_length(small), _byte_length(big)), "little")
     return ((big | guard) - small) & guard == guard
 
 
-def _check_degree(degree: int) -> None:
+def check_degree(degree: int) -> None:
+    """DegreeOverflow unless a monomial of total degree `degree` fits the packed layout."""
     if degree > MAX_DEGREE:
         raise DegreeOverflow(
             f"total degree {degree} exceeds the packed-monomial limit {MAX_DEGREE}"
@@ -239,7 +256,7 @@ class Monomial:
                 raise ValueError("exponent pairs must be strictly sorted by variable")
             previous = variable
             degree += exponent
-            _check_degree(degree)
+            check_degree(degree)
             key += exponent << (_FIELD_BITS * _field(variable.family, variable.index))
         self._key = key + degree
 
@@ -267,7 +284,7 @@ class Monomial:
         return self._key & _DEGREE_MASK
 
     def mul(self, other: "Monomial") -> "Monomial":
-        _check_degree(self.degree() + other.degree())
+        check_degree(self.degree() + other.degree())
         return Monomial._of_key(self._key + other._key)
 
     def divides(self, other: "Monomial") -> bool:
@@ -388,9 +405,7 @@ class Polynomial:
         return [(Monomial._of_key(key), terms[key]) for _, key in nlargest(k, zip(records, terms))]
 
     def variables(self) -> set[Variable]:
-        present = reduce(or_, self._terms, 0)
-        b = present.to_bytes(_byte_length(present), "little")
-        return {_variable_at(f) for f, e in enumerate(b) if f and e}
+        return {_variable_at(f) for f in _set_fields(reduce(or_, self._terms, 0))}
 
     def coefficient(self, monomial: Monomial) -> int:
         return self._terms.get(monomial._key, 0)
@@ -449,7 +464,7 @@ class Polynomial:
         if len(self._terms) == 1:  # (c*m)^e = c^e * m^e: each field times e, no carry
             (key, coefficient), = self._terms.items()
             degree = (key & _DEGREE_MASK) * exponent
-            _check_degree(degree)
+            check_degree(degree)
             return Polynomial._of({key * exponent: coefficient**exponent}, degree)
         result = Polynomial.one()
         for _ in range(exponent):
@@ -518,7 +533,7 @@ def x_word_sum(words: Iterable[Sequence[int]]) -> Polynomial:
     out: dict[int, int] = {}
     for word in words:
         if len(word) > MAX_DEGREE:
-            _check_degree(len(word))
+            check_degree(len(word))
         key = sum(map(unit, word))
         out[key] = out.get(key, 0) + 1
     return Polynomial._of(out)
@@ -546,7 +561,7 @@ def x_shift_sums(
                 continue
             degree = p.degree() + exponent
             if degree > top:
-                _check_degree(degree)
+                check_degree(degree)
                 top = degree
             shift = exponent * unit
             for key, coefficient in p._terms.items():
@@ -557,6 +572,32 @@ def x_shift_sums(
         else:  # nothing cancelled, so the top degree stays
             sums[target] = Polynomial._of(out, top)
     return sums
+
+
+def x_exponent_sum(groups: Iterable[tuple[Polynomial, Iterable[Sequence[int]]]]) -> Polynomial:
+    """The sum over the groups (c, vectors) of c * x1^e1 * x2^e2 * ... over each vector e.
+
+    Exponents are non-negative.  A vector's key is its dot product with the
+    keys of x1, x2, ..., and each term of c shifts it by that term's key;
+    equal products add up.  Raises DegreeOverflow before packing a product
+    of degree above MAX_DEGREE.
+    """
+    units: list[int] = []
+    out: dict[int, int] = {}
+    get = out.get
+    for c, vectors in groups:
+        vectors = list(vectors)
+        if not c._terms or not vectors:
+            continue
+        check_degree(max(map(sum, vectors)) + c.degree())
+        width = max(map(len, vectors))
+        units += (_unit(Family.X, index) for index in range(len(units) + 1, width + 1))
+        keys = list(map(sum, map(map, repeat(_times), vectors, repeat(units))))
+        for shift, coefficient in c._terms.items():
+            for key in keys:
+                key += shift
+                out[key] = get(key, 0) + coefficient
+    return Polynomial._of({k: c for k, c in out.items() if c})
 
 
 _ZERO = Polynomial.zero()  # the accumulator of mul
@@ -589,7 +630,7 @@ def add_mul(
         return acc
     top = p.degree() + q.degree()
     capped = degree_cap is not None and degree_cap < top
-    _check_degree(degree_cap if capped else top)
+    check_degree(degree_cap if capped else top)
     if len(p._terms) > len(q._terms):
         p, q = q, p
     if not acc._terms and len(p._terms) == 1 and not capped:
@@ -719,6 +760,17 @@ def _family_mask(family: Family, first_index: int, width: int) -> int:
     return int.from_bytes(b, "little")
 
 
+def coefficients(p: Polynomial, v: Variable) -> list[Polynomial]:
+    """[v^e] p for e = 0 up to the top exponent of v in p, so p = sum of entry e times v^e."""
+    unit, shift = _unit(v.family, v.index), _FIELD_BITS * _field(v.family, v.index)
+    parts: list[dict[int, int]] = []
+    for key, coefficient in p._terms.items():
+        exponent = key >> shift & _DEGREE_MASK
+        parts += ({} for _ in range(exponent + 1 - len(parts)))
+        parts[exponent][key - exponent * unit] = coefficient
+    return [Polynomial._of(part) for part in parts]
+
+
 def substitute_zero(p: Polynomial, family: Family, from_index: int) -> Polynomial:
     """Set every variable of `family` with index >= from_index to zero.
 
@@ -783,8 +835,8 @@ def eval_int(p: Polynomial, assignment: Mapping[Variable, int]) -> int:
         field = _field(variable.family, variable.index)
         if field < width and top[field]:
             powers[field] = [value**e for e in range(top[field] + 1)]
-    for field in range(1, width):
-        if top[field] and field not in powers:
+    for field in _set_fields(present):
+        if field not in powers:
             raise UnassignedVariable(f"no value assigned to {_variable_at(field).text()}")
     tables = list(powers.items())
     total = 0

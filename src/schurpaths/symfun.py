@@ -1,27 +1,41 @@
 """Determinantal symmetric functions over the exact polynomial ring.
 
-Complete homogeneous polynomials, determinants of polynomial matrices
-(division-free Laplace expansion memoised over column subsets: n * 2^(n-1)
-products for an n x n matrix), alternants, the Vandermonde product, the
-bialternant and factorial-Schur quotients, falling factorial powers, and
-divided differences of powers.  The quotients and divided differences divide
-by one factor x_i - x_j at a time (synthetic division inside exact_div).
+Complete homogeneous polynomials; determinants and maximal minors of
+polynomial matrices, by one division-free Laplace expansion memoised over
+column subsets (n * 2^(n-1) products for an n x n determinant); the plain
+alternant (all n! terms) and the Vandermonde product; the bialternant and
+factorial-Schur quotients; falling factorial powers; and divided
+differences of powers.
+
+Both quotients divide an alternant by the Vandermonde a_delta in the
+alternant's antisymmetric normal form, the sum of c_gamma * a_gamma over
+strictly decreasing exponent vectors (alternant_quotient): long division on
+the lex-largest gamma, whose quotient is a sum of monomial symmetric
+functions, expanded orbit by orbit at the end.  No n!-term polynomial is
+built or divided.  The divided differences divide by one factor x_1 - x_k
+at a time (synthetic division inside exact_div).
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import Sequence
+from heapq import heappop, heappush, heapify
+from itertools import combinations_with_replacement, permutations
+from operator import add, lt, sub
+from typing import Iterator, Mapping, Sequence
 
 from .combinat import fit_shape
 from .ring import (
+    NotDivisible,
     Polynomial,
     Variable,
     add_mul,
     apoly,
+    check_degree,
+    coefficients,
     exact_div,
     substitute_family,
     tpoly,
+    x_exponent_sum,
     x_word_sum,
     xpoly,
     xvar,
@@ -62,31 +76,29 @@ class PolyMatrix:
         return self.entries[i * self.n_cols : (i + 1) * self.n_cols]
 
 
-def det(matrix: PolyMatrix, degree_cap: int | None = None) -> Polynomial:
-    """Exact determinant by Laplace expansion memoised over column subsets.
+def _maximal_minors(matrix: PolyMatrix, degree_cap: int | None = None) -> dict[int, Polynomial]:
+    """Every nonzero maximal minor of an r x c matrix, keyed by its bitmask of r columns.
 
-    Division-free, with n * 2^(n-1) entry-by-minor products for an n x n
-    matrix.  After row i is taken, `minors` maps each column bitmask of
-    size n - i to the minor on rows i..n-1 and those columns; expanding
-    along row i, entry (i, j) enters with the sign given by the parity of
-    the chosen columns below j.  Each product is added into its minor's
-    running sum in one pass (ring.add_mul).  With degree_cap every product
-    drops its terms above that degree, so the result is the determinant in
-    the degree-capped ring: truncate(det(matrix), degree_cap), since
-    truncation is a ring quotient, without forming the terms above the cap.
+    A minor takes its columns in ascending order.  Laplace expansion
+    memoised over column subsets, division-free: after row i is taken,
+    `minors` maps each column bitmask of size r - i to the minor on rows
+    i..r-1 and those columns; expanding along row i, entry (i, j) enters
+    with the sign given by the parity of the chosen columns below j.  Each
+    product is added into its minor's running sum in one pass
+    (ring.add_mul).  With degree_cap every product drops its terms above
+    that degree, so each minor is the one of the degree-capped ring,
+    truncate(minor, degree_cap), since truncation is a ring quotient,
+    without forming the terms above the cap.
     """
-    n = matrix.n_rows
-    if n != matrix.n_cols:
-        raise NotSquare(f"matrix is {n}x{matrix.n_cols}")
     zero = Polynomial.zero()
     minors = {0: Polynomial.one()}
-    for i in reversed(range(n)):
+    for i in reversed(range(matrix.n_rows)):
         row = matrix.row(i)
         negated = [-entry for entry in row]
         grown: dict[int, Polynomial] = {}
         for cols, minor in minors.items():
             odd = False
-            for j in range(n):
+            for j in range(matrix.n_cols):
                 bit = 1 << j
                 if cols & bit:
                     odd = not odd
@@ -96,7 +108,19 @@ def det(matrix: PolyMatrix, degree_cap: int | None = None) -> Polynomial:
                         grown.get(key, zero), (negated if odd else row)[j], minor, degree_cap
                     )
         minors = {cols: minor for cols, minor in grown.items() if minor}
-    return minors.get((1 << n) - 1, Polynomial.zero())
+    return minors
+
+
+def det(matrix: PolyMatrix, degree_cap: int | None = None) -> Polynomial:
+    """Exact determinant: the one maximal minor of a square matrix (_maximal_minors).
+
+    n * 2^(n-1) entry-by-minor products for an n x n matrix.  With
+    degree_cap the result is truncate(det(matrix), degree_cap).
+    """
+    n = matrix.n_rows
+    if n != matrix.n_cols:
+        raise NotSquare(f"matrix is {n}x{matrix.n_cols}")
+    return _maximal_minors(matrix, degree_cap).get((1 << n) - 1, Polynomial.zero())
 
 
 def complete_homogeneous(k: int, n: int) -> Polynomial:
@@ -134,18 +158,13 @@ def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
     return det(matrix)
 
 
-def _alternant(shape: Sequence[int], n: int, power) -> Polynomial:
-    """det(power(x_j, lambda_i + n - i)) over i, j = 1..n, with lambda padded to length n."""
+def alternant(shape: Sequence[int], n: int) -> Polynomial:
+    """det of the n x n matrix with entry (i,j) = x_j^(lambda_i + n - i): all n! terms."""
     padded = fit_shape(shape, n)
     matrix = PolyMatrix.from_rows(
-        [[power(xvar(j + 1), padded[i] + n - (i + 1)) for j in range(n)] for i in range(n)]
+        [[xpoly(j + 1) ** (padded[i] + n - (i + 1)) for j in range(n)] for i in range(n)]
     )
     return det(matrix)
-
-
-def alternant(shape: Sequence[int], n: int) -> Polynomial:
-    """det of the n x n matrix with entry (i,j) = x_j^(lambda_i + n - i)."""
-    return _alternant(shape, n, lambda v, k: Polynomial.variable(v) ** k)
 
 
 def vandermonde(n: int) -> Polynomial:
@@ -164,29 +183,107 @@ def vandermonde(n: int) -> Polynomial:
     return product
 
 
-def divide_by_vandermonde(p: Polynomial, n: int) -> Polynomial:
-    """p / prod (x_i - x_j) over 1 <= i < j <= n, one linear factor at a time.
+def distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of `values` once, in decreasing lexicographic order.
 
-    The quotient of the bialternant and factorial-Schur formulas; a caller
-    that already holds the alternant divides it here without rebuilding it.
-    The factors go in i-major order (1,2), (1,3), ..., (2,3), ..., which keeps
-    the intermediate quotients small: for the alternant of (3,3,2,2) at n = 8
-    it takes 1.5 s, against 5-11 s in j-major, far-first or adjacent-first
-    order (one run each, CPython 3.11, 2 cores).
+    Steps from one ordering to the next smaller one (Narayana Pandita's rule,
+    run downwards), so a vector with repeated entries costs its distinct
+    orderings, not all len(values)! of them; without repeats, those are the
+    permutations of the sorted entries, which itertools lists in that order.
     """
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            p = exact_div(p, xpoly(i) - xpoly(j))
-    return p
+    items = sorted(values, reverse=True)
+    if len(set(items)) == len(items):  # every ordering is distinct
+        yield from permutations(items)
+        return
+    while True:
+        yield tuple(items)
+        i = len(items) - 2  # the last ascent from the right: items[i] > items[i + 1]
+        while i >= 0 and items[i] <= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1  # the rightmost entry below items[i]
+        while items[j] >= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = reversed(items[i + 1 :])
+
+
+def alternant_quotient(
+    normal_form: Mapping[tuple[int, ...], int | Polynomial], n: int
+) -> Polynomial:
+    """The alternant sum of c * a_gamma over `normal_form`, divided by a_delta.
+
+    An alternant in x1..xn is antisymmetric, so it is fixed by its normal
+    form: the sum of c_gamma * a_gamma over strictly decreasing exponent
+    vectors gamma, with a_gamma = det(x_j^(gamma_i)) and each c_gamma free
+    of x (an int, or a polynomial in a).  a_delta, delta = (n-1, ..., 1, 0),
+    is the Vandermonde.  Long division on the lex-largest gamma (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3), with c its coefficient:
+    nu = gamma - delta must be a partition, or NotDivisible is raised; c *
+    m_nu goes into the quotient, and c * m_nu * a_delta leaves the
+    remainder.  That product is the sum, over the distinct permutations beta
+    of nu with no repeat in beta + delta, of sgn * c * a_sort(beta + delta),
+    sgn the sign of the sort; its lex-largest term is c * a_gamma, so each
+    step removes gamma and adds only smaller vectors.  A quotient term of
+    total degree past MAX_DEGREE raises DegreeOverflow at the step that finds
+    it.  At the end the quotient, the sum of c * m_nu, is expanded orbit by
+    orbit, each m_nu from the distinct permutations of nu.
+    """
+    delta = tuple(range(n - 1, -1, -1))
+    remainder: dict[tuple[int, ...], int | Polynomial] = {}
+    for gamma, c in normal_form.items():
+        if len(gamma) != n:
+            raise ValueError(f"exponent vector {gamma} needs {n} entries")
+        if c:
+            remainder[tuple(gamma)] = c
+    pending = [tuple(-e for e in gamma) for gamma in remainder]  # a heap, lex-largest first
+    heapify(pending)
+    quotient: list[tuple[Polynomial, list[tuple[int, ...]]]] = []  # (c, the orbit of nu)
+    sorted_keys: dict[int, tuple[int, ...]] = {}  # the bitmask of beta + delta -> it sorted
+    while pending:
+        gamma = tuple(-e for e in heappop(pending))
+        c = remainder.get(gamma)
+        if not c:  # cancelled since it was pushed
+            continue
+        nu = tuple(map(sub, gamma, delta))
+        if any(map(lt, nu, nu[1:])) or (nu and nu[-1] < 0):
+            raise NotDivisible(f"a_{gamma} leaves gamma - delta = {nu}, which is no partition")
+        check_degree(sum(nu) + (c.degree() if isinstance(c, Polynomial) else 0))
+        orbit = list(distinct_permutations(nu))
+        quotient.append((c if isinstance(c, Polynomial) else Polynomial.const(c), orbit))
+        negated = -c
+        for beta in orbit:
+            used = ascents = 0  # the exponents so far, and the pairs that rise
+            for exponent in map(add, beta, delta):
+                bit = 1 << exponent
+                if used & bit:
+                    break
+                ascents += (used & (bit - 1)).bit_count()
+                used |= bit
+            else:
+                key = sorted_keys.get(used)
+                if key is None:
+                    key = sorted_keys[used] = tuple(sorted(map(add, beta, delta), reverse=True))
+                value = remainder.get(key, 0) + (c if ascents & 1 else negated)
+                if not value:
+                    del remainder[key]
+                    continue
+                if key not in remainder:
+                    heappush(pending, tuple(-e for e in key))
+                remainder[key] = value
+    return x_exponent_sum(quotient)
 
 
 def bialternant(shape: Sequence[int], n: int) -> Polynomial:
-    """alternant(shape, n) / vandermonde(n), one factor x_i - x_j at a time.
+    """alternant(shape, n) / vandermonde(n): s_lambda(x1..xn) by alternant_quotient.
 
-    Exact by the quotient identity: a NotDivisible escape here means an
-    implementation bug, not a user error.
+    The alternant's normal form is the one term a_(lambda + delta), so no
+    n!-term polynomial is built.  Exact by the quotient identity: a
+    NotDivisible escape here means an implementation bug, not a user error.
     """
-    return divide_by_vandermonde(alternant(shape, n), n)
+    padded = fit_shape(shape, n)
+    return alternant_quotient({tuple(p + n - 1 - i for i, p in enumerate(padded)): 1}, n)
 
 
 def falling_power(v: Variable, k: int) -> Polynomial:
@@ -200,14 +297,28 @@ def falling_power(v: Variable, k: int) -> Polynomial:
     return product
 
 
-def factorial_alternant(shape: Sequence[int], n: int) -> Polynomial:
-    """det of the n x n matrix with entry (i,j) = (x_j | a)^(lambda_i + n - i)."""
-    return _alternant(shape, n, falling_power)
-
-
 def factorial_schur_quotient(shape: Sequence[int], n: int) -> Polynomial:
-    """factorial_alternant(shape, n) / vandermonde(n), one factor x_i - x_j at a time."""
-    return divide_by_vandermonde(factorial_alternant(shape, n), n)
+    """det((x_j | a)^(lambda_i + n - i)) / vandermonde(n), by alternant_quotient.
+
+    Row i of the factorial alternant is the polynomial (x | a)^(lambda_i + n
+    - i) in each x_j, so by multilinearity its normal form has, at gamma,
+    the minor of the coefficient matrix C[i][e] = [x^e](x | a)^(lambda_i + n
+    - i) on the columns gamma: the maximal minors of C, which
+    _maximal_minors takes in ascending column order, so each gains the sign
+    (-1)^(n(n-1)/2) of reversing n columns.
+    """
+    padded = fit_shape(shape, n)
+    width = (padded[0] if padded else 0) + n
+    rows = []
+    for i, part in enumerate(padded):
+        row = coefficients(falling_power(xvar(1), part + n - 1 - i), xvar(1))
+        rows.append(row + [Polynomial.zero()] * (width - len(row)))
+    flip = n * (n - 1) // 2 % 2
+    normal_form = {
+        tuple(e for e in reversed(range(width)) if cols >> e & 1): -minor if flip else minor
+        for cols, minor in _maximal_minors(PolyMatrix.from_rows(rows)).items()
+    }
+    return alternant_quotient(normal_form, n)
 
 
 def divided_differences(n_power: int) -> list[Polynomial]:

@@ -52,8 +52,9 @@ def test_tracer_sees_every_verifier_call(monkeypatch):
         tracer.uninstall()
 
 
-def test_tracer_sees_each_vandermonde_factor_divided(monkeypatch):
-    # `symfun` divides through its `exact_div` alias, once per factor x_i - x_j
+def test_tracer_sees_each_divided_difference_factor_divided(monkeypatch):
+    # `symfun` divides through its `exact_div` alias, once per factor x_1 - x_k of
+    # a divided-difference table; verify newton builds two tables of 3 at power 3
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     from schurpaths import cli
@@ -63,8 +64,7 @@ def test_tracer_sees_each_vandermonde_factor_divided(monkeypatch):
     try:
         stat = tracer.stats["ring.exact_div"]
         before = stat["calls"]
-        argv = ["schur", "--shape", "[2,1]", "--n", "3", "--method", "bialternant"]
-        assert cli.main(argv) == 0
-        assert stat["calls"] - before == 3
+        assert cli.main(["verify", "newton", "--power", "3"]) == 0
+        assert stat["calls"] - before == 6
     finally:
         tracer.uninstall()

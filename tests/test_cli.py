@@ -56,7 +56,8 @@ def test_shape_with_too_many_rows_is_refused_with_one_message(capsys):
     for site in (
         symfun.jacobi_trudi,
         symfun.alternant,
-        symfun.factorial_alternant,
+        symfun.bialternant,
+        symfun.factorial_schur_quotient,
         lgv.schur_endpoints,
         lgv.bialternant_endpoints,
         identities.verify_bialternant,
@@ -301,11 +302,22 @@ def test_verify_dual_determinant_refuses_n_plus_m_past_8_at_once(monkeypatch, ca
         )
 
 
+def test_the_bialternant_route_answers_past_the_alternant_bound(capsys):
+    # it divides in the alternant's normal form and never expands n! terms
+    for shape in ("[1]", "[2,1]"):
+        argv = ("schur", "--shape", shape, "--n", "9")
+        start = time.perf_counter()
+        quotient = run_cli(capsys, *argv, "--method", "bialternant")
+        assert time.perf_counter() - start < 1.0
+        assert quotient[0] == 0 and quotient == run_cli(capsys, *argv, "--method", "tableaux")
+
+
 _ALTERNANT_EXPANSIONS = [
     # (argv at the largest n that runs, the refused n, the refusal at n); all but
-    # factorial-schur expand the plain n!-term alternant and share one bound
-    (("schur", "--shape", "[1]", "--method", "bialternant"), 8,
-     "schur --method bialternant at n={} > 8 expands n! >= 362880 terms"),
+    # factorial-schur expand the plain n!-term alternant and share one bound, which
+    # refuses before it reads the shape: (5,4,3,2,1) at n = 8 takes 5.5 s
+    (("verify", "bialternant", "--shape", "[5,4,3,2,1]"), 8,
+     "bialternant at n={} > 8 expands n! >= 362880 terms"),
     (("verify", "bialternant", "--shape", "[1]"), 8,
      "bialternant at n={} > 8 expands n! >= 362880 terms"),
     (("verify", "factorial-schur", "--shape", "[3,2,1]"), 5,
@@ -319,7 +331,7 @@ _ALTERNANT_EXPANSIONS = [
 def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
     monkeypatch, capsys, argv, largest, message
 ):
-    for name in ("bialternant", "alternant", "factorial_alternant", "det", "vandermonde"):
+    for name in ("bialternant", "alternant", "factorial_schur_quotient", "det", "vandermonde"):
         monkeypatch.setattr(symfun, name, _build)
     for name in ("schur_tableaux", "factorial_schur_tableaux"):
         monkeypatch.setattr(combinat, name, _build)
@@ -623,7 +635,7 @@ def test_profile_writes_stats_and_keeps_output(tmp_path, capsys):
     profiled = run_cli(capsys, "--profile", str(profile), *argv)
     assert profiled == plain
     names = {function for _, _, function in pstats.Stats(str(profile)).stats}
-    assert "exact_div" in names
+    assert "alternant_quotient" in names
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])

@@ -1,9 +1,14 @@
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from schurpaths.ring import (
+    _byte_length,
+    _field,
+    _variable_at,
     DegreeOverflow,
     Family,
     IndexUnderflow,
@@ -16,6 +21,7 @@ from schurpaths.ring import (
     apoly,
     avar,
     canonical_text,
+    coefficients,
     eval_int,
     exact_div,
     mul,
@@ -24,6 +30,7 @@ from schurpaths.ring import (
     substitute_zero,
     tpoly,
     tvar,
+    x_exponent_sum,
     x_shift_sums,
     xpoly,
     xvar,
@@ -125,6 +132,23 @@ def test_x_shift_sums_examples():
         x_shift_sums({0: [(one, 1), (xpoly(1) ** 100, 28)]}, 2)
 
 
+def test_x_exponent_sum_examples():
+    groups = [(Polynomial.const(2), [(1, 0), (0, 1)]), (apoly(1) - 1, [(2,)])]
+    assert x_exponent_sum(groups) == parse_poly("x1^2*a1 - x1^2 + 2*x1 + 2*x2")
+    assert x_exponent_sum([(xpoly(1), [(1,)]), (-xpoly(1) ** 2, [()])]) == Polynomial.zero()
+    assert x_exponent_sum([(apoly(1), [(0, 126)])]) == apoly(1) * xpoly(2) ** 126
+    with pytest.raises(DegreeOverflow, match="total degree 128 exceeds"):
+        x_exponent_sum([(apoly(1), [(0, 127)])])
+
+
+def test_coefficients_examples():
+    p = parse_poly("x1^2*a1 - x1*a2 + 3*x2 + 1")
+    assert coefficients(p, xvar(1)) == [3 * xpoly(2) + 1, -apoly(2), apoly(1)]
+    assert coefficients(p, avar(1)) == [parse_poly("-x1*a2 + 3*x2 + 1"), xpoly(1) ** 2]
+    assert coefficients(p, tvar()) == [p]
+    assert coefficients(Polynomial.zero(), xvar(1)) == []
+
+
 @given(st.lists(st.tuples(polynomials(), st.integers(0, 3)), max_size=4), st.integers(1, 4))
 def test_x_shift_sums_are_sums_of_products(summands, index):
     total = Polynomial.zero()
@@ -186,6 +210,64 @@ def test_eval_int_examples():
     assert eval_int(xpoly(1) ** 2, {xvar(1): -3}) == 9
     with pytest.raises(UnassignedVariable, match="x2"):
         eval_int(xpoly(1) + xpoly(2), {xvar(1): 1})
+
+
+def _variables_by_scan(p: Polynomial) -> set[Variable]:
+    """The variables of p, read off every byte of the OR of its keys: the reference."""
+    present = reduce(or_, p._terms, 0)
+    b = present.to_bytes(_byte_length(present), "little")
+    return {_variable_at(f) for f, e in enumerate(b) if f and e}
+
+
+def _eval_int_by_scan(p: Polynomial, assignment) -> int:
+    """eval_int that checks every field up to the top one: the reference."""
+    if not p._terms:
+        return 0
+    present = reduce(or_, p._terms)
+    width = _byte_length(present)
+    top = present.to_bytes(width, "little")
+    powers: dict[int, list[int]] = {}
+    for variable, value in assignment.items():
+        field = _field(variable.family, variable.index)
+        if field < width and top[field]:
+            powers[field] = [value**e for e in range(top[field] + 1)]
+    for field in range(1, width):
+        if top[field] and field not in powers:
+            raise UnassignedVariable(f"no value assigned to {_variable_at(field).text()}")
+    total = 0
+    for key, coefficient in p._terms.items():
+        b = key.to_bytes(width, "little")
+        for field, table in powers.items():
+            coefficient *= table[b[field]]
+        total += coefficient
+    return total
+
+
+_SPREAD_POOL = [tvar(), xvar(1), xvar(40), yvar(7), yvar(300), avar(2), avar(1000)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(_SPREAD_POOL), st.integers(1, 3), max_size=3),
+            st.integers(-9, 9),
+        ),
+        max_size=4,
+    ),
+    st.dictionaries(st.sampled_from(_SPREAD_POOL), st.integers(-4, 4)),
+)
+def test_set_fields_read_as_the_full_scan(terms, assignment):
+    p = sum((Polynomial.term(Monomial.of(exps), c) for exps, c in terms), Polynomial.zero())
+    assert p.variables() == _variables_by_scan(p)
+    try:
+        expected = _eval_int_by_scan(p, assignment)
+    except UnassignedVariable as missing:
+        with pytest.raises(UnassignedVariable, match=f"^{re.escape(str(missing))}$"):
+            eval_int(p, assignment)
+    else:
+        assert eval_int(p, assignment) == expected
+    complete = {v: 2 for v in _variables_by_scan(p)}
+    assert eval_int(p, complete) == _eval_int_by_scan(p, complete)
 
 
 def test_canonical_text_examples():

@@ -3,11 +3,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from alternant_oracle import divide_by_vandermonde, factorial_alternant
 from schurpaths.combinat import factorial_schur_tableaux, partitions_in_box, schur_tableaux
 from schurpaths.lgv import schur_via_lgv
 from schurpaths.ring import (
+    DegreeOverflow,
     Family,
+    NotDivisible,
     Polynomial,
     apoly,
     eval_int,
@@ -21,13 +25,15 @@ from schurpaths.ring import (
 from schurpaths.symfun import (
     NotSquare,
     PolyMatrix,
+    _maximal_minors,
     alternant,
+    alternant_quotient,
     bialternant,
     complete_homogeneous,
     det,
+    distinct_permutations,
     divided_difference,
     divided_differences,
-    factorial_alternant,
     factorial_schur_quotient,
     falling_power,
     jacobi_trudi,
@@ -195,6 +201,102 @@ def test_bialternant_examples():
     assert bialternant((), 3) == Polynomial.one()
     assert bialternant((2, 1), 3) == schur_tableaux((2, 1), 3)
     assert bialternant((2, 2, 1, 1, 1), 7) == schur_via_lgv((2, 2, 1, 1, 1), 7)
+
+
+def _shapes(n, max_size=6):
+    return [shape for shape in partitions_in_box(n, max_size) if sum(shape) <= max_size]
+
+
+def test_bialternant_matches_the_literal_division():
+    for n in range(1, 6):
+        for shape in _shapes(n):
+            assert bialternant(shape, n) == divide_by_vandermonde(alternant(shape, n), n)
+
+
+def test_factorial_quotient_matches_the_literal_division():
+    # the literal factorial quotient takes about 12 s over the n = 5 row of size <= 6
+    # (CPython 3.11, 2 cores), so past size 3 that row is compared with the tableau sum
+    for n in range(1, 6):
+        for shape in _shapes(n):
+            quotient = factorial_schur_quotient(shape, n)
+            if n < 5 or sum(shape) <= 3:
+                assert quotient == divide_by_vandermonde(factorial_alternant(shape, n), n)
+            else:
+                assert quotient == factorial_schur_tableaux(shape, n)
+
+
+@st.composite
+def normal_forms(draw):
+    """(n, {strictly decreasing gamma: coefficient}), coefficients in Z or in Z[a1, a2]."""
+    n = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, n + 3), min_size=n, max_size=n, unique=True)
+    gammas = draw(st.lists(exponents.map(lambda e: tuple(sorted(e, reverse=True))), max_size=3))
+    if draw(st.booleans()):
+        coefficient = st.integers(-5, 5)
+    else:
+        coefficient = st.builds(
+            lambda c0, c1, c2: c0 + c1 * apoly(1) + c2 * apoly(1) * apoly(2),
+            *[st.integers(-3, 3)] * 3,
+        )
+    return n, {gamma: draw(coefficient) for gamma in gammas}
+
+
+@given(normal_forms())
+def test_alternant_quotient_is_the_literal_quotient(case):
+    n, normal_form = case
+    delta = range(n - 1, -1, -1)
+    literal = Polynomial.zero()
+    for gamma, c in normal_form.items():  # a_gamma = alternant(gamma - delta)
+        literal = literal + c * alternant([g - d for g, d in zip(gamma, delta)], n)
+    assert alternant_quotient(normal_form, n) == divide_by_vandermonde(literal, n)
+
+
+def test_alternant_quotient_refuses_what_is_no_normal_form():
+    # a strictly decreasing gamma is always lambda + delta, so a_gamma divides:
+    # a_(3,0) / a_(1,0) = h_2(x1, x2)
+    assert alternant_quotient({(3, 0): 1}, 2) == complete_homogeneous(2, 2)
+    # a repeated exponent leaves gamma - delta = (0, 1), which is no partition
+    with pytest.raises(NotDivisible, match=r"\(0, 1\), which is no partition"):
+        alternant_quotient({(1, 1): 1}, 2)
+    with pytest.raises(NotDivisible):
+        alternant_quotient({(2, 0): 1, (0, -1): 3}, 2)
+    with pytest.raises(ValueError, match="needs 2 entries"):
+        alternant_quotient({(3, 1, 0): 1}, 2)
+    assert alternant_quotient({(2, 0): 0}, 2) == Polynomial.zero()
+
+
+def test_alternant_quotient_edges():
+    assert bialternant((127,), 1) == xpoly(1) ** 127
+    with pytest.raises(DegreeOverflow, match="total degree 128 exceeds"):
+        bialternant((128,), 1)
+    with pytest.raises(DegreeOverflow):
+        bialternant((64, 64), 2)
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 1\) has more than 2 rows"):
+        bialternant((1, 1, 1), 2)
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 1\) has more than 2 rows"):
+        factorial_schur_quotient((1, 1, 1), 2)
+    assert bialternant((), 0) == factorial_schur_quotient((), 0) == Polynomial.one()
+
+
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_distinct_permutations_are_each_ordering_once(values):
+    orderings = list(distinct_permutations(values))
+    assert orderings == sorted(set(permutations(values)), reverse=True)
+
+
+def test_maximal_minors_of_a_wide_matrix():
+    rng = random.Random(11)
+    for rows, cols in [(1, 3), (2, 4), (3, 5), (2, 2)]:
+        matrix = random_matrix(rng, cols)
+        wide = PolyMatrix.from_rows([matrix.row(i) for i in range(rows)])
+        minors = _maximal_minors(wide)
+        for chosen in range(1 << cols):
+            columns = [j for j in range(cols) if chosen >> j & 1]
+            if len(columns) != rows:
+                assert chosen not in minors
+                continue
+            square = PolyMatrix.from_rows([[wide.entry(i, j) for j in columns] for i in range(rows)])
+            assert minors.get(chosen, Polynomial.zero()) == det(square)
 
 
 # -- factorial side -------------------------------------------------------------------
