@@ -13,9 +13,11 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - main-lemma past m = 18, and main-lemma and corollary past 10^9 units of work
   (terms and closed forms times variables)
 - newton past power 16
-- verify vandermonde, paths --preset vandermonde and verify bialternant past
-  n = 8, and verify factorial-schur past n = 5 (the first three expand the
-  plain alternant of n! terms)
+- verify vandermonde and paths --preset vandermonde past n = 8 (both expand
+  the plain alternant of n! terms)
+- verify bialternant past n = 13, or past 17,500,000 units of work (term
+  pairs and terms of its products and sweeps) counted from the shape
+- verify factorial-schur past n = 5 (it lists its tableaux one by one)
 - cauchy past a partition list of 20000 or a series of 400000 terms (a
   degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
   error)

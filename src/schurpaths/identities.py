@@ -68,11 +68,20 @@ _MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s a
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 _MAX_DUAL_ORDER = 8  # dual-determinant's n + m: (4, 4) takes 4.5 s, (1, 8) 11 s, (2, 7) 70 s
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
-# the plain alternant det(x_j^(lambda_i + n - i)) that verify vandermonde and bialternant and
-# paths --preset vandermonde expand has n! terms: 0.5-1.9 s at n = 8; at n = 9 (362,880
-# terms), one run each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s, and verify
-# bialternant, which builds it for its integer anchor alone, 1.0 s and 120 MB for (1) and (2,1)
+# the plain alternant det(x_j^(lambda_i + n - i)) that verify vandermonde and paths --preset
+# vandermonde expand has n! terms: 0.5-1.9 s at n = 8; at n = 9 (362,880 terms), one run
+# each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s
 MAX_ALTERNANT_N = 8
+# verify bialternant builds no alternant; its cost is the work that _bialternant_work counts
+# from the shape, at most 0.51 us a unit.  In-process, one run each: (5,4,3,2,1) at n = 8,
+# 17.43 million units, took 4.0-6.5 s over four runs; the admitted shapes of most work at
+# each n = 3..13, and of the longest first row, took 1.1-6.8 s and up to 623 MB ((109) at
+# n = 4).  The tableau count does not predict this cost: (4,4,4,4,3) at n = 9 has fewer
+# tableaux than (5,4,3,2,1) at n = 8 and takes 110 s, (26) at n = 8 more than 60 s.  Every
+# shape but the empty one passes the bound from n = 14 on: (1) takes 2.8 s at n = 13, 9.3 s
+# at 14
+_MAX_BIALTERNANT_WORK = 17_500_000
+_MAX_BIALTERNANT_N = 13
 # factorial-schur costs its tableau side, which lists the tableaux one by one; one run each:
 # the rows of size <= 6 take 0.46 s at n = 5, 1.5 s at 6 and 6.1 s at 7, (4,3,2,1) 2.5 s at
 # n = 5 and 61 s (200 MB) at n = 6, where its normal-form quotient takes 0.9 s, and
@@ -87,6 +96,47 @@ def check_factorial_size(what: str, n: int, limit: int) -> None:
     """
     if n > limit:
         raise TooLarge(f"{what} at n={n} > {limit} expands n! >= {factorial(limit + 1)} terms")
+
+
+def _bialternant_work(padded: tuple[int, ...], stop: int) -> int:
+    """The work of verify_bialternant, counted in integers from the padded shape.
+
+    Entry (k, j) of M' (0-based, the sinks by ascending column) is h_d in the
+    k + 1 variables x_(n-k)..x_n with d = end_j - k, end_j = padded[n-1-j] + j,
+    so it has C(end_j, k) terms; entry (i, k) of M_change, k <= i, has 2^k.
+    A unit is one term pair that a product forms, or one term that a sweep
+    writes:
+    - M_change * M' multiplies each of the n - k entries in column k of
+      M_change by every entry in row k of M'.
+    - det M' expands along the rows from the last, one minor per column
+      subset (symfun._maximal_minors): an entry times a minor of degree D in
+      n variables, which has at most C(D + n - 1, n - 1) terms.
+    - The sweep from a'_k writes h_d in 1..k+1 variables at every column up
+      to the last sink: C(end_(n-1) + 2, k + 1) terms, by the hockey stick.
+    - The tableau sum, the path-system walk and the quotient each write s_lambda,
+      whose terms are monomials of degree |lambda| in n variables: 32 units
+      for each of those.
+    The count stops once it passes `stop`.
+    """
+    n = len(padded)
+    ends = [padded[n - 1 - j] + j for j in range(n)]
+    sizes = [[comb(end, k) for end in ends] for k in range(n)]
+    work = 32 * comb(sum(padded) + n - 1, n - 1)
+    work += sum(comb(ends[-1] + 2, k + 1) for k in range(n))
+    work += sum(((n - k) << k) * sum(row) for k, row in enumerate(sizes))
+    minors = {0: 0}  # the column bitmask of a minor on the rows below -> its degree
+    for i in reversed(range(n)):
+        if work > stop:
+            break
+        grown: dict[int, int] = {}
+        for cols, degree in minors.items():
+            bound = comb(degree + n - 1, n - 1)
+            for j, size in enumerate(sizes[i]):
+                if size and not cols >> j & 1:
+                    work += size * bound
+                    grown[cols | 1 << j] = degree + ends[j] - i
+        minors = grown
+    return work
 
 
 def _check_path_work(what: str, builds: str, terms: int, forms: int, variables: int) -> None:
@@ -318,14 +368,26 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     multiplies to the Vandermonde.  M'' holds the alternant's powers, so with
     det M' = s_lambda, alternant = Vdm * s_lambda and the quotient closes it:
     `symfun.bialternant` divides a_(lambda+delta) by a_delta in the
-    alternant's normal form, and the literal n!-term alternant, which keeps
-    this check under MAX_ALTERNANT_N, is built only for its integer anchor.
+    alternant's normal form.  The alternant is read off M'' entry by entry
+    and never expanded, so nothing here has n! terms; the one determinant is
+    det M'.  The check refuses past _MAX_BIALTERNANT_N and past
+    _MAX_BIALTERNANT_WORK units of the work that _bialternant_work counts from
+    the shape, before anything is built.
     """
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
-    check_factorial_size("bialternant", n, MAX_ALTERNANT_N)
+    if n > _MAX_BIALTERNANT_N:
+        raise TooLarge(
+            f"bialternant at n={n} > {_MAX_BIALTERNANT_N} multiplies M_change entries of up to"
+            " 2^(n-1) terms"
+        )
     shape = partition(shape)
     padded = fit_shape(shape, n)
+    if _bialternant_work(padded, _MAX_BIALTERNANT_WORK) > _MAX_BIALTERNANT_WORK:
+        raise TooLarge(
+            f"bialternant of {partition_text(shape)} at n={n} forms M_change*M', det M' and"
+            f" s_lambda, past its work bound of {_MAX_BIALTERNANT_WORK}"
+        )
     checker = _Checker("bialternant", shape=shape, n=n)
     width = (shape[0] if shape else 0) + n
     scheme = lgv.schur_weighted_scheme(n=n, col_bound=width, truncated=True)
@@ -372,8 +434,6 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
             power = xpoly(i) ** exponent
             checker.eq(mixed[n - i][n - j], power, step="power-entry", entry=entry)
             checker.anchor("power", power, intcheck.x(i) ** exponent, entry=entry)
-    alternant = symfun.alternant(shape, n)
-    checker.anchor("alternant", alternant, intcheck.alternant(shape, n))
     checker.eq(symfun.bialternant(shape, n), tableaux_side, step="quotient-vs-tableaux")
     return checker.report()
 
@@ -521,7 +581,11 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
     """Factorial tableau sum vs the falling-power determinant quotient."""
     if n < 1:
         raise ValueError("factorial-schur check needs n >= 1")
-    check_factorial_size("factorial-schur", n, _MAX_FACTORIAL_SCHUR_N)
+    if n > _MAX_FACTORIAL_SCHUR_N:
+        raise TooLarge(
+            f"factorial-schur at n={n} > {_MAX_FACTORIAL_SCHUR_N} lists its tableaux one by one"
+            " (61 s for [4,3,2,1] at n=6)"
+        )
     shape = partition(shape)
     checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
@@ -543,10 +607,11 @@ def verify_newton(power: int = 8) -> CheckReport:
             f"newton at power={power} > {_MAX_NEWTON_POWER} forms 3^{power} term products"
         )
     checker = _Checker("newton", power=power)
+    table = symfun.divided_differences(power)
     expansion = tpoly() ** power
-    checker.eq(symfun.newton_expand(power), expansion, side="expansion")
+    checker.eq(symfun.newton_form(table), expansion, side="expansion")
     checker.anchor("t-power", expansion, intcheck.T**power)
-    for k, entry in enumerate(symfun.divided_differences(power), 1):
+    for k, entry in enumerate(table, 1):
         h = symfun.complete_homogeneous(power - k + 1, k)
         checker.eq(entry, h, side="table-entry", k=k)
         expected = intcheck.complete_homogeneous(power - k + 1, k)

@@ -5,7 +5,7 @@ polynomial matrices, by one division-free Laplace expansion memoised over
 column subsets (n * 2^(n-1) products for an n x n determinant); the plain
 alternant (all n! terms) and the Vandermonde product; the bialternant and
 factorial-Schur quotients; falling factorial powers; and divided
-differences of powers.
+differences of powers, with their Newton form.
 
 Both quotients divide an alternant by the Vandermonde a_delta in the
 alternant's antisymmetric normal form, the sum of c_gamma * a_gamma over
@@ -350,17 +350,23 @@ def divided_difference(n_power: int, k: int) -> Polynomial:
     return divided_differences(n_power)[k - 1]
 
 
-def newton_expand(n_power: int) -> Polynomial:
-    """Assemble the Newton interpolation form of t^n_power and return it.
+def newton_form(table: Sequence[Polynomial]) -> Polynomial:
+    """The Newton interpolation form of a divided-difference table f[x_1], f[x_1, x_2], ...
 
-    The sum of f[x_1..x_{k+1}] * (t - x_1)...(t - x_k) over k = 0..n_power
-    collapses exactly to t^n_power; callers can compare against tpoly()**n.
+    The sum of table[k] * (t - x_1)...(t - x_k) over k; for the table of
+    x^p (divided_differences(p)) it collapses exactly to t^p.
     """
-    if n_power < 0:
-        raise ValueError("the power must be non-negative")
     total = Polynomial.zero()
     basis = Polynomial.one()
-    for k, entry in enumerate(divided_differences(n_power)):
+    for k, entry in enumerate(table):
         total = add_mul(total, entry, basis)
         basis = basis * (tpoly() - xpoly(k + 1))
     return total
+
+
+def newton_expand(n_power: int) -> Polynomial:
+    """The Newton interpolation form of t^n_power: newton_form(divided_differences(n_power)).
+
+    It collapses exactly to t^n_power; callers can compare against tpoly()**n.
+    """
+    return newton_form(divided_differences(n_power))

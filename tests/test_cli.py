@@ -234,7 +234,7 @@ def test_verify_cauchy_at_n_5_is_quick(monkeypatch, capsys):
 
 
 def test_verify_newton_refuses_past_power_16_at_once(monkeypatch, capsys):
-    for name in ("divided_differences", "newton_expand", "complete_homogeneous"):
+    for name in ("divided_differences", "newton_form", "newton_expand", "complete_homogeneous"):
         monkeypatch.setattr(symfun, name, _build)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "newton", "--power", "17")
@@ -312,24 +312,31 @@ def test_the_bialternant_route_answers_past_the_alternant_bound(capsys):
         assert quotient[0] == 0 and quotient == run_cli(capsys, *argv, "--method", "tableaux")
 
 
+_BIALTERNANT_PAST_N = "bialternant at n={} > 13 multiplies M_change entries of up to 2^(n-1) terms"
+
 _ALTERNANT_EXPANSIONS = [
-    # (argv at the largest n that runs, the refused n, the refusal at n); all but
-    # factorial-schur expand the plain n!-term alternant and share one bound, which
-    # refuses before it reads the shape: (5,4,3,2,1) at n = 8 takes 5.5 s
+    # (argv at the largest n that runs, that n, the refusal one past it, the refusal at
+    # n = 3000).  verify bialternant no longer expands the alternant: it counts its work
+    # from the shape, and past n = 13, where every shape but the empty one passes that
+    # count, refuses on n alone; (5,4,3,2,1) at n = 8 takes 4-6.5 s and (1) at n = 13
+    # 2.8 s.  vandermonde and paths expand the plain n!-term alternant and share one
+    # bound; factorial-schur lists its tableaux
     (("verify", "bialternant", "--shape", "[5,4,3,2,1]"), 8,
-     "bialternant at n={} > 8 expands n! >= 362880 terms"),
-    (("verify", "bialternant", "--shape", "[1]"), 8,
-     "bialternant at n={} > 8 expands n! >= 362880 terms"),
+     "bialternant of [5,4,3,2,1] at n={} forms M_change*M', det M' and s_lambda, past its"
+     " work bound of 17500000", _BIALTERNANT_PAST_N),
+    (("verify", "bialternant", "--shape", "[1]"), 13, _BIALTERNANT_PAST_N, _BIALTERNANT_PAST_N),
     (("verify", "factorial-schur", "--shape", "[3,2,1]"), 5,
-     "factorial-schur at n={} > 5 expands n! >= 720 terms"),
-    (("verify", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms"),
-    (("paths", "--preset", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms"),
+     "factorial-schur at n={} > 5 lists its tableaux one by one (61 s for [4,3,2,1] at n=6)",
+     None),
+    (("verify", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms", None),
+    (("paths", "--preset", "vandermonde"), 8, "vandermonde at n={} > 8 expands n! >= 362880 terms",
+     None),
 ]
 
 
-@pytest.mark.parametrize("argv, largest, message", _ALTERNANT_EXPANSIONS)
+@pytest.mark.parametrize("argv, largest, message, far", _ALTERNANT_EXPANSIONS)
 def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
-    monkeypatch, capsys, argv, largest, message
+    monkeypatch, capsys, argv, largest, message, far
 ):
     for name in ("bialternant", "alternant", "factorial_schur_quotient", "det", "vandermonde"):
         monkeypatch.setattr(symfun, name, _build)
@@ -337,13 +344,23 @@ def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
         monkeypatch.setattr(combinat, name, _build)
     for name in ("path_matrix", "vandermonde_scheme"):
         monkeypatch.setattr(lgv, name, _build)
-    for n in (largest + 1, 3000):  # 3000! has more digits than str() of an int may print
+    # 3000! has more digits than str() of an int may print
+    for n, refusal in [(largest + 1, message), (3000, far or message)]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, "--n", str(n))
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (1, "", f"refused: {message.format(n)}\n")
+        assert (code, out, err) == (1, "", f"refused: {refusal.format(n)}\n")
     with pytest.raises(AssertionError, match="the refusal must come before"):
         main([*argv, "--n", str(largest)])  # the bound itself starts building
+
+
+def test_verify_bialternant_answers_past_the_alternant_bound(capsys):
+    # the check builds no n!-term alternant, so n = 9 runs at once for small shapes
+    for shape in ("[1]", "[2,1]"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "bialternant", "--shape", shape, "--n", "9")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, f"bialternant [shape={shape} n=9]: VERIFIED\n", "")
 
 
 def test_verify_corollary_empty_grid_is_usage_error(capsys):

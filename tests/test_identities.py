@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from math import comb
 
 import pytest
 
@@ -196,7 +197,7 @@ def test_cauchy_grid_leaves_out_caps_below_n_choose_2():
 
 def test_newton_refuses_past_power_16_before_building(monkeypatch):
     # the Newton form forms 3^power term products: power 16 takes 29 s, 17 105 s
-    for name in ("divided_differences", "newton_expand", "complete_homogeneous"):
+    for name in ("divided_differences", "newton_form", "newton_expand", "complete_homogeneous"):
         monkeypatch.setattr(symfun, name, _build)
     with pytest.raises(Built):
         verify_newton(16)
@@ -712,10 +713,10 @@ def test_bialternant_reads_the_reduction_off_the_change_matrix(monkeypatch, entr
 
 def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
     # M', M_change and M'' are blocks of one path matrix, so one weight memo
-    # serves them.  The determinants are those of M' and the alternant: each
-    # diagonal entry of M_change is read as its row's factors of the
-    # Vandermonde, which is never expanded, M'' = M_change * M' entry by entry,
-    # and M'' as the alternant's powers.  The Vandermonde check takes one
+    # serves them.  The one determinant is that of M': each diagonal entry of
+    # M_change is read as its row's factors of the Vandermonde, which is never
+    # expanded, M'' = M_change * M' entry by entry, and M'' as the alternant's
+    # powers, which is never expanded either.  The Vandermonde check takes one
     # determinant, of the powers: its path matrix is read entry by entry
     from schurpaths import lgv
 
@@ -742,11 +743,55 @@ def test_bialternant_weighs_each_edge_of_its_scheme_once(monkeypatch):
         orders.clear()
         assert verify_bialternant(shape, n).status == VERIFIED
         assert len(calls) == len(set(calls)) > 0
-        assert (orders, expanded) == ([n, n], [])
+        assert (orders, expanded) == ([n], [])
         orders.clear()
         assert verify_vandermonde(n).status == VERIFIED
         assert (orders, expanded) == ([n], [n])
         expanded.clear()
+
+
+def test_bialternant_builds_no_alternant(monkeypatch):
+    monkeypatch.setattr(symfun, "alternant", _build)
+    for shape, n in [((), 1), ((2, 1), 3), ((3, 1, 1), 4), ((2, 2, 1), 5)]:
+        assert verify_bialternant(shape, n).status == VERIFIED
+
+
+def test_bialternant_work_counts_the_terms_of_the_matrices_it_multiplies():
+    # M_change's entry (i, k), k <= i, has 2^k terms and M' entry (k, j) C(end_j, k),
+    # end_j = padded[n-1-j] + j, as _bialternant_work counts them
+    for shape, n in [((), 3), ((3, 1), 4), ((5, 2, 2), 5), ((2, 2, 1, 1), 6)]:
+        padded = shape + (0,) * (n - len(shape))
+        scheme = lgv.schur_weighted_scheme(n=n, col_bound=padded[0] + n, truncated=True)
+        double_primed, primed, sinks = lgv.bialternant_endpoints(shape, n)
+        swept = lgv.path_matrix(scheme, double_primed + primed, primed + sinks)
+        for k in range(n):
+            for i in range(n):
+                assert len(swept.entry(i, k)) == (2**k if k <= i else 0)
+            for j in range(n):
+                assert len(swept.entry(n + k, n + j)) == comb(padded[n - 1 - j] + j, k)
+
+
+def test_bialternant_refuses_past_its_work_bound_before_building(monkeypatch):
+    limit = identities._MAX_BIALTERNANT_WORK
+    # the n bound sits where the work bound refuses every shape but the empty one: work
+    # grows with the shape, and (1) runs at n = 13 (2.8 s) but not at 14 (9.3 s)
+    assert identities._bialternant_work((1,) + (0,) * 12, limit) <= limit
+    assert identities._bialternant_work((1,) + (0,) * 13, limit) > limit
+    assert identities._bialternant_work((5, 4, 3, 2, 1, 0, 0, 0), limit) <= limit
+    for name in ("schur_weighted_scheme", "path_matrix", "schur_via_lgv"):
+        monkeypatch.setattr(lgv, name, _build)
+    monkeypatch.setattr(combinat, "schur_tableaux", _build)
+    with pytest.raises(Built):
+        verify_bialternant((5, 4, 3, 2, 1), 8)
+    # count-alike shapes of very different cost: (4,4,4,4,3) at n = 9 has fewer tableaux
+    # than (5,4,3,2,1) at n = 8 and took 110 s; (26) at n = 8 ran past 60 s
+    for shape, n in [((5, 4, 3, 2, 1), 9), ((4, 4, 4, 4, 3), 9), ((26,), 8), ((2, 1), 13)]:
+        text = re.escape(combinat.partition_text(shape))
+        with pytest.raises(TooLarge, match=f"^bialternant of {text} at n={n} forms M_change"):
+            verify_bialternant(shape, n)
+    for n in (14, 10**9):
+        with pytest.raises(TooLarge, match=f"^bialternant at n={n} > 13 multiplies "):
+            verify_bialternant((1,), n)
 
 
 # -- the fault table -------------------------------------------------------------------

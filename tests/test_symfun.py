@@ -369,7 +369,7 @@ def test_divided_differences_take_one_division_per_order(monkeypatch):
         assert len(divisors) == n
     divisors.clear()
     assert identities.verify_newton(8).status == "VERIFIED"
-    assert len(divisors) == 16  # one table for the expansion, one for the entry checks
+    assert len(divisors) == 8  # one table serves the expansion and the entry checks
     with pytest.raises(ValueError):
         divided_differences(-1)
 
