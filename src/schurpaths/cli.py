@@ -17,7 +17,7 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
   the plain alternant of n! terms)
 - verify bialternant past n = 13, or past 17,500,000 units of work (term
   pairs and terms of its products and sweeps) counted from the shape
-- verify factorial-schur past n = 5 (it lists its tableaux one by one)
+- verify factorial-schur past n = 5 (both sides grow with the n x-variables)
 - cauchy past a partition list of 20000 or a series of 400000 terms (a
   degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
   error)

@@ -5,20 +5,19 @@ zeros stripped; the empty partition is ()).  A tableau of shape lambda is a
 tuple of rows, row i holding lambda_i letters from 1..n, weakly increasing
 along rows and strictly increasing down columns.
 
-The Schur polynomial sums x^T over those tableaux strip by strip, by the
-branching rule: the letters <= k of a tableau fill a subshape of lambda, and
-the letter k fills a horizontal strip of it.  The factorial Schur sum
-enumerates the tableaux one by one (`ssyt_enumerate`); `ssyt_count` counts
-them by the hook-content formula without listing any.
+Both tableau sums, plain and factorial, walk the tableaux as chains of
+horizontal strips (`_strip_sums`).  `ssyt_enumerate` lists the tableaux one
+by one, and `ssyt_count` counts them by the hook-content formula.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import groupby, product
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .ring import IndexUnderflow, Polynomial, apoly, x_shift_sums, x_word_sum, xpoly
+from .ring import Polynomial, add_mul, apoly, x_shift_sums, x_word_sum, xpoly
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -170,69 +169,70 @@ def tableau_monomial(tableau: Tableau) -> Polynomial:
     return x_word_sum([sum(tableau, ())])
 
 
-def schur_tableaux(shape: Partition, n: int) -> Polynomial:
-    """The Schur polynomial as the sum of x^T over all SSYT of the shape.
+def _strip_sums(shape: Partition, n: int, add_letter: Callable[[int, dict], dict]) -> Polynomial:
+    """Sum a weight over the tableaux of the shape with letters 1..n, strip by strip.
 
-    Summed by the branching rule (Macdonald, Symmetric Functions, I.(5.11)):
-    the cells of a tableau holding letters <= k form a subshape mu of lambda,
-    and those holding k form a horizontal strip of mu.  A tableau is thus a
-    chain () = mu^0 <= mu^1 <= ... <= mu^n = lambda of horizontal strips, and
-    x^T is the product of x_k^(|mu^k| - |mu^(k-1)|).  After the letter k, each
-    subshape mu maps to the sum of x^T over the fillings of mu by 1..k; the
-    letter k + 1 moves every mu to each nu that adds a strip.  Every monomial
-    is still the content of one tableau, term by term, so no symmetry of
-    s_lambda is assumed (unlike a Kostka-number expansion into monomial
-    symmetric functions).
-
-    Returns 1 for the empty shape and 0 when the shape has more than n rows.
+    By the branching rule (Macdonald, Symmetric Functions, I.(5.11)), a tableau
+    is a chain () = mu^0 <= ... <= mu^n = lambda of horizontal strips, mu^k
+    holding the letters <= k.  add_letter(k, moves) gets, under each nu, the
+    pairs (mu, sum over the fillings of mu by 1..k-1) of the strips mu -> nu,
+    and returns the sums at each nu.  1 for the empty shape, 0 past n rows.
     """
     shape = partition(shape)
     if len(shape) > n:
         return Polynomial.zero()
-    # subshapes as row lengths padded with zeros to len(shape)
     sums = {(0,) * len(shape): Polynomial.one()}
     for letter in range(1, n + 1):
         # the letters letter+1..n fill at most n - letter cells of each column
         floor = shape[n - letter :] + (0,) * (n - letter)
-        moves: dict[tuple[int, ...], list[tuple[Polynomial, int]]] = {}
+        moves: dict[tuple[int, ...], list[tuple[tuple[int, ...], Polynomial]]] = {}
         for mu, terms in sums.items():
             # a horizontal strip: mu_i <= nu_i <= mu_(i-1), within lambda and above the floor
             ranges = [
                 range(max(part, low), min(top, above) + 1)
                 for part, low, top, above in zip(mu, floor, shape, shape[:1] + mu)
             ]
-            size = sum(mu)
             for nu in product(*ranges):
-                moves.setdefault(nu, []).append((terms, sum(nu) - size))
-        sums = x_shift_sums(moves, letter)
+                moves.setdefault(nu, []).append((mu, terms))
+        sums = add_letter(letter, moves)
     return sums[shape]
 
 
-def factorial_tableau_weight(tableau: Tableau) -> Polynomial:
-    """The cell-product weight of one tableau in the factorial Schur sum.
+def schur_tableaux(shape: Partition, n: int) -> Polynomial:
+    """The Schur polynomial as the sum of x^T over all SSYT of the shape (0 past n rows).
 
-    The cell in row i, column j (1-based) with entry v contributes the factor
-    x_v - a_{v + j - i}.  Column-strictness gives v >= i, so the parameter
-    index v + j - i >= j >= 1 always; the underflow guard is defensive.
+    The strip walk weighs the letter k on a strip mu -> nu by x_k^(|nu| - |mu|).
+    Each monomial is the content of one tableau, so no symmetry is assumed.
     """
-    weight = Polynomial.one()
-    for r0, row in enumerate(tableau):
-        for c0, entry in enumerate(row):
-            index = entry + (c0 + 1) - (r0 + 1)
-            if index < 1:
-                raise IndexUnderflow(
-                    f"cell ({r0 + 1},{c0 + 1}) with entry {entry} gives parameter index {index}"
-                )
-            weight = weight * (xpoly(entry) - apoly(index))
-    return weight
+    def add_letter(letter, moves):
+        shifts = {nu: [(p, sum(nu) - sum(mu)) for mu, p in pairs] for nu, pairs in moves.items()}
+        return x_shift_sums(shifts, letter)
+
+    return _strip_sums(shape, n, add_letter)
 
 
 def factorial_schur_tableaux(shape: Partition, n: int) -> Polynomial:
-    """The factorial Schur polynomial as a sum of cell-product weights.
+    """The factorial Schur polynomial: the sum over tableaux of the cell products.
 
-    Setting every a-variable to zero recovers schur_tableaux(shape, n).
+    The cell (i, j) holding v gives x_v - a_(v + j - i) (Macdonald, Schur functions: theme
+    and variations, 1992, sixth variation); the strip walk weighs the letter v on a strip
+    mu -> nu by the row segments prod_{mu_i < j <= nu_i} (x_v - a_(v + j - i)), each built
+    once.  Column strictness gives v >= i, so every index is at least 1.
     """
-    total = Polynomial.zero()
-    for tableau in ssyt_enumerate(shape, n):
-        total = total + factorial_tableau_weight(tableau)
-    return total
+    @cache
+    def segment(v: int, i: int, low: int, high: int) -> Polynomial:
+        cell = xpoly(v) - apoly(v + high - i)
+        return cell if high == low + 1 else segment(v, i, low, high - 1) * cell
+
+    def add_letter(letter, moves):
+        sums = dict.fromkeys(moves, Polynomial.zero())
+        for nu, pairs in moves.items():
+            for mu, terms in pairs:
+                weight = Polynomial.one()
+                for i, (low, high) in enumerate(zip(mu, nu), 1):
+                    if low < high:
+                        weight = weight * segment(letter, i, low, high)
+                sums[nu] = add_mul(sums[nu], terms, weight)
+        return sums
+
+    return _strip_sums(shape, n, add_letter)

@@ -7,12 +7,12 @@ from types import ModuleType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from tableau_oracle import enumerated_factorial_sum, factorial_tableau_weight
 
-from schurpaths import combinat
+from schurpaths import combinat, identities
 from schurpaths.combinat import (
     conjugate,
     factorial_schur_tableaux,
-    factorial_tableau_weight,
     parse_partition,
     partition,
     partition_text,
@@ -307,6 +307,34 @@ def test_factorial_schur_examples():
         xpoly(2) - apoly(2)
     )
     assert factorial_schur_tableaux((), 5) == Polynomial.one()
+
+
+_SHAPES_UP_TO_6 = [shape for shape in _SHAPES_UP_TO_8 if sum(shape) <= 6]
+
+
+def test_factorial_strip_walk_equals_the_enumerated_sum_up_to_size_6():
+    for n in range(1, 6):
+        for shape in _SHAPES_UP_TO_6:
+            walked = factorial_schur_tableaux(shape, n)
+            enumerated = enumerated_factorial_sum(shape, n)
+            assert canonical_text(walked) == canonical_text(enumerated), (shape, n)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(_SHAPES_UP_TO_8), st.integers(1, 4))
+@example((3, 2, 2, 1), 4)
+@example((8,), 1)
+def test_factorial_strip_walk_equals_the_enumerated_sum(shape, n):
+    assert factorial_schur_tableaux(shape, n) == enumerated_factorial_sum(shape, n)
+
+
+def test_the_factorial_check_enumerates_no_tableau(monkeypatch):
+    def listed(shape, n):
+        raise AssertionError("a tableau sum listed its tableaux")
+
+    monkeypatch.setattr(combinat, "ssyt_enumerate", listed)
+    for shape, n in [((), 1), ((2, 1), 3), ((4, 3, 2, 1), 4), ((2, 2, 1, 1), 5)]:
+        assert identities.verify_factorial_schur(shape, n).status == "VERIFIED"
 
 
 def test_factorial_schur_specializes_to_schur():

@@ -511,16 +511,6 @@ def test_suite_negative_controls_produce_mismatch():
     assert any(r.status == MISMATCH for r in run_suite(determinant))
 
 
-def test_error_status_is_reachable():
-    # feed a tableau whose parameter index dives below 1 through the guard
-    from schurpaths.combinat import factorial_tableau_weight
-    from schurpaths.ring import IndexUnderflow
-
-    with pytest.raises(IndexUnderflow):
-        factorial_tableau_weight(((0,),))
-    assert ERROR == "ERROR"
-
-
 # -- faults in the shared ring -------------------------------------------------------
 #
 # Both sides of a symbolic comparison come out of the ring, so a ring fault can
@@ -910,13 +900,29 @@ def _linear_div_drops_c0(monkeypatch):  # a group's sum c_s + ... + c_1 is check
 
 
 def _strip_sum_without_the_cap(monkeypatch):  # nu_i may pass mu_(i-1): no longer a strip
-    uncapped = mutant(combinat.schur_tableaux, "min(top, above)", "top")
-    monkeypatch.setattr(combinat, "schur_tableaux", uncapped)
+    uncapped = mutant(combinat._strip_sums, "min(top, above)", "top")
+    monkeypatch.setattr(combinat, "_strip_sums", uncapped)
 
 
-def _strip_sum_exponent_off_at_letter_2(monkeypatch):
-    shifted = mutant(combinat.schur_tableaux, "sum(nu) - size", "sum(nu) - size + (letter == 2)")
+def _strip_sum_exponent_off_at_letter_2(monkeypatch):  # in the plain sum's step alone
+    shifted = mutant(
+        combinat.schur_tableaux, "sum(nu) - sum(mu)", "sum(nu) - sum(mu) + (letter == 2)"
+    )
     monkeypatch.setattr(combinat, "schur_tableaux", shifted)
+
+
+def _strip_walk_keeps_one_strip_per_subshape(monkeypatch):  # the first mu to reach nu alone
+    forgetful = mutant(
+        combinat._strip_sums,
+        "moves.setdefault(nu, []).append((mu, terms))",
+        "moves.setdefault(nu, [(mu, terms)])",
+    )
+    monkeypatch.setattr(combinat, "_strip_sums", forgetful)
+
+
+def _factorial_segment_a_index_plus_one(monkeypatch):  # x_v - a_(v + j - i + 1)
+    shifted = mutant(combinat.factorial_schur_tableaux, "v + high - i", "v + high - i + 1")
+    monkeypatch.setattr(combinat, "factorial_schur_tableaux", shifted)
 
 
 def _strip_sum_unit_read_once(monkeypatch):
@@ -1053,10 +1059,20 @@ _FAULTS = {
         lambda: combinat.schur_tableaux((1, 1), 2) == xpoly(1) ** 2 + xpoly(1) * xpoly(2),
         _STRIP_SUM_USERS,
     ),
+    "strip-walk-keeps-one-strip-per-subshape": (
+        _strip_walk_keeps_one_strip_per_subshape,
+        lambda: str(combinat.schur_tableaux((2, 1), 3)) == "x2*x3^2",  # 1 of 8 tableaux
+        _STRIP_SUM_USERS,
+    ),
     "strip-sum-exponent-one-too-high-at-letter-2": (
         _strip_sum_exponent_off_at_letter_2,
         lambda: str(combinat.schur_tableaux((1,), 2)) == "x1*x2 + x2^2",
         _STRIP_SUM_USERS,
+    ),
+    "factorial-segment-a-index-plus-one": (
+        _factorial_segment_a_index_plus_one,
+        lambda: str(combinat.factorial_schur_tableaux((1,), 1)) == "x1 - a2",
+        {"factorial-schur"},
     ),
     "strip-sum-reads-the-unit-of-letter-1-only": (
         _strip_sum_unit_read_once,
@@ -1082,6 +1098,24 @@ def test_an_injected_fault_is_caught(monkeypatch, fault):
     assert all(r.status in (MISMATCH, ERROR) for r in failed)
     for r in failed:  # a MISMATCH names the check that failed
         assert r.status == ERROR or r.params.keys() & {"step", "side", "anchor"}, r
+
+
+def test_a_fault_in_the_shared_strip_walk_fails_the_factorial_quotient_side(monkeypatch):
+    # both tableau sums walk the same lost strips, so they agree at a = 0; only the
+    # quotient and the Jacobi-Trudi determinant, which list no tableau, see the fault
+    _strip_walk_keeps_one_strip_per_subshape(monkeypatch)
+    only = ["factorial-schur", "jacobi-trudi"]
+    reports = run_suite(SuiteConfig(max_n=3, max_partition_size=4, only=only))
+    failed = [r for r in reports if r.status != VERIFIED]
+    assert {r.identity for r in failed} == set(only)
+    assert all(r.status == MISMATCH for r in failed)
+    sides = {r.params["side"] for r in failed if r.identity == "factorial-schur"}
+    assert sides == {"tableaux-vs-quotient"}
+    # without its strip cap the walk puts a letter v below row v, whose a-index the ring refuses
+    _strip_sum_without_the_cap(monkeypatch)
+    reports = run_suite(SuiteConfig(max_n=3, max_partition_size=4, only=["factorial-schur"]))
+    errors = {r.params["error"] for r in reports if r.status != VERIFIED}
+    assert errors == {"ValueError: A indices start at 1, got 0"}
 
 
 def test_a_fault_below_the_primed_points_is_caught_on_the_change_diagonal(monkeypatch):
