@@ -17,7 +17,8 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
   the plain alternant of n! terms)
 - verify bialternant past n = 13, or past 17,500,000 units of work (term
   pairs and terms of its products and sweeps) counted from the shape
-- verify factorial-schur past n = 5 (both sides grow with the n x-variables)
+- verify factorial-schur past n = 5 (both sides grow with the n x-variables),
+  or past 2^20 terms, 2^|lambda| for each tableau, counted from the shape
 - cauchy past a partition list of 20000 or a series of 400000 terms (a
   degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
   error)

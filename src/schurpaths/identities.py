@@ -82,11 +82,13 @@ MAX_ALTERNANT_N = 8
 # at 14
 _MAX_BIALTERNANT_WORK = 17_500_000
 _MAX_BIALTERNANT_N = 13
-# factorial-schur builds the factorial Schur polynomial in n x-variables on both sides, half
-# of it the strip walk; in-process, one run each: the rows of size <= 6 take 0.30 s at n = 5,
-# 0.93 s at 6 and 1.5 s at 7, (4,3,2,1) 0.7 s at n = 5 and 4.6 s (203 MB) at n = 6, and
-# (5,4,3,2,1), under the bound, 15 s (622 MB, 2,058,942 terms) at n = 5
+# factorial-schur builds the factorial Schur polynomial in n x-variables on both sides, in
+# 2.5-6.6 us a term, and each tableau's weight, a product of |lambda| binomials x_v - a_k, has
+# 2^|lambda| terms.  In-process, one run each: the rows of size <= 6 take 0.30 s at n = 5 and
+# 0.93 s at 6, (4,3,2,1) 0.7 s at n = 5 and 4.6 s (203 MB) at n = 6; the counts of most work
+# under the terms bound up to 8.7 s and 925 MB
 _MAX_FACTORIAL_SCHUR_N = 5
+_MAX_FACTORIAL_SCHUR_TERMS = 2**20
 
 
 def check_factorial_size(what: str, n: int, limit: int) -> None:
@@ -137,6 +139,14 @@ def _bialternant_work(padded: tuple[int, ...], stop: int) -> int:
                     grown[cols | 1 << j] = degree + ends[j] - i
         minors = grown
     return work
+
+
+def _factorial_schur_terms(shape: tuple[int, ...], n: int, stop: int) -> int:
+    """At least the terms of s_lambda(x_1..x_n | a), exactly for one row; stops past `stop`."""
+    size = sum(shape)
+    if size >= stop.bit_length() and len(shape) <= n:  # 2^size alone passes stop
+        return stop + 1
+    return combinat.ssyt_count(shape, n, stop >> size) << size
 
 
 def _check_path_work(what: str, builds: str, terms: int, forms: int, variables: int) -> None:
@@ -471,7 +481,8 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
             f" {terms} > {_MAX_CAUCHY_SERIES_TERMS} terms"
         )
     checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
-    scheme = lgv.cauchy_doubled_scheme(n, 2 * degree_cap)
+    # a path that turns at column m has degree 2(m - 1): cap + 1 columns hold degree <= 2 * cap
+    scheme = lgv.cauchy_doubled_scheme(n, degree_cap + 1)
     sources, sinks = lgv.cauchy_endpoints(n)
     matrix = lgv.path_matrix(scheme, sources, sinks)
     for i in range(n):
@@ -587,6 +598,11 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
             " polynomials in n x-variables (4.6 s and 203 MB for [4,3,2,1] at n=6)"
         )
     shape = partition(shape)
+    if _factorial_schur_terms(shape, n, _MAX_FACTORIAL_SCHUR_TERMS) > _MAX_FACTORIAL_SCHUR_TERMS:
+        raise TooLarge(
+            f"factorial-schur of {partition_text(shape)} at n={n} builds up to 2^|lambda| terms"
+            f" for each tableau, past its bound of {_MAX_FACTORIAL_SCHUR_TERMS} terms"
+        )
     checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)

@@ -11,8 +11,9 @@ result.
 
 The point: x_i = (-1)^i (i^2 + i + 1), y_j = (-1)^j 2(j^2 + 1),
 a_k = (-1)^(k+1) 4k^2 and t = 3.  The coordinates within each family are
-distinct, so the Vandermonde products are nonzero and the bialternant and
-factorial-Schur quotients are exact integer divisions.
+distinct, so the Vandermonde products are nonzero and the factorial-Schur
+quotient is an exact integer division.  s_lambda is the r x r Jacobi-Trudi
+determinant, r the number of rows, so its cost follows the shape, not n.
 """
 
 from __future__ import annotations
@@ -69,28 +70,23 @@ def vandermonde(values: Sequence[int]) -> int:
     return prod(v - w for i, v in enumerate(values) for w in values[i + 1 :])
 
 
-def _exact_quotient(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"{numerator} is not a multiple of {denominator}")
-    return quotient
-
-
 def _padded(shape: Sequence[int], n: int) -> list[int]:
     return list(shape) + [0] * (n - len(shape))
 
 
 def alternant(shape: Sequence[int], n: int) -> int:
-    """det(x_i^(lambda_j + n - j)), lambda padded to n parts."""
+    """det(x_i^(lambda_j + n - j)), lambda padded to n parts: s_lambda's test oracle."""
     padded = _padded(shape, n)
     return det([[v ** (padded[j] + n - 1 - j) for j in range(n)] for v in xs(n)])
 
 
 def schur(shape: Sequence[int], n: int) -> int:
-    """s_lambda(x_1..x_n) as the bialternant quotient; 0 for more than n rows."""
-    if len(shape) > n:
+    """s_lambda(x_1..x_n) as det(h_(lambda_i - i + j)) over the r rows; 0 for more than n."""
+    r = len(shape)
+    if r > n:
         return 0
-    return _exact_quotient(alternant(shape, n), vandermonde(xs(n)))
+    rows = [range(part - i, part - i + r) for i, part in enumerate(shape)]
+    return det([[complete_homogeneous(d, n) for d in row] for row in rows])
 
 
 def _falling(v: int, k: int) -> int:
@@ -102,7 +98,10 @@ def factorial_schur(shape: Sequence[int], n: int) -> int:
     """det((x_j | a)^(lambda_i + n - i)) / Vdm(x_1..x_n)."""
     padded = _padded(shape, n)
     rows = [[_falling(v, padded[i] + n - 1 - i) for v in xs(n)] for i in range(n)]
-    return _exact_quotient(det(rows), vandermonde(xs(n)))
+    quotient, remainder = divmod(det(rows), vandermonde(xs(n)))
+    if remainder:
+        raise ArithmeticError(f"the factorial alternant of {shape} is not a multiple of Vdm")
+    return quotient
 
 
 def complete_homogeneous(k: int, n: int) -> int:

@@ -5,15 +5,15 @@ horizontal) drive everything:
 
 * JACOBI_TRUDI: step right from (i, j) carries weight x_j, steps up carry 1.
 * SCHUR_WEIGHTED: step right from (i, j) carries x_j - x_{i+j}, steps up
-  carry 1; an optional truncation index nu sets every x_k with k >= nu to 0,
-  after which the weights in the region i + j >= nu collapse to the
-  Jacobi-Trudi ones.
+  carry 1; truncated, it sets every x_k with k > n to 0, after which the
+  weights in the region i + j > n collapse to the Jacobi-Trudi ones.
 * CAUCHY_DOUBLED: rows 1..2n; the lower half (rows <= n) moves right with
   the truncated SCHUR_WEIGHTED x-weights, the upper half (rows >= n+1) moves
   LEFT, the step into column i on row j carrying y_{2n+1-j} - y_{i+2n+1-j}
-  with the y-family truncated the same way.  All arithmetic is capped at the
-  scheme's total degree bound, which realizes the truncated power-series
-  ring.
+  with the y-family truncated the same way.  Every horizontal step has
+  degree 1, so a path that turns at column m and returns to column 1 has
+  degree 2(m - 1), and a window of c columns holds exactly the paths of
+  degree <= 2(c - 1).
 
 One sweep row by row from a source reads the sum over all directed paths
 to each of its sinks (_path_sums).  path_matrix, the matrix e(a_i, b_j),
@@ -66,6 +66,8 @@ class Point(NamedTuple):
 class Scheme:
     """A weight-assignment rule plus the finite working window for it.
 
+    The window is a finite acyclic graph, so every sum over its paths is
+    exact.  truncated sets every x_k and y_k with k > n to 0.
     corrupt_weights is a negative-control hook: it flips the sign of the
     second variable in every SCHUR_WEIGHTED horizontal weight, which must
     make the closed-form identities fail.
@@ -74,8 +76,7 @@ class Scheme:
     kind: SchemeKind
     n: int
     col_bound: int
-    truncate_at: int | None = None
-    degree_cap: int | None = None
+    truncated: bool = False
     corrupt_weights: bool = False
 
     def __post_init__(self) -> None:
@@ -99,23 +100,13 @@ def schur_weighted_scheme(
         SchemeKind.SCHUR_WEIGHTED,
         n=n,
         col_bound=col_bound,
-        truncate_at=n + 1 if truncated else None,
+        truncated=truncated,
         corrupt_weights=corrupt_weights,
     )
 
 
-def cauchy_doubled_scheme(n: int, degree_cap: int) -> Scheme:
-    # col_bound = degree_cap + 1 suffices: returning from column m costs
-    # 2(m - 1) total degree, which the cap then discards.
-    if degree_cap < 0:
-        raise ValueError("degree_cap must be non-negative")
-    return Scheme(
-        SchemeKind.CAUCHY_DOUBLED,
-        n=n,
-        col_bound=degree_cap + 1,
-        truncate_at=n + 1,
-        degree_cap=degree_cap,
-    )
+def cauchy_doubled_scheme(n: int, col_bound: int) -> Scheme:
+    return Scheme(SchemeKind.CAUCHY_DOUBLED, n=n, col_bound=col_bound, truncated=True)
 
 
 def _in_window(scheme: Scheme, points: Sequence[Point]) -> list[Point]:
@@ -128,9 +119,9 @@ def _in_window(scheme: Scheme, points: Sequence[Point]) -> list[Point]:
     return points
 
 
-def _truncated(var, index: int, truncate_at: int | None) -> Polynomial:
-    """var(index) (xpoly or ypoly), or 0 when the truncation removes it."""
-    if truncate_at is not None and index >= truncate_at:
+def _truncated(scheme: Scheme, var, index: int) -> Polynomial:
+    """var(index) (xpoly or ypoly), or 0 when the scheme's truncation removes it."""
+    if scheme.truncated and index > scheme.n:
         return Polynomial.zero()
     return var(index)
 
@@ -141,18 +132,17 @@ def _moves_right(scheme: Scheme, row: int) -> bool:
 
 def _horizontal_weight(scheme: Scheme, row: int, col: int) -> Polynomial:
     """The weight of the edge that leaves (col, row) in the row's direction of travel."""
-    cut = scheme.truncate_at
     if _moves_right(scheme, row):
         if scheme.kind == SchemeKind.JACOBI_TRUDI:
             return xpoly(row)
-        first = _truncated(xpoly, row, cut)
-        second = _truncated(xpoly, col + row, cut)
+        first = _truncated(scheme, xpoly, row)
+        second = _truncated(scheme, xpoly, col + row)
         if scheme.corrupt_weights and scheme.kind == SchemeKind.SCHUR_WEIGHTED:
             return first + second
         return first - second
     # leftward step into col - 1 in the doubled upper half; row n+k mirrors row n+1-k
     mirrored = 2 * scheme.n + 1 - row
-    return _truncated(ypoly, mirrored, cut) - _truncated(ypoly, col - 1 + mirrored, cut)
+    return _truncated(scheme, ypoly, mirrored) - _truncated(scheme, ypoly, col - 1 + mirrored)
 
 
 def _weights(scheme: Scheme):
@@ -161,13 +151,13 @@ def _weights(scheme: Scheme):
 
 
 def _product_step(scheme: Scheme):
-    """step(acc, value, row, col) of a sweep carrying a Polynomial: acc + value * weight, capped.
+    """step(acc, value, row, col) of a sweep carrying a Polynomial: acc + value * weight.
 
     The weight is that of the edge leaving (col, row), read through a memo
     that the step owns, so one step weighs each edge at most once.
     """
-    cap, zero, weight = scheme.degree_cap, Polynomial.zero(), _weights(scheme)
-    return lambda acc, value, row, col: add_mul(acc or zero, value, weight(row, col), cap)
+    zero, weight = Polynomial.zero(), _weights(scheme)
+    return lambda acc, value, row, col: add_mul(acc or zero, value, weight(row, col))
 
 
 def _unweighted_step(acc, value, row, col):
@@ -250,10 +240,10 @@ class PathSystem:
     sign: int
 
 
-def system_weight(scheme: Scheme, system: PathSystem) -> Polynomial:
+def system_weight(system: PathSystem) -> Polynomial:
     weight = Polynomial.one()
     for path in system.paths:
-        weight = mul(weight, path.weight, scheme.degree_cap)
+        weight = mul(weight, path.weight)
     return weight
 
 
@@ -426,7 +416,7 @@ def nonintersecting_systems(
                 for source, col in row_exits:
                     exits[source] = (col, *exits[source])
             for path in zip(sources, exits):
-                traced[path] = traced.get(path) or _path_through(scheme, *path, weight)
+                traced[path] = traced.get(path) or _path_through(*path, weight)
             paths = tuple(traced[path] for path in zip(sources, exits))
             systems.append(PathSystem(paths, sigma, _permutation_sign(sigma)))
     # depth-first order: per source its sink, then its moves (0 horizontal, 1 vertical)
@@ -436,7 +426,7 @@ def nonintersecting_systems(
     ])
 
 
-def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...], weight) -> LatticePath:
+def _path_through(a: Point, exits: tuple[int, ...], weight) -> LatticePath:
     """The path from a that leaves its r-th row at column exits[r], weighed by weight(row, col)."""
     vertices = [a]
     product = Polynomial.one()
@@ -448,7 +438,7 @@ def _path_through(scheme: Scheme, a: Point, exits: tuple[int, ...], weight) -> L
         way = 1 if exit_col > col else -1
         vertices += [Point(c, row) for c in range(col + way, exit_col + way, way)]
         for c in range(col, exit_col, way):
-            product = mul(product, weight(row, c), scheme.degree_cap)
+            product = mul(product, weight(row, c))
     return LatticePath(tuple(vertices), product)
 
 
@@ -458,14 +448,10 @@ def enumerate_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]
 
 
 def lgv_det(scheme: Scheme, sources: Sequence[Point], sinks: Sequence[Point]) -> Polynomial:
-    """det(e(a_i, b_j)): the determinant side of the LGV lemma.
-
-    On a degree-capped scheme the determinant is taken in the capped ring,
-    matching the capped path-system side.
-    """
+    """det(e(a_i, b_j)): the determinant side of the LGV lemma."""
     if len(sources) != len(sinks):
         raise ValueError("sources and sinks must have the same length")
-    return symfun.det(path_matrix(scheme, sources, sinks), degree_cap=scheme.degree_cap)
+    return symfun.det(path_matrix(scheme, sources, sinks))
 
 
 def lemma_product(m: int, n: int) -> Polynomial:

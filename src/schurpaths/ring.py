@@ -28,7 +28,8 @@ polynomials are equal iff their term maps are equal.
 One kernel forms every product: add_mul(acc, p, q, degree_cap) is acc + p*q
 with the products written straight into a copy of acc's terms, the step of
 every running sum of products (the lgv sweeps, det, the Newton form), and
-mul(p, q) is add_mul into zero.  Small operands take one pass.  A one-term
+mul(p, q) is add_mul into zero; only det passes a degree_cap (the Cauchy
+check's truncated series).  Small operands take one pass.  A one-term
 operand c*m multiplied uncapped into zero shifts the other operand's keys by
 m and scales its coefficients by c, and nothing in it can cancel; the power
 of one term multiplies its key by the exponent and powers its coefficient; a
@@ -603,15 +604,9 @@ def x_exponent_sum(groups: Iterable[tuple[Polynomial, Iterable[Sequence[int]]]])
 _ZERO = Polynomial.zero()  # the accumulator of mul
 
 
-def mul(p: Polynomial, q: Polynomial, degree_cap: int | None = None) -> Polynomial:
-    """Product of p and q: add_mul into the zero polynomial.
-
-    With degree_cap, every product monomial of total degree > degree_cap is
-    discarded; this realizes the degree-truncated power-series ring used by
-    the Cauchy identity check.  Raises DegreeOverflow when a kept product
-    could exceed MAX_DEGREE.
-    """
-    return add_mul(_ZERO, p, q, degree_cap)
+def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Product of p and q: add_mul into the zero polynomial; DegreeOverflow as there."""
+    return add_mul(_ZERO, p, q)
 
 
 def add_mul(
@@ -621,7 +616,9 @@ def add_mul(
 
     The one product kernel: mul is add_mul into zero, and every running sum
     of products (the lgv sweeps, det, the Newton form) steps through it.
-    degree_cap and DegreeOverflow are as in mul.  Uncapped and into an empty
+    With degree_cap (det's truncated power-series ring), every product of
+    total degree > degree_cap is discarded.  Raises DegreeOverflow when a
+    kept product could exceed MAX_DEGREE.  Uncapped and into an empty
     acc, a one-term operand c*m takes one pass: it shifts the other operand's
     keys by m and scales its coefficients by c; distinct keys stay distinct
     and c is nonzero, so nothing cancels.

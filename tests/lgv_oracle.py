@@ -59,7 +59,7 @@ def dfs_paths(scheme: Scheme, a: Point, b: Point) -> Iterator[LatticePath]:
         if p == b:
             weight = Polynomial.one()
             for frm, to in zip(trail, trail[1:]):
-                weight = mul(weight, edge_weight(scheme, frm, to), scheme.degree_cap)
+                weight = mul(weight, edge_weight(scheme, frm, to))
             yield LatticePath(tuple(trail), weight)
             return
         for q in moves(p):
@@ -103,10 +103,10 @@ def brute_force_systems(
     return systems
 
 
-def brute_force_sum(scheme: Scheme, systems: Sequence[PathSystem]) -> Polynomial:
+def brute_force_sum(systems: Sequence[PathSystem]) -> Polynomial:
     """sign(sigma) * weight summed over the given systems."""
     total = Polynomial.zero()
     for system in systems:
-        weight = system_weight(scheme, system)
+        weight = system_weight(system)
         total = total + weight if system.sign == 1 else total - weight
     return total

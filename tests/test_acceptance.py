@@ -182,7 +182,7 @@ def test_criterion_10_ring_laws_and_random_lgv():
             )
     for _ in range(20):
         n = rng.randint(1, 2)
-        scheme = lgv.cauchy_doubled_scheme(n, rng.choice((2, 4)))
+        scheme = lgv.cauchy_doubled_scheme(n, rng.choice((3, 5)))
         size = rng.randint(1, n)
         sources = [Point(1, r) for r in sorted(rng.sample(range(1, n + 1), size))]
         sinks = [Point(1, r) for r in sorted(rng.sample(range(n + 1, 2 * n + 1), size))]

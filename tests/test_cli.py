@@ -355,6 +355,27 @@ def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
         main([*argv, "--n", str(largest)])  # the bound itself starts building
 
 
+def test_verify_factorial_schur_refuses_a_large_shape_at_once(capsys):
+    # (64) at n = 2 ran past 60 s, and (6,5,4,3,2) at n = 5 ran out of memory
+    for shape, n in [("[64]", "2"), ("[6,5,4,3,2]", "5")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "factorial-schur", "--shape", shape, "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"refused: factorial-schur of {shape} at n={n} builds up to 2^|lambda| terms"
+            " for each tableau, past its bound of 1048576 terms\n"
+        )
+
+
+def test_verify_jacobi_trudi_anchor_follows_the_shape_not_n(capsys):
+    # the integer s_lambda is an r x r determinant, r the number of rows
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "jacobi-trudi", "--shape", "[1]", "--n", "100")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "jacobi-trudi [shape=[1] n=100]: VERIFIED\n", "")
+
+
 def test_verify_bialternant_answers_past_the_alternant_bound(capsys):
     # the check builds no n!-term alternant, so n = 9 runs at once for small shapes
     for shape in ("[1]", "[2,1]"):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from math import comb
@@ -784,6 +783,34 @@ def test_bialternant_refuses_past_its_work_bound_before_building(monkeypatch):
             verify_bialternant((1,), n)
 
 
+def test_factorial_schur_terms_bound_the_tableau_sum():
+    # 2^|lambda| terms for each tableau: exact for one row, an upper bound for the rest
+    limit = identities._MAX_FACTORIAL_SCHUR_TERMS
+    for shape, n in [((5,), 1), ((4,), 3), ((2, 2), 2), ((3, 1), 3), ((2, 1, 1), 4)]:
+        count = identities._factorial_schur_terms(shape, n, limit)
+        terms = len(combinat.factorial_schur_tableaux(shape, n))
+        assert count == terms if len(shape) == 1 else count >= terms, (shape, n)
+    assert identities._factorial_schur_terms((1, 1, 1), 2, limit) == 0
+    assert identities._factorial_schur_terms((10**12,), 2, limit) > limit  # counts nothing
+
+
+def test_factorial_schur_refuses_past_its_term_bound_before_building(monkeypatch):
+    monkeypatch.setattr(combinat, "factorial_schur_tableaux", _build)
+    monkeypatch.setattr(symfun, "factorial_schur_quotient", _build)
+    # (20) at n = 1 and (4,3,2,1) at n = 5 count exactly 2^20; every suite point is far below
+    for shape, n in [((20,), 1), ((4, 3, 2, 1), 5), ((15,), 2), ((3, 2, 1), 5)]:
+        with pytest.raises(Built):
+            verify_factorial_schur(shape, n)
+    # (16) at n = 2 took 4.6-5.7 s, (14) at n = 3 7.5-10 s, (5,4,3,2,1) at n = 5 12-15 s;
+    # (64) at n = 2 ran past 60 s and (6,5,4,3,2) at n = 5 out of memory
+    for shape, n in [((21,), 1), ((16,), 2), ((14,), 3), ((11,), 5), ((5, 4, 3, 2, 1), 5),
+                     ((64,), 2), ((6, 5, 4, 3, 2), 5), ((10**12,), 2)]:
+        text = re.escape(combinat.partition_text(shape))
+        match = f"^factorial-schur of {text} at n={n} builds up to 2\\^\\|lambda\\| terms"
+        with pytest.raises(TooLarge, match=match):
+            verify_factorial_schur(shape, n)
+
+
 # -- the fault table -------------------------------------------------------------------
 #
 # One row per injected fault: a patch, a canary that shows the fault is live,
@@ -831,14 +858,9 @@ def _weight_memo_keyed_by_column(monkeypatch):
     monkeypatch.setattr(lgv, "cache", by_column)
 
 
-def _capped_product_one_degree_short(monkeypatch):
-    step = lgv._product_step
-
-    def short(scheme):
-        cap = scheme.degree_cap
-        return step(scheme if cap is None else dataclasses.replace(scheme, degree_cap=cap - 1))
-
-    monkeypatch.setattr(lgv, "_product_step", short)
+def _cauchy_window_one_column_short(monkeypatch):  # the paths that turn last are lost
+    scheme = lgv.cauchy_doubled_scheme
+    monkeypatch.setattr(lgv, "cauchy_doubled_scheme", lambda n, col_bound: scheme(n, col_bound - 1))
 
 
 def _linear_div_swapped(monkeypatch):
@@ -991,8 +1013,8 @@ _FAULTS = {
         == 2 * xpoly(1),
         {"bialternant", "cauchy", "corollary", "jacobi-trudi", "main-lemma", "vandermonde"},
     ),
-    "capped-product-one-degree-short": (
-        _capped_product_one_degree_short,
+    "cauchy-window-one-column-short": (
+        _cauchy_window_one_column_short,
         lambda: lgv.e_weight(lgv.cauchy_doubled_scheme(1, 2), (1, 1), (1, 2)) == Polynomial.one(),
         {"cauchy"},
     ),

@@ -101,3 +101,14 @@ def test_closed_forms():
     assert intcheck.dual_product(1, 1) == 1 + x(1) * y(1)
     assert intcheck.dual_determinant(1, 1) == -(1 + x(1) * y(1))
     assert intcheck.dual_determinant(2, 1) == (x(1) - x(2)) * intcheck.dual_product(2, 1)
+
+
+def test_schur_is_the_bialternant_quotient():
+    # the r x r Jacobi-Trudi determinant against alternant / Vandermonde, its oracle
+    for n in range(1, 7):
+        vandermonde = intcheck.vandermonde(intcheck.xs(n))
+        for shape in partitions_in_box(n, 8):
+            if sum(shape) > 8:
+                continue
+            quotient, remainder = divmod(intcheck.alternant(shape, n), vandermonde)
+            assert remainder == 0 and intcheck.schur(shape, n) == quotient, (shape, n)

@@ -44,7 +44,7 @@ def test_out_of_bounds():
         e_weight(scheme, Point(0, 1), Point(2, 2))
     with pytest.raises(OutOfBounds):
         e_weight(scheme, Point(1, 1), Point(4, 2))
-    doubled = cauchy_doubled_scheme(2, 4)
+    doubled = cauchy_doubled_scheme(2, 5)
     with pytest.raises(OutOfBounds):
         e_weight(doubled, Point(1, 1), Point(1, 5))
     with pytest.raises(OutOfBounds):  # every sink of a matrix is checked
@@ -87,7 +87,7 @@ _SCHEMES = {
     "jacobi-trudi": lambda n, bound: jacobi_trudi_scheme(n=n, col_bound=bound),
     "schur-weighted": lambda n, bound: schur_weighted_scheme(n=n, col_bound=bound),
     "truncated": lambda n, bound: schur_weighted_scheme(n=n, col_bound=bound, truncated=True),
-    "cauchy-doubled": lambda n, bound: cauchy_doubled_scheme(n, bound - 1),
+    "cauchy-doubled": lambda n, bound: cauchy_doubled_scheme(n, bound),
 }
 
 
@@ -116,7 +116,7 @@ def _matrix_configs(draw):
     Point(1, 3), Point(2, 2), Point(4, 1), Point(3, 2),
 ]))
 # the doubled graph: sinks in both halves, one below the source, one left of it
-@example((cauchy_doubled_scheme(2, 4), [Point(1, 1), Point(3, 2)], [
+@example((cauchy_doubled_scheme(2, 5), [Point(1, 1), Point(3, 2)], [
     Point(1, 4), Point(2, 3), Point(5, 2), Point(2, 1),
 ]))
 def test_path_matrix_entries_are_oracle_sums(config):
@@ -135,7 +135,7 @@ def test_an_edge_runs_only_in_its_row_s_direction():
     cases = [  # scheme, the step on row 1 or the given row with the direction, its weight
         (jacobi_trudi_scheme(n=2, col_bound=3), 1, x1),
         (schur_weighted_scheme(n=2, col_bound=3), 1, x1 - x2),
-        (cauchy_doubled_scheme(2, 2), 1, x1 - x2),  # the lower half moves right
+        (cauchy_doubled_scheme(2, 3), 1, x1 - x2),  # the lower half moves right
     ]
     for scheme, row, weight in cases:
         assert edge_weight(scheme, Point(1, row), Point(2, row)) == weight
@@ -143,7 +143,7 @@ def test_an_edge_runs_only_in_its_row_s_direction():
         with pytest.raises(ValueError, match="is not a lattice edge"):
             edge_weight(scheme, Point(2, row), Point(1, row))
     # the upper half of the doubled graph moves left: row 4 mirrors row 1
-    doubled = cauchy_doubled_scheme(2, 2)
+    doubled = cauchy_doubled_scheme(2, 3)
     assert edge_weight(doubled, Point(2, 4), Point(1, 4)) == y1 - y2
     with pytest.raises(ValueError, match="is not a lattice edge"):
         edge_weight(doubled, Point(1, 4), Point(2, 4))
@@ -155,7 +155,7 @@ def test_an_edge_runs_only_in_its_row_s_direction():
 @pytest.mark.parametrize("scheme, sources, sinks", [
     (jacobi_trudi_scheme(n=3, col_bound=4), [Point(1, 1), Point(2, 1), Point(3, 2)],
      [Point(col, 3) for col in range(1, 5)]),
-    (cauchy_doubled_scheme(2, 4), *cauchy_endpoints(2)),
+    (cauchy_doubled_scheme(2, 5), *cauchy_endpoints(2)),
 ])
 def test_path_matrix_computes_each_edge_weight_once_per_call(monkeypatch, scheme, sources, sinks):
     from schurpaths import lgv
@@ -278,7 +278,7 @@ def test_vandermonde_unique_system_and_sum():
         systems = list(nonintersecting_systems(scheme, sources, sinks))
         assert len(systems) == 1
         assert systems[0].sigma == tuple(range(n))
-        assert system_weight(scheme, systems[0]) == vandermonde(n)
+        assert system_weight(systems[0]) == vandermonde(n)
         assert nonintersecting_sum(scheme, sources, sinks) == vandermonde(n)
         assert lgv_det(scheme, sources, sinks) == vandermonde(n)
 
@@ -317,7 +317,7 @@ def test_schur_via_lgv_matches_brute_force_systems():
             sources, sinks = schur_endpoints(shape, n)
             systems = _matches_oracle(scheme, sources, sinks)
             assert all(system.sigma == tuple(range(n)) for system in systems), shape
-            assert schur_via_lgv(shape, n) == brute_force_sum(scheme, systems), (shape, n)
+            assert schur_via_lgv(shape, n) == brute_force_sum(systems), (shape, n)
 
 
 def test_bialternant_endpoints_quoted():
@@ -332,7 +332,7 @@ def test_bialternant_endpoints_quoted():
 
 
 def test_cauchy_entry_frozen_example():
-    scheme = cauchy_doubled_scheme(1, 4)
+    scheme = cauchy_doubled_scheme(1, 3)
     sources, sinks = cauchy_endpoints(1)
     assert e_weight(scheme, sources[0], sinks[0]) == parse_poly(
         "x1^2*y1^2 + x1*y1 + 1"
@@ -340,10 +340,10 @@ def test_cauchy_entry_frozen_example():
 
 
 def test_cauchy_entries_are_geometric_sums():
-    # the scheme caps total degree at 2 * cap, which keeps the powers k <= cap
+    # a path that turns at column m has degree 2(m - 1): cap + 1 columns keep the powers k <= cap
     for n in (1, 2, 3):
         for cap in (0, 2, 4):
-            matrix = path_matrix(cauchy_doubled_scheme(n, 2 * cap), *cauchy_endpoints(n))
+            matrix = path_matrix(cauchy_doubled_scheme(n, cap + 1), *cauchy_endpoints(n))
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     geometric = Polynomial.zero()
@@ -352,17 +352,16 @@ def test_cauchy_entries_are_geometric_sums():
                     assert matrix.entry(i - 1, j - 1) == geometric
 
 
-def test_cauchy_window_is_wide_enough():
-    # widening the column window must not change any entry
-    import dataclasses
-
+def test_cauchy_window_is_exact():
+    # one more column adds exactly the paths that turn there: (x_i * y_j)^(cap + 1)
     for n in (1, 2):
-        scheme = cauchy_doubled_scheme(n, 6)
-        wider = dataclasses.replace(scheme, col_bound=scheme.col_bound + 2)
         sources, sinks = cauchy_endpoints(n)
-        for a in sources:
-            for b in sinks:
-                assert e_weight(scheme, a, b) == e_weight(wider, a, b)
+        for cap in (0, 1, 3):
+            narrow, wide = cauchy_doubled_scheme(n, cap + 1), cauchy_doubled_scheme(n, cap + 2)
+            for i, a in enumerate(sources, 1):
+                for j, b in enumerate(sinks, 1):
+                    added = (xpoly(i) * ypoly(j)) ** (cap + 1)
+                    assert e_weight(wide, a, b) - e_weight(narrow, a, b) == added
 
 
 def test_cauchy_dp_matches_enumeration():
@@ -415,7 +414,7 @@ def test_lgv_lemma_on_random_doubled_configurations():
     rng = random.Random(515)
     for _ in range(20):
         n = rng.randint(1, 2)
-        scheme = cauchy_doubled_scheme(n, rng.choice((2, 4)))
+        scheme = cauchy_doubled_scheme(n, rng.choice((3, 5)))
         size = rng.randint(1, n)
         source_rows = sorted(rng.sample(range(1, n + 1), size))
         sink_rows = sorted(rng.sample(range(n + 1, 2 * n + 1), size))
@@ -447,7 +446,7 @@ def _matches_oracle(scheme, sources, sinks) -> list:
     expected = brute_force_systems(scheme, sources, sinks)
     assert list(nonintersecting_systems(scheme, sources, sinks)) == expected
     assert nonintersecting_count(scheme, sources, sinks) == len(expected)
-    assert nonintersecting_sum(scheme, sources, sinks) == brute_force_sum(scheme, expected)
+    assert nonintersecting_sum(scheme, sources, sinks) == brute_force_sum(expected)
     return expected
 
 
@@ -527,7 +526,7 @@ def test_systems_match_oracle_on_random_doubled_configurations():
     rng = random.Random(909)
     for _ in range(50):
         n = rng.randint(1, 2)
-        scheme = cauchy_doubled_scheme(n, rng.choice((2, 4)))
+        scheme = cauchy_doubled_scheme(n, rng.choice((3, 5)))
         size = rng.randint(1, n)
         sources = [Point(1, r) for r in rng.sample(range(1, n + 1), size)]
         sinks = [Point(1, r) for r in rng.sample(range(n + 1, 2 * n + 1), size)]

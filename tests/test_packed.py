@@ -21,6 +21,7 @@ from schurpaths.ring import (
     apoly,
     avar,
     canonical_text,
+    add_mul,
     exact_div,
     mul,
     parse_poly,
@@ -201,10 +202,10 @@ def test_degree_overflow_is_raised_not_carried():
         parse_poly(f"x1^{MAX_DEGREE + 1}")
     wide = xpoly(1) ** 100 + 1
     with pytest.raises(DegreeOverflow):
-        mul(wide, wide, degree_cap=200)
+        add_mul(Polynomial.zero(), wide, wide, degree_cap=200)
     # a cap within the limit keeps every formed product within it
-    assert mul(wide, wide, degree_cap=MAX_DEGREE) == 2 * xpoly(1) ** 100 + 1
-    assert mul(top, top, degree_cap=3) == Polynomial.zero()
+    assert add_mul(Polynomial.zero(), wide, wide, degree_cap=MAX_DEGREE) == 2 * xpoly(1) ** 100 + 1
+    assert add_mul(Polynomial.zero(), top, top, degree_cap=3) == Polynomial.zero()
 
 
 # -- unit keys ------------------------------------------------------------------------
