@@ -44,6 +44,7 @@ from .ring import (
     eval_int,
     substitute_family,
     substitute_zero,
+    sum_of_products,
     tpoly,
     xpoly,
     ypoly,
@@ -66,7 +67,10 @@ _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m
 _MAX_PATH_WORK = 10**9
 _MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s at cap 26
 _MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
-_MAX_DUAL_ORDER = 8  # dual-determinant's n + m: (4, 4) takes 4.5 s, (1, 8) 11 s, (2, 7) 70 s
+# dual-determinant's n + m.  Through cli.main, one run each, every split of n + m = 8 takes
+# 0.24-0.41 s, and of n + m = 9 4.4-7.1 s and up to 360 MB, (7, 2) the longest; nearly all
+# of it is the right side's 9! terms
+_MAX_DUAL_ORDER = 8
 _MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
 # the plain alternant det(x_j^(lambda_i + n - i)) that verify vandermonde and paths --preset
 # vandermonde expand has n! terms: 0.5-1.9 s at n = 8; at n = 9 (362,880 terms), one run
@@ -499,12 +503,12 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     vdm_y = _to_y(vdm_x)
     checker.anchor("vandermonde-x", vdm_x, intcheck.vandermonde(intcheck.xs(n)))
     checker.anchor("vandermonde-y", vdm_y, intcheck.vandermonde(intcheck.ys(n)))
-    series = Polynomial.zero()
-    for shape in combinat.partitions_in_box(n, degree_cap):  # by size
-        if sum(shape) > degree_cap - offset:  # a term of degree 2 * (offset + |lambda|)
-            break
-        s_x = combinat.schur_tableaux(shape, n)
-        series = series + s_x * _to_y(s_x)
+    # a larger shape adds only terms of degree 2 * (offset + |lambda|), above the cut
+    box = combinat.partitions_in_box(n, degree_cap)
+    schurs = (
+        combinat.schur_tableaux(shape, n) for shape in box if sum(shape) <= degree_cap - offset
+    )
+    series = sum_of_products((s_x, _to_y(s_x)) for s_x in schurs)
     checker.eq(lhs, vdm_x * (vdm_y * series), step="truncated-series")
     return checker.report()
 
@@ -523,9 +527,8 @@ def _dual_terms(n: int, m: int) -> int:
     return sum(a * b for a, b in zip(*counts))
 
 
-def _dual_product(n: int, m: int) -> Polynomial:
-    """prod(1 + x_i y_j) over i <= n, j <= m."""
-    product = Polynomial.one()
+def _dual_product(n: int, m: int, product: Polynomial = Polynomial.one()) -> Polynomial:
+    """product * prod(1 + x_i y_j) over i <= n, j <= m, one sparse factor at a time."""
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             product = product * (Polynomial.one() + xpoly(i) * ypoly(j))
@@ -544,12 +547,14 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
         )
     checker = _Checker("dual-cauchy", n=n, m=m)
     lhs = _dual_product(n, m)
-    rhs = Polynomial.zero()
     box = combinat.partitions_in_box(n, m)
-    for shape in box:
-        rhs = rhs + combinat.schur_tableaux(shape, n) * _to_y(
-            combinat.schur_tableaux(combinat.conjugate(shape), m)
+    rhs = sum_of_products(
+        (
+            combinat.schur_tableaux(shape, n),
+            _to_y(combinat.schur_tableaux(combinat.conjugate(shape), m)),
         )
+        for shape in box
+    )
     checker.eq(lhs, rhs, side="product-vs-schur-sum")
     checker.anchor("product", lhs, intcheck.dual_product(n, m))
     return checker.report(partitions=len(box))
@@ -579,9 +584,8 @@ def verify_dual_determinant(n: int = 2, m: int = 2) -> CheckReport:
             f"dual-determinant at n={n}, m={m} needs n + m <= {_MAX_DUAL_ORDER} for its determinant"
         )
     checker = _Checker("dual-determinant", n=n, m=m)
-    pairs = _dual_product(n, m)
     determinant = symfun.det(_dual_matrix(n, m))
-    product = symfun.vandermonde(n) * _to_y(symfun.vandermonde(m)) * pairs
+    product = _dual_product(n, m, symfun.vandermonde(n) * _to_y(symfun.vandermonde(m)))
     epsilon = -1 if (n * m) % 2 else 1
     checker.eq(determinant, epsilon * product, side="det-vs-signed-product")
     checker.anchor("signed-product", epsilon * product, intcheck.dual_determinant(n, m))

@@ -25,17 +25,19 @@ Coefficients are Python ints, so nothing else ever overflows.  Canonical
 form is maintained everywhere: no zero coefficient is ever stored, and two
 polynomials are equal iff their term maps are equal.
 
-One kernel forms every product: add_mul(acc, p, q, degree_cap) is acc + p*q
-with the products written straight into a copy of acc's terms, the step of
-every running sum of products (the lgv sweeps, det, the Newton form), and
-mul(p, q) is add_mul into zero; only det passes a degree_cap (the Cauchy
-check's truncated series).  Small operands take one pass.  A one-term
-operand c*m multiplied uncapped into zero shifts the other operand's keys by
-m and scales its coefficients by c, and nothing in it can cancel; the power
-of one term multiplies its key by the exponent and powers its coefficient; a
-sum and a difference, in either operand order, are one merge (_merged) that
-subtracts without negating first.  The tests check each of these against a
-term-by-term oracle.  Canonical text is printed with no step per term:
+One inner loop forms every product (_mul_into).  add_mul(acc, p, q,
+degree_cap) is acc + p*q with the products written straight into a copy of
+acc's terms, the step of every running sum of products (the lgv sweeps, det,
+the Newton form), and mul(p, q) is add_mul into zero; only det passes a
+degree_cap (the Cauchy check's truncated series).  sum_of_products writes a
+whole sum of products into one term map, with no copy per step (the Cauchy
+series and the dual-Cauchy Schur sum).  Small operands take one pass.  A
+one-term operand c*m multiplied uncapped into zero shifts the other
+operand's keys by m and scales its coefficients by c, and nothing in it can
+cancel; the power of one term multiplies its key by the exponent and powers
+its coefficient; a sum and a difference, in either operand order, are one
+merge (_merged) that subtracts without negating first.  The tests check each
+of these against a term-by-term oracle.  Canonical text is printed with no step per term:
 each column of the sorted records, and the column of coefficients, is
 mapped through a table of strings into one piece list, joined once.
 
@@ -640,6 +642,23 @@ def add_mul(
         out = {k: c for k, c in out.items() if c}
     # Z[...] has no zero divisors, so the top-degree parts of p*q never cancel
     return Polynomial._of(out, None if capped else _sum_degree(acc._degree, top, cancelled))
+
+
+def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of p*q over `pairs`, every product written into one term map.
+
+    A running sum through add_mul copies its accumulator at each step; this
+    copies nothing.  Raises DegreeOverflow, as add_mul does, before forming a
+    product that could exceed MAX_DEGREE.
+    """
+    out: dict[int, int] = {}
+    for p, q in pairs:
+        if p._terms and q._terms:
+            check_degree(p.degree() + q.degree())
+            if len(p._terms) > len(q._terms):
+                p, q = q, p
+            _mul_into(out, p, q, None)
+    return Polynomial._of({k: c for k, c in out.items() if c})
 
 
 def _mul_into(out: dict[int, int], p: Polynomial, q: Polynomial, degree_cap: int | None) -> None:

@@ -2,10 +2,16 @@
 
 Complete homogeneous polynomials; determinants and maximal minors of
 polynomial matrices, by one division-free Laplace expansion memoised over
-column subsets (n * 2^(n-1) products for an n x n determinant); the plain
-alternant (all n! terms) and the Vandermonde product; the bialternant and
-factorial-Schur quotients; falling factorial powers; and divided
-differences of powers, with their Newton form.
+column subsets (n * 2^(n-1) products for an n x n determinant); the
+Jacobi-Trudi determinant; the plain alternant (all n! terms) and the
+Vandermonde product; the bialternant and factorial-Schur quotients; falling
+factorial powers; and divided differences of powers, with their Newton form.
+
+The Jacobi-Trudi route applies column operations C_j <- C_j - x_m * C_(j-1)
+to the printed matrix det(h_(lambda_i - i + j)) before det.  They leave the
+determinant unchanged whatever the entries, and they turn the matrix into
+the flagged one, column j in the variables x1..x_(n-j+1) only, whose
+products are far smaller.
 
 Both quotients divide an alternant by the Vandermonde a_delta in the
 alternant's antisymmetric normal form, the sum of c_gamma * a_gamma over
@@ -19,7 +25,7 @@ at a time (synthetic division inside exact_div).
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapify
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from operator import add, lt, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -139,23 +145,40 @@ def complete_homogeneous(k: int, n: int) -> Polynomial:
 
 
 def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
-    """det(h_{lambda_i - i + j}) over an r x r matrix, r = rows(lambda).
+    """det(h_{lambda_i - i + j}) over an r x r matrix, r = rows(lambda), by column operations.
 
     The index orientation is the one that agrees with the tableau sum
     (S_(1,1) = h1^2 - h2); the printed transpose-like orientation with
     h_{lambda_i + i - j} fails already at lambda = (2,1).
+
+    Before det, stage s = 1..r-1 sets C_j <- C_j - x_(n-s+1) * C_(j-1) for
+    j = r down to s + 1.  A column operation leaves the determinant
+    unchanged, so the result is the determinant of the printed matrix
+    whatever the entries become.  After stage s every column j > s holds one
+    value per index a = lambda_i - i + j, T_s(a) = T_(s-1)(a) - x_(n-s+1) *
+    T_(s-1)(a - 1) with T_0(a) = h_a(x1..xn), so each (s, a) is formed once.
+    By h_a(x1..xm) - x_m * h_(a-1)(x1..xm) = h_a(x1..x_(m-1)), T_s(a) is h_a
+    in n - s variables: det multiplies the flagged matrix h_{lambda_i - i +
+    j}(x1..x_(n-j+1)) (Gessel and Viennot 1989; Wachs 1985), whose entries
+    are far smaller than the printed ones.
     """
     shape = fit_shape(shape, n)
     r = n - shape.count(0)
     if r == 0:
         return Polynomial.one()
-    matrix = PolyMatrix.from_rows(
-        [
-            [complete_homogeneous(shape[i] - i + j, n) for j in range(r)]
-            for i in range(r)
-        ]
-    )
-    return det(matrix)
+    indices = [[shape[i] - i + j for j in range(r)] for i in range(r)]
+    printed = {a: complete_homogeneous(a, n) for a in set(chain(*indices))}
+    rows = [[printed[a] for a in row] for row in indices]
+    formed: dict[tuple[int, int], Polynomial] = {}  # (s, a) -> T_s(a)
+    for s in range(1, r):
+        minus_x = -xpoly(n - s + 1)
+        for j in reversed(range(s, r)):  # 0-based: the columns s + 1..r, right to left
+            for row, row_indices in zip(rows, indices):
+                key = (s, row_indices[j])
+                if key not in formed:
+                    formed[key] = add_mul(row[j], minus_x, row[j - 1])
+                row[j] = formed[key]
+    return det(PolyMatrix.from_rows(rows))
 
 
 def alternant(shape: Sequence[int], n: int) -> Polynomial:
@@ -177,9 +200,9 @@ def vandermonde(n: int) -> Polynomial:
     if n < 1:
         raise ValueError("vandermonde needs n >= 1")
     product = Polynomial.one()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            product = product * (xpoly(i) - xpoly(j))
+    for k in range(2, n + 1):  # Vdm(k) = Vdm(k - 1) * prod(x_i - x_k, i < k), a factor at a time
+        for i in range(1, k):
+            product = product * (xpoly(i) - xpoly(k))
     return product
 
 

@@ -876,6 +876,12 @@ def _one_term_product_drops_its_coefficient(monkeypatch):  # it multiplies as it
         monkeypatch.setattr(module, "add_mul", dropped)
 
 
+def _column_operation_reads_its_own_column(monkeypatch):  # C_j <- (1 - x) * C_j
+    # no stage variable can be wrong: any multiple of C_(j-1) keeps the determinant
+    scaled = mutant(symfun.jacobi_trudi, "minus_x, row[j - 1])", "minus_x, row[j])")
+    monkeypatch.setattr(symfun, "jacobi_trudi", scaled)
+
+
 def _term_power_leaves_its_coefficient(monkeypatch):
     power = Polynomial.__pow__
 
@@ -1027,8 +1033,14 @@ _FAULTS = {
     "one-term-product-drops-its-coefficient": (
         _one_term_product_drops_its_coefficient,
         lambda: (-xpoly(1)) * (xpoly(2) + xpoly(3)) == xpoly(1) * xpoly(2) + xpoly(1) * xpoly(3),
-        # a minor of the factorial coefficient matrix starts from an entry such as -a1
-        {"bialternant", "dual-determinant", "factorial-schur", "vandermonde"},
+        # a minor of the factorial coefficient matrix starts from an entry such as -a1, and
+        # one of the flagged Jacobi-Trudi matrix at r = n from -x1^k, its last column's h_k(x1)
+        {"bialternant", "dual-determinant", "factorial-schur", "jacobi-trudi", "vandermonde"},
+    ),
+    "column-operation-reads-its-own-column": (
+        _column_operation_reads_its_own_column,
+        lambda: symfun.jacobi_trudi((1, 1), 2) == (1 - xpoly(2)) * xpoly(1) * xpoly(2),
+        {"jacobi-trudi"},
     ),
     "term-power-leaves-its-coefficient": (
         _term_power_leaves_its_coefficient,

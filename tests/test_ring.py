@@ -28,6 +28,7 @@ from schurpaths.ring import (
     parse_poly,
     substitute_family,
     substitute_zero,
+    sum_of_products,
     tpoly,
     tvar,
     x_exponent_sum,
@@ -433,6 +434,18 @@ def test_add_mul_is_sum_plus_product(acc, p, q, cap):
     assert add_mul(acc - product, p, q, cap) == acc
 
 
+@given(st.lists(st.tuples(polynomials(), polynomials()), max_size=4))
+def test_sum_of_products_is_the_running_sum(pairs):
+    expected = Polynomial.zero()
+    for p, q in pairs:
+        expected = expected + term_product(p, q)
+    total = sum_of_products(pairs)
+    assert total == expected
+    assert_canonical(total)
+    assert_degree_is_exact(total)
+    assert sum_of_products(pairs + [(-p, q) for p, q in pairs]) == Polynomial.zero()
+
+
 @given(polynomials(), polynomials())
 def test_difference_is_sum_with_the_negation(p, q):
     difference = p - q
@@ -458,6 +471,8 @@ def test_fast_paths_raise_degree_overflow_where_products_do():
             add_mul(Polynomial.zero(), term, wide, degree_cap=128)
         with pytest.raises(DegreeOverflow):
             add_mul(x1, term, wide)
+        with pytest.raises(DegreeOverflow):
+            sum_of_products([(x1, x1), (term, wide)])
         # a cap within the limit keeps every formed product within it
         assert add_mul(Polynomial.zero(), term, wide, degree_cap=100) == term
         assert add_mul(x1, term, wide, degree_cap=100) == x1 + term

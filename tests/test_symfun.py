@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from alternant_oracle import divide_by_vandermonde, factorial_alternant
+from schurpaths import symfun
 from schurpaths.combinat import factorial_schur_tableaux, partitions_in_box, schur_tableaux
 from schurpaths.lgv import schur_via_lgv
 from schurpaths.ring import (
@@ -13,6 +15,7 @@ from schurpaths.ring import (
     Family,
     NotDivisible,
     Polynomial,
+    add_mul,
     apoly,
     eval_int,
     parse_poly,
@@ -148,6 +151,58 @@ def test_jacobi_trudi_column_pair():
     h2 = complete_homogeneous(2, 2)
     assert jacobi_trudi((1, 1), 2) == h1 * h1 - h2
     assert jacobi_trudi((1, 1), 2) == xpoly(1) * xpoly(2)
+
+
+def printed_jacobi_trudi(shape, n):
+    """The oracle: det of the printed matrix h_{lambda_i - i + j}(x1..xn), no column operation."""
+    r = len(shape)
+    return det(
+        PolyMatrix.from_rows(
+            [[complete_homogeneous(shape[i] - i + j, n) for j in range(r)] for i in range(r)]
+        )
+    )
+
+
+@st.composite
+def shapes_and_n(draw):
+    n = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(1, 4), max_size=n))
+    return tuple(sorted(parts, reverse=True)), n
+
+
+@given(shapes_and_n())
+def test_jacobi_trudi_is_the_printed_determinant(case):
+    shape, n = case
+    assert jacobi_trudi(shape, n) == printed_jacobi_trudi(shape, n)
+
+
+def test_jacobi_trudi_hands_det_the_flagged_matrix(monkeypatch):
+    # each (s, a) is formed once, by one add_mul, as h_a in n - s variables:
+    # C(a + n - s - 1, n - s - 1) terms
+    shape, n = (4, 3, 3, 1), 6
+    formed, matrices = [], []
+
+    def stage(acc, p, q, degree_cap=None):  # det calls it too, once it holds the matrix
+        value = add_mul(acc, p, q, degree_cap)
+        if not matrices:
+            formed.append(value)
+        return value
+
+    monkeypatch.setattr(symfun, "add_mul", stage)
+    monkeypatch.setattr(symfun, "det", lambda matrix: matrices.append(matrix) or det(matrix))
+    assert jacobi_trudi(shape, n) == schur_tableaux(shape, n)
+    (matrix,) = matrices
+    keys = set()
+    for i in range(4):
+        for j in range(4):
+            a = shape[i] - i + j
+            entry = matrix.entry(i, j)
+            assert entry == complete_homogeneous(a, n - j)
+            assert len(entry) == (comb(a + n - j - 1, n - j - 1) if a >= 0 else 0)
+            keys |= {(s, a) for s in range(1, j + 1)}  # stages 1..j rewrite column j
+    assert len(formed) == len(keys)
+    lengths = sorted(len(value) for value in formed)
+    assert lengths == sorted(comb(a + n - s - 1, n - s - 1) if a >= 0 else 0 for s, a in keys)
 
 
 def test_jacobi_trudi_matches_tableaux():
