@@ -6,7 +6,10 @@ tuple of rows, row i holding lambda_i letters from 1..n, weakly increasing
 along rows and strictly increasing down columns.
 
 Both tableau sums, plain and factorial, walk the tableaux as chains of
-horizontal strips (`_strip_sums`).  `ssyt_enumerate` lists the tableaux one
+horizontal strips (`_strip_sums`).  The plain sum meets in the middle: the
+low letters step up from (), the high letters peel strips down from the
+shape, and the two halves join once at the meeting letter.  The factorial
+sum steps up through every letter.  `ssyt_enumerate` lists the tableaux one
 by one, and `ssyt_count` counts them by the hook-content formula.
 """
 
@@ -17,7 +20,7 @@ from itertools import groupby, product
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
-from .ring import Polynomial, add_mul, apoly, x_shift_sums, x_word_sum, xpoly
+from .ring import Polynomial, add_mul, apoly, sum_of_products, x_shift_sums, x_word_sum, xpoly
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
@@ -169,46 +172,75 @@ def tableau_monomial(tableau: Tableau) -> Polynomial:
     return x_word_sum([sum(tableau, ())])
 
 
-def _strip_sums(shape: Partition, n: int, add_letter: Callable[[int, dict], dict]) -> Polynomial:
+def _strip_sums(
+    shape: Partition, n: int, meet: int, add_letter: Callable[[dict, int], dict], start: object
+) -> object:
     """Sum a weight over the tableaux of the shape with letters 1..n, strip by strip.
 
     By the branching rule (Macdonald, Symmetric Functions, I.(5.11)), a tableau
     is a chain () = mu^0 <= ... <= mu^n = lambda of horizontal strips, mu^k
-    holding the letters <= k.  add_letter(k, moves) gets, under each nu, the
-    pairs (mu, sum over the fillings of mu by 1..k-1) of the strips mu -> nu,
-    and returns the sums at each nu.  1 for the empty shape, 0 past n rows.
+    holding the letters <= k.  It splits at mu^meet into a tableau of shape
+    mu^meet with letters 1..meet and a skew tableau of shape lambda/mu^meet
+    with letters meet+1..n.  The letters 1..meet step up from the value
+    `start` at (); the letters n down to meet+1 peel strips down from the
+    value 1 at lambda.  Every state of both halves is kept, and the halves
+    join once: the sum over mu^meet of the products of their values, which
+    are then polynomials.  At meet = n nothing is peeled or joined, and the
+    walk returns its value at lambda.
+
+    Both directions take one step: add_letter(moves, k) gets, under each state
+    reached, the pairs (value of the state it came from, the size of the strip
+    between them), and returns the value at each state reached.  The shape is a
+    partition of at most n rows.
     """
-    shape = partition(shape)
-    if len(shape) > n:
-        return Polynomial.zero()
-    sums = {(0,) * len(shape): Polynomial.one()}
-    for letter in range(1, n + 1):
-        # the letters letter+1..n fill at most n - letter cells of each column
-        floor = shape[n - letter :] + (0,) * (n - letter)
-        moves: dict[tuple[int, ...], list[tuple[tuple[int, ...], Polynomial]]] = {}
-        for mu, terms in sums.items():
-            # a horizontal strip: mu_i <= nu_i <= mu_(i-1), within lambda and above the floor
-            ranges = [
-                range(max(part, low), min(top, above) + 1)
-                for part, low, top, above in zip(mu, floor, shape, shape[:1] + mu)
-            ]
-            for nu in product(*ranges):
-                moves.setdefault(nu, []).append((mu, terms))
-        sums = add_letter(letter, moves)
-    return sums[shape]
+    rows = len(shape)
+    pad = (0,) * rows
+
+    def walk(sums: dict, letters: range, down: int) -> dict:
+        for letter in letters:
+            # the states reached hold the letters <= held: the letters above fill at
+            # most n - held cells of each column, and a peeled state has at most held
+            # rows (a state stepped up has them by its strip)
+            held = letter - down
+            floor = (shape[n - held :] + pad)[:rows]
+            ceiling = (shape[:held] + pad)[:rows] if down else shape
+            moves: dict[tuple[int, ...], list] = {}
+            for state, value in sums.items():
+                size = sum(state)
+                # a strip from a smaller to a larger shape: larger_(i+1) <= smaller_i <= larger_i;
+                # edge[down + i] bounds row i from above and edge[down + i + 1] from below
+                edge = shape[:1] + state + (0,)
+                ranges = [
+                    range(max(low, below), min(top, above) + 1)
+                    for below, above, low, top in zip(edge[down + 1 :], edge[down:], floor, ceiling)
+                ]
+                for nu in product(*ranges):
+                    moves.setdefault(nu, []).append((value, abs(sum(nu) - size)))
+            sums = add_letter(moves, letter)
+        return sums
+
+    low = walk({pad: start}, range(1, meet + 1), 0)
+    if meet == n:
+        return low[shape]
+    high = walk({shape: Polynomial.one()}, range(n, meet, -1), 1)
+    return sum_of_products((terms, high[mu]) for mu, terms in low.items())
 
 
 def schur_tableaux(shape: Partition, n: int) -> Polynomial:
     """The Schur polynomial as the sum of x^T over all SSYT of the shape (0 past n rows).
 
-    The strip walk weighs the letter k on a strip mu -> nu by x_k^(|nu| - |mu|).
-    Each monomial is the content of one tableau, so no symmetry is assumed.
+    The strip walk weighs the letter k on a strip of size e by x_k^e, and x^T is
+    the product of the contents of the lower and the upper half.  Each monomial
+    is the content of one tableau, so no symmetry is assumed.  The halves meet
+    at the letter n - (n - 1) // 2: from n = 3 on, two half walks write far
+    fewer terms than one walk through all n letters.  The lower half takes
+    the larger share, so that at n <= 2 (the Cauchy checks' grid) the sum is
+    one walk whose strips all add up in x_shift_sums.
     """
-    def add_letter(letter, moves):
-        shifts = {nu: [(p, sum(nu) - sum(mu)) for mu, p in pairs] for nu, pairs in moves.items()}
-        return x_shift_sums(shifts, letter)
-
-    return _strip_sums(shape, n, add_letter)
+    shape = partition(shape)
+    if len(shape) > n:
+        return Polynomial.zero()
+    return _strip_sums(shape, n, n - (n - 1) // 2, x_shift_sums, Polynomial.one())
 
 
 def factorial_schur_tableaux(shape: Partition, n: int) -> Polynomial:
@@ -217,22 +249,32 @@ def factorial_schur_tableaux(shape: Partition, n: int) -> Polynomial:
     The cell (i, j) holding v gives x_v - a_(v + j - i) (Macdonald, Schur functions: theme
     and variations, 1992, sixth variation); the strip walk weighs the letter v on a strip
     mu -> nu by the row segments prod_{mu_i < j <= nu_i} (x_v - a_(v + j - i)), each built
-    once.  Column strictness gives v >= i, so every index is at least 1.
+    once.  Column strictness gives v >= i, so every index is at least 1.  The walk steps up
+    through all n letters (it meets at n): both halves would hold the a-variables, so the
+    products of a join collide, and a split was slower on some shapes ((4,4,4) at n = 5).
+    Each value is a state with its sum, since a weight reads the rows of both ends of its
+    strip.
     """
     @cache
     def segment(v: int, i: int, low: int, high: int) -> Polynomial:
         cell = xpoly(v) - apoly(v + high - i)
         return cell if high == low + 1 else segment(v, i, low, high - 1) * cell
 
-    def add_letter(letter, moves):
-        sums = dict.fromkeys(moves, Polynomial.zero())
+    def add_letter(moves, letter):
+        sums = {}
         for nu, pairs in moves.items():
-            for mu, terms in pairs:
+            total = Polynomial.zero()
+            for (mu, terms), _ in pairs:
                 weight = Polynomial.one()
                 for i, (low, high) in enumerate(zip(mu, nu), 1):
                     if low < high:
                         weight = weight * segment(letter, i, low, high)
-                sums[nu] = add_mul(sums[nu], terms, weight)
+                total = add_mul(total, terms, weight)
+            sums[nu] = nu, total
         return sums
 
-    return _strip_sums(shape, n, add_letter)
+    shape = partition(shape)
+    if len(shape) > n:
+        return Polynomial.zero()
+    start = (0,) * len(shape), Polynomial.one()
+    return _strip_sums(shape, n, n, add_letter, start)[1]

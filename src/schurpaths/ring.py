@@ -648,8 +648,9 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
     """The sum of p*q over `pairs`, every product written into one term map.
 
     A running sum through add_mul copies its accumulator at each step; this
-    copies nothing.  Raises DegreeOverflow, as add_mul does, before forming a
-    product that could exceed MAX_DEGREE.
+    copies nothing, and the map is rebuilt only if some term cancelled.
+    Raises DegreeOverflow, as add_mul does, before forming a product that
+    could exceed MAX_DEGREE.
     """
     out: dict[int, int] = {}
     for p, q in pairs:
@@ -658,7 +659,9 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
             if len(p._terms) > len(q._terms):
                 p, q = q, p
             _mul_into(out, p, q, None)
-    return Polynomial._of({k: c for k, c in out.items() if c})
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return Polynomial._of(out)
 
 
 def _mul_into(out: dict[int, int], p: Polynomial, q: Polynomial, degree_cap: int | None) -> None:

@@ -219,13 +219,15 @@ _SHAPES_UP_TO_8 = [shape for shape in partitions_in_box(8, 8) if sum(shape) <= 8
 
 
 @settings(deadline=None)
-@given(st.sampled_from(_SHAPES_UP_TO_8), st.integers(1, 6))
+@given(st.sampled_from(_SHAPES_UP_TO_8), st.integers(1, 8))
 @example((), 1)
 @example((), 6)
 @example((8,), 1)
 @example((1, 1), 1)
 @example((2, 1, 1, 1, 1, 1, 1), 6)
 @example((3, 2, 2, 1), 3)
+@example((4, 2, 1), 8)
+@example((1, 1, 1, 1, 1, 1, 1), 8)
 def test_strip_sum_equals_the_enumerated_tableau_sum(shape, n):
     # more rows than n gives 0 on both sides, the empty shape 1
     assert schur_tableaux(shape, n) == _enumerated_sum(shape, n)
@@ -234,6 +236,28 @@ def test_strip_sum_equals_the_enumerated_tableau_sum(shape, n):
 def test_strip_sum_prints_the_enumerated_bytes():
     for shape in [(5, 2, 1), (4, 3, 1)]:
         assert canonical_text(schur_tableaux(shape, 7)) == canonical_text(_enumerated_sum(shape, 7))
+
+
+def test_halves_that_meet_equal_the_enumerated_tableau_sum():
+    # from n = 3 on the walk meets at the letter n - (n - 1) // 2; shapes such as
+    # (1,1,1,1,1) at n = 5 and (2,2,1,1,1) at n = 7 have more rows than the
+    # upper half has letters
+    points = [(shape, n) for n in range(1, 8) for shape in _SHAPES_UP_TO_8 if sum(shape) <= 6]
+    for shape, n in points + [((2, 2, 1, 1, 1), 7)]:
+        assert schur_tableaux(shape, n) == _enumerated_sum(shape, n), (shape, n)
+
+
+def test_the_halves_join_only_from_n_3(monkeypatch):
+    def joined(pairs):
+        raise AssertionError("the tableau sum joined two halves")
+
+    monkeypatch.setattr(combinat, "sum_of_products", joined)
+    for n in (1, 2):
+        for shape in _SHAPES_UP_TO_8:
+            if len(shape) <= n and sum(shape) <= 6:
+                assert schur_tableaux(shape, n) == _enumerated_sum(shape, n)
+    with pytest.raises(AssertionError, match="joined two halves"):
+        schur_tableaux((1,), 3)
 
 
 def test_schur_degree_limit():

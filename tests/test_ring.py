@@ -446,6 +446,16 @@ def test_sum_of_products_is_the_running_sum(pairs):
     assert sum_of_products(pairs + [(-p, q) for p, q in pairs]) == Polynomial.zero()
 
 
+def test_sum_of_products_stores_no_cancelled_term():
+    x1, x2 = xpoly(1), xpoly(2)
+    # x1*x2 cancels between the first two products, x1^2 stays
+    total = sum_of_products([(x1, x2 + x1), (-x2, x1), (x1 - x2, x1 + x2)])
+    assert total == 2 * x1**2 - x2**2
+    assert 0 not in total._terms.values()
+    assert_degree_is_exact(total)
+    assert not sum_of_products([(x1, x2), (x2, -x1)])._terms
+
+
 @given(polynomials(), polynomials())
 def test_difference_is_sum_with_the_negation(p, q):
     difference = p - q
