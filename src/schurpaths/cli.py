@@ -6,7 +6,11 @@ paths (count non-intersecting path systems and their signed sum), render
 (write the systems as an SVG figure).
 
 Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
-2 = usage or config error.  The refusals:
+2 = usage or config error.  schur and each verify check run within a budget
+of ring work (ring.work_budget), sized per identity in `identities`; past it
+they exit 1 with a `refused:` line that names the command or identity, its
+options, the units spent and the budget.  Instant refusals, before anything
+is built:
 - paths or render on more than 10^6 path systems, counted by the hook-content
   formula before the walk
 - render --preset vandermonde past n = 20 (its longest path weighs 2^(n-1) terms)
@@ -15,15 +19,10 @@ Exit codes: 0 = success/verified, 1 = mismatch or bounded-resource refusal,
 - newton past power 16
 - verify vandermonde and paths --preset vandermonde past n = 8 (both expand
   the plain alternant of n! terms)
-- verify bialternant past n = 13, or past 17,500,000 units of work (term
-  pairs and terms of its products and sweeps) counted from the shape
-- verify factorial-schur past n = 5 (both sides grow with the n x-variables),
-  or past 2^20 terms, 2^|lambda| for each tableau, counted from the shape
-- cauchy past a partition list of 20000 or a series of 400000 terms (a
-  degree_cap below n(n-1)/2, where both truncated sides are 0, is a usage
-  error)
-- dual-cauchy past 4,000,000 candidate terms of prod(1 + x_i y_j), and
-  dual-determinant past n + m = 8
+- verify bialternant past n = 13, factorial-schur past n = 5, dual-cauchy
+  past max(n, m) = 20 and dual-determinant past n + m = 8
+- cauchy past a partition list of 20000 (a degree_cap below n(n-1)/2, where
+  both truncated sides are 0, is a usage error)
 - a degree beyond the ring's packed-monomial limit
 
 `--profile FILE`, given before the command, writes cProfile statistics of
@@ -38,8 +37,8 @@ import json
 import sys
 
 from . import combinat, identities, lgv, symfun
-from .combinat import parse_partition
-from .ring import Polynomial, TooLarge, canonical_text
+from .combinat import parse_partition, partition_text
+from .ring import Polynomial, TooLarge, canonical_text, check_degree, work_budget
 
 
 _MAX_SYSTEMS = 1_000_000
@@ -47,11 +46,16 @@ _PRINTED_SYSTEMS = 10**18  # a refusal names the system count up to here; the co
 # render weighs every path of the one Vandermonde system, the longest 2^(n-1) terms:
 # 1.6 s and 162 MB at n = 20, 3.0 s and 308 MB at 21, 8.7 s and 615 MB at 22
 _MAX_VANDERMONDE_RENDER_N = 20
+# schur's work budget, for every method: at (5,4,3,2,1), n = 8, jacobitrudi spends 14.9
+# million units in 4.4 s, lgv 1.23, tableaux 0.42 and bialternant 0.07; jacobitrudi at
+# (6,5,4,3,2,1), n = 8 ran 92 s, and refuses at 30.4 million units in 2.7 s
+_SCHUR_BUDGET = 20_000_000
 
 
 def _schur_by_method(shape, n: int, method: str) -> Polynomial:
     if len(shape) > n:
         return Polynomial.zero()
+    check_degree(sum(shape))  # s_lambda has degree |lambda|: a huge row refuses unbuilt
     if method == "tableaux":
         return combinat.schur_tableaux(shape, n)
     if method == "jacobitrudi":
@@ -67,7 +71,9 @@ def cmd_schur(args) -> int:
     shape = parse_partition(args.shape)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    text = canonical_text(_schur_by_method(shape, args.n, args.method))
+    what = f"schur [shape={partition_text(shape)} n={args.n} method={args.method}]"
+    with work_budget(_SCHUR_BUDGET, what):
+        text = canonical_text(_schur_by_method(shape, args.n, args.method))
     if args.json:
         print(json.dumps({"schur": text}))
     else:

@@ -15,12 +15,13 @@ therefore also anchors every closed form it compares against: `eval_int` of
 the ring's value at one fixed integer point must equal the integer that
 `intcheck`, which uses no ring code, computes for that closed form.
 
-`IDENTITIES` lists each verifier with its suite grid.  A verifier's
-parameters are its `verify` options, each named and defaulted once in its
-signature, and its reports name their params by the same options.  Each
-verifier run is one `_Checker`: built from the identity's name and those
-options, it owns the run's clock and its checks and gives the report, so
-every report writes its params one way, a partition as `[2,1]`.
+`IDENTITIES` lists each verifier with its work budget and its suite grid.
+A verifier's parameters are its `verify` options, each named and defaulted
+once in its signature, and its reports name their params by the same
+options.  Each verifier run is one `_Checker`: built from the identity's
+name and those options, it owns the run's clock and its checks and gives
+the report, so every report writes its params one way, a partition as
+`[2,1]`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import inspect
 import json
 import time
 from dataclasses import dataclass, fields
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, intcheck, lgv, symfun
@@ -41,11 +42,13 @@ from .ring import (
     TooLarge,
     add_mul,
     canonical_text,
+    check_degree,
     eval_int,
     substitute_family,
     substitute_zero,
     sum_of_products,
     tpoly,
+    work_budget,
     xpoly,
     ypoly,
 )
@@ -55,44 +58,27 @@ MISMATCH = "MISMATCH"
 ERROR = "ERROR"
 
 _MAX_DIFFERING_TERMS = 50
+# The instant bounds below refuse, before anything is built, an input that the work
+# budgets (see IDENTITIES) would refuse only after their time, or not at all.
 _PARTITION_LIST_LIMIT = 20000
 _MAX_LEMMA_M = 18  # main-lemma's closed forms reach 2^(m-1) terms, 131,072 at m = 18
-# main-lemma and corollary: a term of a built path sum or closed form costs about as much
-# as 130 variables of its packed monomial, and each closed form, compared and anchored, as
-# much as 32 terms.  (terms + 32 * forms) * (variables + 130) units took 2.8-5.6 ns each
-# on 20 main-lemma grids and 3.7-9.2 ns on 10 corollary grids, so no grid under the bound
-# should pass about 9 s.  The slowest measured under it: main-lemma (12, 100) 2.5 s and
-# corollary (18, 18) 4.3 s; the fastest refused: main-lemma (14, 50) 3.4 s, corollary
-# (19, 19) 6.8 s
+# main-lemma and corollary: a unit of ring work costs more with each variable (20 us at
+# main-lemma (3, 3000)) and m = 1 spends none, so (terms + 32 * forms) * (variables + 130),
+# a closed form costing as much as 32 terms and a term as 130 variables, bounds them; it
+# took 2.8-5.6 ns a unit on 20 main-lemma grids and 3.7-9.2 ns on 10 corollary grids
 _MAX_PATH_WORK = 10**9
-_MAX_CAUCHY_SERIES_TERMS = 400_000  # 9.6 s at n = 3, cap 25 (396,980); 12.9 s at cap 26
-_MAX_DUAL_TERMS = 4_000_000  # _dual_terms at (1, 21): 2^21, 18 s; at (1, 22): 2^22, 48 s
 # dual-determinant's n + m.  Through cli.main, one run each, every split of n + m = 8 takes
-# 0.24-0.41 s, and of n + m = 9 4.4-7.1 s and up to 360 MB, (7, 2) the longest; nearly all
+# 0.3-0.5 s, and of n + m = 9 4.4-7.1 s and up to 360 MB, (7, 2) the longest; nearly all
 # of it is the right side's 9! terms
 _MAX_DUAL_ORDER = 8
-_MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 29 s at 16, 105 s at 17
+_MAX_DUAL_SIDE = 20  # dual-cauchy's prod(1 + x_i y_j) has 2^max(n, m) terms: 6.4 s at (1, 20)
+_MAX_NEWTON_POWER = 16  # the Newton form's 3^power term products: 23-39 s at 16, 105 s at 17
 # the plain alternant det(x_j^(lambda_i + n - i)) that verify vandermonde and paths --preset
 # vandermonde expand has n! terms: 0.5-1.9 s at n = 8; at n = 9 (362,880 terms), one run
 # each, verify vandermonde 21-26 s and 455 MB, paths 10-11 s
 MAX_ALTERNANT_N = 8
-# verify bialternant builds no alternant; its cost is the work that _bialternant_work counts
-# from the shape, at most 0.51 us a unit.  In-process, one run each: (5,4,3,2,1) at n = 8,
-# 17.43 million units, took 4.0-6.5 s over four runs; the admitted shapes of most work at
-# each n = 3..13, and of the longest first row, took 1.1-6.8 s and up to 623 MB ((109) at
-# n = 4).  The tableau count does not predict this cost: (4,4,4,4,3) at n = 9 has fewer
-# tableaux than (5,4,3,2,1) at n = 8 and takes 110 s, (26) at n = 8 more than 60 s.  Every
-# shape but the empty one passes the bound from n = 14 on: (1) takes 2.8 s at n = 13, 9.3 s
-# at 14
-_MAX_BIALTERNANT_WORK = 17_500_000
-_MAX_BIALTERNANT_N = 13
-# factorial-schur builds the factorial Schur polynomial in n x-variables on both sides, in
-# 2.5-6.6 us a term, and each tableau's weight, a product of |lambda| binomials x_v - a_k, has
-# 2^|lambda| terms.  In-process, one run each: the rows of size <= 6 take 0.30 s at n = 5 and
-# 0.93 s at 6, (4,3,2,1) 0.7 s at n = 5 and 4.6 s (203 MB) at n = 6; the counts of most work
-# under the terms bound up to 8.7 s and 925 MB
-_MAX_FACTORIAL_SCHUR_N = 5
-_MAX_FACTORIAL_SCHUR_TERMS = 2**20
+_MAX_BIALTERNANT_N = 13  # M_change's entries have up to 2^(n-1) terms: (1) takes 2.5 s at n = 13
+_MAX_FACTORIAL_SCHUR_N = 5  # both sides grow with the n x-variables: (4,3,2,1) 4.6 s at n = 6
 
 
 def check_factorial_size(what: str, n: int, limit: int) -> None:
@@ -102,55 +88,6 @@ def check_factorial_size(what: str, n: int, limit: int) -> None:
     """
     if n > limit:
         raise TooLarge(f"{what} at n={n} > {limit} expands n! >= {factorial(limit + 1)} terms")
-
-
-def _bialternant_work(padded: tuple[int, ...], stop: int) -> int:
-    """The work of verify_bialternant, counted in integers from the padded shape.
-
-    Entry (k, j) of M' (0-based, the sinks by ascending column) is h_d in the
-    k + 1 variables x_(n-k)..x_n with d = end_j - k, end_j = padded[n-1-j] + j,
-    so it has C(end_j, k) terms; entry (i, k) of M_change, k <= i, has 2^k.
-    A unit is one term pair that a product forms, or one term that a sweep
-    writes:
-    - M_change * M' multiplies each of the n - k entries in column k of
-      M_change by every entry in row k of M'.
-    - det M' expands along the rows from the last, one minor per column
-      subset (symfun._maximal_minors): an entry times a minor of degree D in
-      n variables, which has at most C(D + n - 1, n - 1) terms.
-    - The sweep from a'_k writes h_d in 1..k+1 variables at every column up
-      to the last sink: C(end_(n-1) + 2, k + 1) terms, by the hockey stick.
-    - The tableau sum, the path-system walk and the quotient each write s_lambda,
-      whose terms are monomials of degree |lambda| in n variables: 32 units
-      for each of those.
-    The count stops once it passes `stop`.
-    """
-    n = len(padded)
-    ends = [padded[n - 1 - j] + j for j in range(n)]
-    sizes = [[comb(end, k) for end in ends] for k in range(n)]
-    work = 32 * comb(sum(padded) + n - 1, n - 1)
-    work += sum(comb(ends[-1] + 2, k + 1) for k in range(n))
-    work += sum(((n - k) << k) * sum(row) for k, row in enumerate(sizes))
-    minors = {0: 0}  # the column bitmask of a minor on the rows below -> its degree
-    for i in reversed(range(n)):
-        if work > stop:
-            break
-        grown: dict[int, int] = {}
-        for cols, degree in minors.items():
-            bound = comb(degree + n - 1, n - 1)
-            for j, size in enumerate(sizes[i]):
-                if size and not cols >> j & 1:
-                    work += size * bound
-                    grown[cols | 1 << j] = degree + ends[j] - i
-        minors = grown
-    return work
-
-
-def _factorial_schur_terms(shape: tuple[int, ...], n: int, stop: int) -> int:
-    """At least the terms of s_lambda(x_1..x_n | a), exactly for one row; stops past `stop`."""
-    size = sum(shape)
-    if size >= stop.bit_length() and len(shape) <= n:  # 2^size alone passes stop
-        return stop + 1
-    return combinat.ssyt_count(shape, n, stop >> size) << size
 
 
 def _check_path_work(what: str, builds: str, terms: int, forms: int, variables: int) -> None:
@@ -360,6 +297,7 @@ def verify_jacobi_trudi(
     if n < 1:
         raise ValueError("jacobi-trudi check needs n >= 1")
     shape = partition(shape)
+    check_degree(sum(shape))  # s_lambda has degree |lambda|: a huge row refuses unbuilt
     checker = _Checker("jacobi-trudi", shape=shape, n=n)
     tableaux_side = combinat.schur_tableaux(shape, n)
     det_side = (
@@ -384,9 +322,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
     `symfun.bialternant` divides a_(lambda+delta) by a_delta in the
     alternant's normal form.  The alternant is read off M'' entry by entry
     and never expanded, so nothing here has n! terms; the one determinant is
-    det M'.  The check refuses past _MAX_BIALTERNANT_N and past
-    _MAX_BIALTERNANT_WORK units of the work that _bialternant_work counts from
-    the shape, before anything is built.
+    det M'.
     """
     if n < 1:
         raise ValueError("bialternant check needs n >= 1")
@@ -397,11 +333,7 @@ def verify_bialternant(shape: Sequence[int], n: int = 3) -> CheckReport:
         )
     shape = partition(shape)
     padded = fit_shape(shape, n)
-    if _bialternant_work(padded, _MAX_BIALTERNANT_WORK) > _MAX_BIALTERNANT_WORK:
-        raise TooLarge(
-            f"bialternant of {partition_text(shape)} at n={n} forms M_change*M', det M' and"
-            f" s_lambda, past its work bound of {_MAX_BIALTERNANT_WORK}"
-        )
+    check_degree(sum(shape))  # s_lambda has degree |lambda|: a huge row refuses unbuilt
     checker = _Checker("bialternant", shape=shape, n=n)
     width = (shape[0] if shape else 0) + n
     scheme = lgv.schur_weighted_scheme(n=n, col_bound=width, truncated=True)
@@ -477,13 +409,6 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
         length = length * (n + degree_cap - r + i) // i
         if length > _PARTITION_LIST_LIMIT:
             raise TooLarge("the truncated partition list would explode")
-    # degree 2d of the series holds every x^alpha y^beta with |alpha| = |beta| = d
-    terms = sum(comb(d + n - 1, n - 1) ** 2 for d in range(degree_cap - offset + 1))
-    if terms > _MAX_CAUCHY_SERIES_TERMS:
-        raise TooLarge(
-            f"cauchy at n={n}, degree_cap={degree_cap} sums a series of"
-            f" {terms} > {_MAX_CAUCHY_SERIES_TERMS} terms"
-        )
     checker = _Checker("cauchy", n=n, degree_cap=degree_cap)
     # a path that turns at column m has degree 2(m - 1): cap + 1 columns hold degree <= 2 * cap
     scheme = lgv.cauchy_doubled_scheme(n, degree_cap + 1)
@@ -513,20 +438,6 @@ def verify_cauchy(n: int = 2, degree_cap: int = 4) -> CheckReport:
     return checker.report()
 
 
-def _dual_terms(n: int, m: int) -> int:
-    """A bound on the terms x^alpha y^beta of prod(1 + x_i y_j), i <= n, j <= m.
-
-    It counts the pairs of alpha in [0, m]^n and beta in [0, n]^m with equal sums.
-    """
-    counts = []
-    for parts, top in ((n, m), (m, n)):  # the vectors in [0, top]^parts, by their sum
-        by_sum = [1]
-        for _ in range(parts):
-            by_sum = [sum(by_sum[max(0, s - top) : s + 1]) for s in range(len(by_sum) + top)]
-        counts.append(by_sum)
-    return sum(a * b for a, b in zip(*counts))
-
-
 def _dual_product(n: int, m: int, product: Polynomial = Polynomial.one()) -> Polynomial:
     """product * prod(1 + x_i y_j) over i <= n, j <= m, one sparse factor at a time."""
     for i in range(1, n + 1):
@@ -539,11 +450,10 @@ def verify_dual_cauchy(n: int = 2, m: int = 2) -> CheckReport:
     """Product of (1 + x_i y_j) vs the conjugate-paired Schur expansion."""
     if n < 1 or m < 1:
         raise ValueError("dual cauchy needs n, m >= 1")
-    # the product's 2^max(n, m) terms with one x_i or one y_j are distinct, so a long side is
-    # refused at once; dual-determinant's n + m <= 8 admits at most _dual_terms(4, 4) = 38,165
-    if max(n, m) >= _MAX_DUAL_TERMS.bit_length() or _dual_terms(n, m) > _MAX_DUAL_TERMS:
+    if max(n, m) > _MAX_DUAL_SIDE:
         raise TooLarge(
-            f"dual-cauchy at n={n}, m={m} may expand prod(1 + x_i*y_j) past {_MAX_DUAL_TERMS} terms"
+            f"dual-cauchy at n={n}, m={m} expands prod(1 + x_i*y_j) of at least"
+            f" 2^max(n, m) terms, past max(n, m) = {_MAX_DUAL_SIDE}"
         )
     checker = _Checker("dual-cauchy", n=n, m=m)
     lhs = _dual_product(n, m)
@@ -602,11 +512,7 @@ def verify_factorial_schur(shape: Sequence[int], n: int = 3) -> CheckReport:
             " polynomials in n x-variables (4.6 s and 203 MB for [4,3,2,1] at n=6)"
         )
     shape = partition(shape)
-    if _factorial_schur_terms(shape, n, _MAX_FACTORIAL_SCHUR_TERMS) > _MAX_FACTORIAL_SCHUR_TERMS:
-        raise TooLarge(
-            f"factorial-schur of {partition_text(shape)} at n={n} builds up to 2^|lambda| terms"
-            f" for each tableau, past its bound of {_MAX_FACTORIAL_SCHUR_TERMS} terms"
-        )
+    check_degree(sum(shape))  # s_lambda(x | a) has degree |lambda|: a huge row refuses unbuilt
     checker = _Checker("factorial-schur", shape=shape, n=n)
     tableaux_side = combinat.factorial_schur_tableaux(shape, n)
     quotient_side = symfun.factorial_schur_quotient(shape, n)
@@ -659,23 +565,27 @@ class Group(NamedTuple):
 
 
 class Identity(NamedTuple):
-    """One identity: its verifier, its `verify` options and its suite grid.
+    """One identity: its verifier, its `verify` options, its work budget and its suite grid.
 
     `options` is read off the verifier's signature: each parameter that is not
     keyword-only is an option, named as in the verifier's reports, with its
     default or REQUIRED; the keyword-only parameters are negative-control
     flags.  `check` calls the verifier through the module global, so that
-    wrappers installed on the module see every call.  `grid` lists a
-    config's groups.
+    wrappers installed on the module see every call, within a work budget
+    of `budget` units of ring work.  `grid` lists a config's groups.
     """
 
     name: str
     verifier: Callable[..., CheckReport]
     options: dict[str, object]
+    budget: int
     grid: Callable[["SuiteConfig"], list[Group]]
 
     def check(self, **options: object) -> CheckReport:
-        return globals()[self.verifier.__name__](**options)
+        given = {k: v for k, v in {**self.options, **options}.items() if v is not REQUIRED}
+        what = " ".join(f"{k}={v}" for k, v in _params(**given).items())
+        with work_budget(self.budget, f"{self.name} [{what}]"):
+            return globals()[self.verifier.__name__](**options)
 
 
 def _options(verifier: Callable[..., CheckReport]) -> dict[str, object]:
@@ -699,34 +609,59 @@ def _shape_row(n: int, max_size: int, **options: object) -> Group:
     )
 
 
+# Each row's budget of ring work (see `ring`) admits the inputs of most work that its
+# instant bounds admit and that run in 5 s or less, and newton's power 16.  A unit took
+# 0.2-2 us.  In-process, one run each (CPython 3.11, 2 cores), the admitted inputs of most
+# work, then refused ones, in million units and seconds:
+#   main-lemma        (m, n) (15, 24) 2.36 in 1.9, (16, 12) 2.36 in 1.8, (12, 141) 1.73 in
+#                     2.3; the path-work bound refuses every grid past these
+#   corollary         (n, m) (14, 110) 6.60 in 3.1, (16, 36) 6.54 in 2.4, (18, 18) 5.24
+#                     in 2.1; refused (19, 19) 10.5 in 4.9 and (20, 20) 21.0 in 13
+#   vandermonde       n = 8 1.57 in 0.8; n = 9 is refused at once
+#   jacobi-trudi      (4,4,4,4) n = 8 16.6 in 4.6, (5,4,3,2,1) n = 8 16.5 in 5.1-6.0;
+#                     refused (8,8) n = 8 38.1 in 12, (5,4,3,2,1) n = 9 75.6 in 31 and
+#                     (6,5,4,3,2,1) n = 8 past 94 in 40
+#   bialternant       (109) n = 4 16.6 in 4.5, (15,15,4,4,1) n = 5 13.4 in 3.5,
+#                     (5,4,3,2,1) n = 8 11.8 in 3.6-4.8; refused (2,1) n = 13 21.0 in 6.8
+#                     and (26) n = 8, out of memory past 29.7
+#   cauchy            (n, cap) (4, 16) 10.3 in 3.5, (5, 14) 8.9 in 4.3, (3, 25) 8.0 in
+#                     2.3; refused (4, 17) 17.2 in 6.5 and (5, 15) 19.4 in 8.0
+#   dual-cauchy       (4, 6) 7.31 in 4.2, (6, 4) 7.07 in 3.4, (2, 11) 4.86 in 3.9;
+#                     refused (3, 8) 9.10 in 6.3
+#   dual-determinant  every n + m = 8 at most 0.93 in 0.5
+#   factorial-schur   (19) n = 1 4.19 in 5.1, (10) n = 5 2.74 in 3.7, (13) n = 3 2.20 in
+#                     3.9; refused (20) n = 1 8.39 in 9.4 (927 MB)
+#   newton            power 16 43.4 in 23-39, power 15 14.5 in 5.6
 IDENTITIES: dict[str, Identity] = {
-    name: Identity(name, verifier, _options(verifier), grid)
-    for name, verifier, grid in [
-        ("main-lemma", verify_main_lemma, lambda c: [_point(**c.control("corrupt_weights"))]),
-        ("corollary", verify_corollary, lambda c: [_point()]),
-        ("vandermonde", verify_vandermonde, lambda c: [_point(n=n) for n in range(1, 6)]),
-        ("jacobi-trudi", verify_jacobi_trudi, lambda c: [
+    name: Identity(name, verifier, _options(verifier), budget, grid)
+    for name, verifier, budget, grid in [
+        ("main-lemma", verify_main_lemma, 4_000_000,
+         lambda c: [_point(**c.control("corrupt_weights"))]),
+        ("corollary", verify_corollary, 7_000_000, lambda c: [_point()]),
+        ("vandermonde", verify_vandermonde, 2_000_000,
+         lambda c: [_point(n=n) for n in range(1, 6)]),
+        ("jacobi-trudi", verify_jacobi_trudi, 20_000_000, lambda c: [
             _shape_row(n, c.max_partition_size, **c.control("flip_orientation"))
             for n in range(1, c.max_n + 1)
         ]),
-        ("bialternant", verify_bialternant, lambda c: [
+        ("bialternant", verify_bialternant, 18_000_000, lambda c: [
             _shape_row(n, c.max_partition_size) for n in range(1, c.max_n + 1)
         ]),
-        ("cauchy", verify_cauchy, lambda c: [
+        ("cauchy", verify_cauchy, 12_000_000, lambda c: [
             _point(n=n, degree_cap=c.cauchy_cap)
             for n in range(1, min(2, c.max_n) + 1)
             if c.cauchy_cap >= n * (n - 1) // 2  # below it nothing is compared
         ]),
-        ("dual-cauchy", verify_dual_cauchy, lambda c: [
+        ("dual-cauchy", verify_dual_cauchy, 8_000_000, lambda c: [
             _point(n=n, m=m) for n in range(1, c.dual_max + 1) for m in range(1, c.dual_max + 1)
         ]),
-        ("dual-determinant", verify_dual_determinant, lambda c: [
+        ("dual-determinant", verify_dual_determinant, 2_000_000, lambda c: [
             _point(n=n, m=total - n) for total in range(2, c.dual_max + 3) for n in range(1, total)
         ]),
-        ("factorial-schur", verify_factorial_schur, lambda c: [
+        ("factorial-schur", verify_factorial_schur, 4_500_000, lambda c: [
             _shape_row(n, min(4, c.max_partition_size)) for n in range(1, min(3, c.max_n) + 1)
         ]),
-        ("newton", verify_newton, lambda c: [
+        ("newton", verify_newton, 44_000_000, lambda c: [
             Group([{"power": k} for k in range(c.newton_max + 1)], _params(n_max=c.newton_max))
         ]),
     ]

@@ -41,20 +41,27 @@ of these against a term-by-term oracle.  Canonical text is printed with no step 
 each column of the sorted records, and the column of coefficients, is
 mapped through a table of strings into one piece list, joined once.
 
-All values are immutable and every operation is a pure function; values can
-be shared freely across threads.
+The work meter counts ring work: |p|*|q| units before each product (add_mul,
+sum_of_products), one for each dividend term of _linear_div, and one for
+each term that x_shift_sums and x_exponent_sum write.  It follows the
+operands, never the clock.  work_budget(units, what) refuses, with TooLarge,
+the first charge that passes `units` within its body.  The meter is
+per-process state, neither per-thread nor locked; the values stay immutable
+and every operation but the charge is pure, so values can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, reduce
 from heapq import nlargest
 from itertools import repeat
 from operator import mul as _times, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 
 class NotDivisible(ArithmeticError):
@@ -75,6 +82,35 @@ class TooLarge(RuntimeError):
 
 class DegreeOverflow(TooLarge, OverflowError):
     """A monomial of total degree above MAX_DEGREE was requested."""
+
+
+# -- the work meter -------------------------------------------------------------
+
+_spent = 0  # units charged in this process so far; it only grows
+# the count past which the innermost budget refuses; with no budget, a count that no
+# process reaches (an int, which compares faster than inf)
+_limit = 1 << 64
+_budget = ("", 0, 0)  # the innermost budget: what it bounds, the count at entry, its units
+
+
+def _over_budget() -> NoReturn:
+    what, start, units = _budget
+    raise TooLarge(f"{what} spent {_spent - start} units of ring work, past its budget of {units}")
+
+
+@contextmanager
+def work_budget(units: int, what: str) -> Iterator[None]:
+    """Refuse, with TooLarge naming `what`, the charge that passes `units` within the body.
+
+    The budget ends with the body, however it ends; an inner budget replaces the outer one.
+    """
+    global _limit, _budget
+    outer = _limit, _budget
+    _limit, _budget = _spent + units, (what, _spent, units)
+    try:
+        yield
+    finally:
+        _limit, _budget = outer
 
 
 class Family(IntEnum):
@@ -551,17 +587,19 @@ def x_shift_sums(
     shifted terms of one target accumulate in one map.  The unit of x_index
     is read once per call.
     """
+    global _spent
     unit = _unit(Family.X, index)
     sums: dict[object, Polynomial] = {}
     for target, summands in moves.items():
         out: dict[int, int] = {}
         get = out.get
-        top = -1
+        top, written = -1, 0
         for p, exponent in summands:
             if exponent < 0:
                 raise ValueError(f"x{index} exponents must be non-negative, got {exponent}")
             if not p._terms:
                 continue
+            written += len(p._terms)
             degree = p.degree() + exponent
             if degree > top:
                 check_degree(degree)
@@ -570,6 +608,9 @@ def x_shift_sums(
             for key, coefficient in p._terms.items():
                 key += shift
                 out[key] = get(key, 0) + coefficient
+        _spent += written
+        if _spent > _limit:
+            _over_budget()
         if 0 in out.values():
             sums[target] = Polynomial._of({k: c for k, c in out.items() if c})
         else:  # nothing cancelled, so the top degree stays
@@ -585,6 +626,7 @@ def x_exponent_sum(groups: Iterable[tuple[Polynomial, Iterable[Sequence[int]]]])
     equal products add up.  Raises DegreeOverflow before packing a product
     of degree above MAX_DEGREE.
     """
+    global _spent
     units: list[int] = []
     out: dict[int, int] = {}
     get = out.get
@@ -592,6 +634,9 @@ def x_exponent_sum(groups: Iterable[tuple[Polynomial, Iterable[Sequence[int]]]])
         vectors = list(vectors)
         if not c._terms or not vectors:
             continue
+        _spent += len(c._terms) * len(vectors)
+        if _spent > _limit:
+            _over_budget()
         check_degree(max(map(sum, vectors)) + c.degree())
         width = max(map(len, vectors))
         units += (_unit(Family.X, index) for index in range(len(units) + 1, width + 1))
@@ -625,8 +670,12 @@ def add_mul(
     keys by m and scales its coefficients by c; distinct keys stay distinct
     and c is nonzero, so nothing cancels.
     """
+    global _spent
     if not p._terms or not q._terms:
         return acc
+    _spent += len(p._terms) * len(q._terms)
+    if _spent > _limit:
+        _over_budget()
     top = p.degree() + q.degree()
     capped = degree_cap is not None and degree_cap < top
     check_degree(degree_cap if capped else top)
@@ -652,9 +701,13 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
     Raises DegreeOverflow, as add_mul does, before forming a product that
     could exceed MAX_DEGREE.
     """
+    global _spent
     out: dict[int, int] = {}
     for p, q in pairs:
         if p._terms and q._terms:
+            _spent += len(p._terms) * len(q._terms)
+            if _spent > _limit:
+                _over_budget()
             check_degree(p.degree() + q.degree())
             if len(p._terms) > len(q._terms):
                 p, q = q, p
@@ -743,6 +796,10 @@ def _linear_div(p: Polynomial, u: int, v: int) -> Polynomial:
     of r * u^(a-1) * v^(s-a) is the running sum c_s + ... + c_a, and p is a
     multiple of u - v iff every group's sum c_s + ... + c_0 is zero.
     """
+    global _spent
+    _spent += len(p._terms)
+    if _spent > _limit:
+        _over_budget()
     step = u - v  # moves one exponent from v's field to u's
     shift_u = (u - 1).bit_length() - 1
     groups: dict[int, dict[int, int]] = {}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from schurpaths import combinat, identities, lgv, symfun
+from schurpaths import cli, combinat, identities, lgv, symfun
 from schurpaths.cli import build_parser, main
 from schurpaths.identities import IDENTITIES, REQUIRED, SuiteConfig
 
@@ -253,7 +253,6 @@ def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, cap
         "error: cauchy at n={} needs degree_cap >= n(n-1)/2 = {};"
         " at degree_cap={} both truncated sides are 0"
     )
-    series = "refused: cauchy at n={}, degree_cap={} sums a series of {} > 400000 terms"
     for n, cap, expected, message in [
         (12, 12, 2, below.format(12, 66, 12)),
         (10, 1, 2, below.format(10, 45, 1)),
@@ -261,8 +260,6 @@ def test_verify_cauchy_refuses_past_its_measured_bounds_at_once(monkeypatch, cap
         (6, 6, 2, below.format(6, 15, 6)),
         (5, 16, 1, "refused: the truncated partition list would explode"),
         (1000000, 500000000000, 1, "refused: the truncated partition list would explode"),
-        (4, 18, 1, series.format(4, 18, 523276)),
-        (3, 26, 1, series.format(3, 26, 486980)),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -279,13 +276,14 @@ def test_verify_cauchy_runs_at_n_5(capsys):
 
 def test_verify_dual_cauchy_refuses_past_its_product_bound_at_once(monkeypatch, capsys):
     monkeypatch.setattr(identities, "xpoly", _build)
-    for n, m in [("2", "12"), ("12", "12")]:
+    for n, m in [("1", "21"), ("40", "40")]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "dual-cauchy", "--n", n, "--m", m)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (
-            f"refused: dual-cauchy at n={n}, m={m} may expand prod(1 + x_i*y_j) past 4000000 terms\n"
+            f"refused: dual-cauchy at n={n}, m={m} expands prod(1 + x_i*y_j) of at least"
+            " 2^max(n, m) terms, past max(n, m) = 20\n"
         )
 
 
@@ -316,14 +314,12 @@ _BIALTERNANT_PAST_N = "bialternant at n={} > 13 multiplies M_change entries of u
 
 _ALTERNANT_EXPANSIONS = [
     # (argv at the largest n that runs, that n, the refusal one past it, the refusal at
-    # n = 3000).  verify bialternant no longer expands the alternant: it counts its work
-    # from the shape, and past n = 13, where every shape but the empty one passes that
-    # count, refuses on n alone; (5,4,3,2,1) at n = 8 takes 4-6.5 s and (1) at n = 13
-    # 2.8 s.  vandermonde and paths expand the plain n!-term alternant and share one
-    # bound; factorial-schur bounds n, the number of x-variables
-    (("verify", "bialternant", "--shape", "[5,4,3,2,1]"), 8,
-     "bialternant of [5,4,3,2,1] at n={} forms M_change*M', det M' and s_lambda, past its"
-     " work bound of 17500000", _BIALTERNANT_PAST_N),
+    # n = 3000).  verify bialternant no longer expands the alternant: under n = 13 its
+    # work budget bounds it, and past n = 13 it refuses on n alone, whatever the shape;
+    # (1) at n = 13 takes 2.5 s.  vandermonde and paths expand the plain n!-term alternant
+    # and share one bound; factorial-schur bounds n, the number of x-variables
+    (("verify", "bialternant", "--shape", "[5,4,3,2,1]"), 13, _BIALTERNANT_PAST_N,
+     _BIALTERNANT_PAST_N),
     (("verify", "bialternant", "--shape", "[1]"), 13, _BIALTERNANT_PAST_N, _BIALTERNANT_PAST_N),
     (("verify", "factorial-schur", "--shape", "[3,2,1]"), 5,
      "factorial-schur at n={} > 5 builds factorial Schur polynomials in n x-variables"
@@ -355,17 +351,49 @@ def test_an_alternant_expansion_refuses_past_its_measured_bound_at_once(
         main([*argv, "--n", str(largest)])  # the bound itself starts building
 
 
-def test_verify_factorial_schur_refuses_a_large_shape_at_once(capsys):
-    # (64) at n = 2 ran past 60 s, and (6,5,4,3,2) at n = 5 ran out of memory
+def test_verify_factorial_schur_refuses_a_large_shape_on_its_budget(monkeypatch, capsys):
+    # (64) at n = 2 ran past 60 s, and (6,5,4,3,2) at n = 5 ran out of memory; the real
+    # budget refuses them after seconds, so a cut one keeps the test quick
+    tight = IDENTITIES["factorial-schur"]._replace(budget=20000)
+    monkeypatch.setitem(IDENTITIES, "factorial-schur", tight)
     for shape, n in [("[64]", "2"), ("[6,5,4,3,2]", "5")]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "factorial-schur", "--shape", shape, "--n", n)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err == (
-            f"refused: factorial-schur of {shape} at n={n} builds up to 2^|lambda| terms"
-            " for each tableau, past its bound of 1048576 terms\n"
+        assert re.fullmatch(
+            rf"refused: factorial-schur \[shape={re.escape(shape)} n={n}\] spent \d+ units"
+            r" of ring work, past its budget of 20000\n",
+            err,
         )
+
+
+def test_schur_refuses_past_its_budget_for_every_method(monkeypatch, capsys):
+    # jacobitrudi at (6,5,4,3,2,1), n = 8 ran 84-92 s; a cut budget stands in for the real one
+    monkeypatch.setattr(cli, "_SCHUR_BUDGET", 30)
+    for method in ("jacobitrudi", "tableaux", "bialternant", "lgv"):
+        code, out, err = run_cli(
+            capsys, "schur", "--shape", "[3,2,1]", "--n", "4", "--method", method
+        )
+        assert (code, out) == (1, "")
+        assert re.fullmatch(
+            rf"refused: schur \[shape=\[3,2,1\] n=4 method={method}\] spent \d+ units of ring"
+            r" work, past its budget of 30\n",
+            err,
+        )
+    code, out, err = run_cli(capsys, "schur", "--shape", "[1]", "--n", "2", "--method", "lgv")
+    assert (code, out, err) == (0, "x1 + x2\n", "")
+
+
+def test_schur_refuses_a_row_past_the_ring_degree_at_once(monkeypatch, capsys):
+    # the tableau walk would first list every state of the row
+    monkeypatch.setattr(combinat, "schur_tableaux", _build)
+    for method in ("tableaux", "jacobitrudi", "bialternant", "lgv"):
+        argv = ("schur", "--shape", "[1000000000000]", "--n", "2", "--method", method)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "refused: total degree 1000000000000 exceeds the packed-monomial limit 127\n"
+    assert run_cli(capsys, "schur", "--shape", "[200,1]", "--n", "1")[:2] == (0, "0\n")
 
 
 def test_verify_jacobi_trudi_anchor_follows_the_shape_not_n(capsys):

@@ -153,11 +153,9 @@ def test_cauchy_verifier():
 def test_cauchy_refuses_exploding_grids(monkeypatch):
     # checked in order: a cap below n(n-1)/2 is a usage error; then at most
     # C(n + cap, n) = 20000 partitions, which every n >= 6 exceeds from its least
-    # cap on (C(21, 6) = 54264); then at most 400000 series terms, since the
-    # capped determinant lets n = 3 reach caps whose series takes minutes (cap 45).
-    # The largest points that run: 10.6 s at n = 5, cap 15; 8.5 s at n = 4, cap 17
+    # cap on (C(21, 6) = 54264).  A long series is left to the work budget
     monkeypatch.setattr(lgv, "path_matrix", _build)
-    for n, cap in [(5, 15), (5, 10), (4, 17), (4, 16), (3, 25), (2, 63), (2, 1), (1, 0)]:
+    for n, cap in [(5, 15), (5, 10), (4, 18), (4, 16), (3, 45), (2, 63), (2, 1), (1, 0)]:
         with pytest.raises(Built):
             verify_cauchy(n, cap)
     for n, cap in [(12, 12), (10, 1), (10, 0), (8, 4), (6, 6)]:
@@ -165,9 +163,6 @@ def test_cauchy_refuses_exploding_grids(monkeypatch):
             verify_cauchy(n, cap)
     for n, cap in [(5, 16), (6, 15)]:
         with pytest.raises(TooLarge, match="^the truncated partition list would explode$"):
-            verify_cauchy(n, cap)
-    for n, cap in [(4, 18), (3, 26), (3, 45)]:
-        with pytest.raises(TooLarge, match=f"^cauchy at n={n}, degree_cap={cap} sums a series"):
             verify_cauchy(n, cap)
 
 
@@ -234,27 +229,24 @@ def test_cauchy_fails_when_the_series_is_only_the_empty_shape(monkeypatch):
 
 
 def test_dual_cauchy_refuses_past_its_product_bound_before_multiplying(monkeypatch):
-    # prod(1 + x_i y_j) is bounded by its count of candidate terms, 2^m at
-    # n = 1: (1, 21) takes 18 s, (1, 22) 48 s and (5, 5) 23 s
+    # prod(1 + x_i y_j) has at least 2^max(n, m) terms: (1, 20) spends 4.3 million units
+    # of ring work in 6.4 s, so a longer side is refused at once
     monkeypatch.setattr(identities, "xpoly", _build)
-    for n, m in [(4, 6), (6, 4), (3, 8), (2, 11), (1, 21)]:
+    for n, m in [(5, 5), (4, 6), (6, 4), (3, 8), (2, 12), (1, 20), (20, 1)]:
         with pytest.raises(Built):
             verify_dual_cauchy(n, m)
-    for n, m in [(5, 5), (2, 12), (1, 22), (1000, 1000)]:
-        message = rf"^dual-cauchy at n={n}, m={m} may expand prod\(1 \+ x_i\*y_j\) past 4000000 terms$"
+    for n, m in [(1, 21), (21, 1), (1000, 1000)]:
+        message = (
+            rf"^dual-cauchy at n={n}, m={m} expands prod\(1 \+ x_i\*y_j\) of at least"
+            rf" 2\^max\(n, m\) terms, past max\(n, m\) = 20$"
+        )
         with pytest.raises(TooLarge, match=message):
             verify_dual_cauchy(n, m)
 
 
 def test_dual_determinant_refuses_past_n_plus_m_8_before_building(monkeypatch):
     # n + m = 8 takes 0.5 s at (1, 7) and 4.5 s at (4, 4); n + m = 9 takes 11 s
-    # at (1, 8), about 70 s at (2, 7) and past 150 s at (3, 6); (1, 9) outgrew 2 GB.
-    # Under the bound the product has at most _dual_terms(4, 4) = 38,165 candidate
-    # terms, far below dual-cauchy's bound, so they are never counted
-    def count(n, m):
-        raise AssertionError("dual-determinant counted the product's terms")
-
-    monkeypatch.setattr(identities, "_dual_terms", count)
+    # at (1, 8), about 70 s at (2, 7) and past 150 s at (3, 6); (1, 9) outgrew 2 GB
     monkeypatch.setattr(identities, "xpoly", _build)
     for n in range(1, 8):
         for m in range(1, 9 - n):
@@ -747,7 +739,7 @@ def test_bialternant_builds_no_alternant(monkeypatch):
 
 def test_bialternant_work_counts_the_terms_of_the_matrices_it_multiplies():
     # M_change's entry (i, k), k <= i, has 2^k terms and M' entry (k, j) C(end_j, k),
-    # end_j = padded[n-1-j] + j, as _bialternant_work counts them
+    # end_j = padded[n-1-j] + j
     for shape, n in [((), 3), ((3, 1), 4), ((5, 2, 2), 5), ((2, 2, 1, 1), 6)]:
         padded = shape + (0,) * (n - len(shape))
         scheme = lgv.schur_weighted_scheme(n=n, col_bound=padded[0] + n, truncated=True)
@@ -760,55 +752,87 @@ def test_bialternant_work_counts_the_terms_of_the_matrices_it_multiplies():
                 assert len(swept.entry(n + k, n + j)) == comb(padded[n - 1 - j] + j, k)
 
 
-def test_bialternant_refuses_past_its_work_bound_before_building(monkeypatch):
-    limit = identities._MAX_BIALTERNANT_WORK
-    # the n bound sits where the work bound refuses every shape but the empty one: work
-    # grows with the shape, and (1) runs at n = 13 (2.8 s) but not at 14 (9.3 s)
-    assert identities._bialternant_work((1,) + (0,) * 12, limit) <= limit
-    assert identities._bialternant_work((1,) + (0,) * 13, limit) > limit
-    assert identities._bialternant_work((5, 4, 3, 2, 1, 0, 0, 0), limit) <= limit
+def test_bialternant_refuses_past_n_13_before_building(monkeypatch):
+    # (1) at n = 13 spends 8.6 million units of ring work in 2.5 s, and every M_change
+    # entry doubles with n; past n = 13 the check is refused on n alone
     for name in ("schur_weighted_scheme", "path_matrix", "schur_via_lgv"):
         monkeypatch.setattr(lgv, name, _build)
     monkeypatch.setattr(combinat, "schur_tableaux", _build)
-    with pytest.raises(Built):
-        verify_bialternant((5, 4, 3, 2, 1), 8)
-    # count-alike shapes of very different cost: (4,4,4,4,3) at n = 9 has fewer tableaux
-    # than (5,4,3,2,1) at n = 8 and took 110 s; (26) at n = 8 ran past 60 s
-    for shape, n in [((5, 4, 3, 2, 1), 9), ((4, 4, 4, 4, 3), 9), ((26,), 8), ((2, 1), 13)]:
-        text = re.escape(combinat.partition_text(shape))
-        with pytest.raises(TooLarge, match=f"^bialternant of {text} at n={n} forms M_change"):
+    for shape, n in [((5, 4, 3, 2, 1), 8), ((5, 4, 3, 2, 1), 9), ((26,), 8), ((1,), 13)]:
+        with pytest.raises(Built):
             verify_bialternant(shape, n)
     for n in (14, 10**9):
         with pytest.raises(TooLarge, match=f"^bialternant at n={n} > 13 multiplies "):
             verify_bialternant((1,), n)
 
 
-def test_factorial_schur_terms_bound_the_tableau_sum():
-    # 2^|lambda| terms for each tableau: exact for one row, an upper bound for the rest
-    limit = identities._MAX_FACTORIAL_SCHUR_TERMS
-    for shape, n in [((5,), 1), ((4,), 3), ((2, 2), 2), ((3, 1), 3), ((2, 1, 1), 4)]:
-        count = identities._factorial_schur_terms(shape, n, limit)
-        terms = len(combinat.factorial_schur_tableaux(shape, n))
-        assert count == terms if len(shape) == 1 else count >= terms, (shape, n)
-    assert identities._factorial_schur_terms((1, 1, 1), 2, limit) == 0
-    assert identities._factorial_schur_terms((10**12,), 2, limit) > limit  # counts nothing
-
-
-def test_factorial_schur_refuses_past_its_term_bound_before_building(monkeypatch):
-    monkeypatch.setattr(combinat, "factorial_schur_tableaux", _build)
-    monkeypatch.setattr(symfun, "factorial_schur_quotient", _build)
-    # (20) at n = 1 and (4,3,2,1) at n = 5 count exactly 2^20; every suite point is far below
-    for shape, n in [((20,), 1), ((4, 3, 2, 1), 5), ((15,), 2), ((3, 2, 1), 5)]:
+def test_a_shape_past_the_ring_degree_is_refused_before_building(monkeypatch):
+    # the strip walk would first list every state of a huge row
+    for name in ("schur_tableaux", "factorial_schur_tableaux"):
+        monkeypatch.setattr(combinat, name, _build)
+    for verify in (verify_jacobi_trudi, verify_bialternant, verify_factorial_schur):
         with pytest.raises(Built):
-            verify_factorial_schur(shape, n)
-    # (16) at n = 2 took 4.6-5.7 s, (14) at n = 3 7.5-10 s, (5,4,3,2,1) at n = 5 12-15 s;
-    # (64) at n = 2 ran past 60 s and (6,5,4,3,2) at n = 5 out of memory
-    for shape, n in [((21,), 1), ((16,), 2), ((14,), 3), ((11,), 5), ((5, 4, 3, 2, 1), 5),
-                     ((64,), 2), ((6, 5, 4, 3, 2), 5), ((10**12,), 2)]:
-        text = re.escape(combinat.partition_text(shape))
-        match = f"^factorial-schur of {text} at n={n} builds up to 2\\^\\|lambda\\| terms"
-        with pytest.raises(TooLarge, match=match):
-            verify_factorial_schur(shape, n)
+            verify((127,), 2)
+        for shape in [(128,), (64, 64), (10**12,)]:
+            with pytest.raises(ring.DegreeOverflow, match=f"^total degree {sum(shape)} exceeds"):
+                verify(shape, 2)
+
+
+def _tight(monkeypatch, name: str, budget: int) -> identities.Identity:
+    """The identity `name` with its work budget cut to `budget` units, installed in the table."""
+    tight = IDENTITIES[name]._replace(budget=budget)
+    monkeypatch.setitem(IDENTITIES, name, tight)
+    return tight
+
+
+def test_a_check_past_its_budget_is_refused_by_name_and_options(monkeypatch):
+    # each real budget is measured behind its identity's row; here each is cut so
+    # that a small input runs into it
+    for name, options in [
+        ("factorial-schur", {"shape": (20,), "n": 1}),
+        ("cauchy", {"n": 3, "degree_cap": 26}),
+        ("jacobi-trudi", {"shape": (5, 4, 3, 2, 1), "n": 9}),
+        ("bialternant", {"shape": (5, 4, 3, 2, 1), "n": 9}),
+        ("dual-cauchy", {"n": 5, "m": 5}),
+    ]:
+        check = _tight(monkeypatch, name, 5000).check
+        what = " ".join(f"{k}={v}" for k, v in identities._params(**options).items())
+        message = rf"^{re.escape(name)} \[{re.escape(what)}\] spent \d+ units of ring work,"
+        with pytest.raises(TooLarge, match=message + " past its budget of 5000$"):
+            check(**options)
+
+
+def test_a_check_spends_the_same_units_each_run():
+    for name, options in [
+        ("jacobi-trudi", {"shape": (3, 1), "n": 3}),
+        ("bialternant", {"shape": (2, 2, 1), "n": 4}),
+        ("factorial-schur", {"shape": (2, 1), "n": 3}),
+        ("newton", {"power": 5}),
+        ("cauchy", {}),
+    ]:
+        spent = []
+        for _ in range(2):
+            start = ring._spent
+            assert IDENTITIES[name].check(**options).status == VERIFIED
+            spent.append(ring._spent - start)
+        assert spent[0] == spent[1] > 0, name
+
+
+def test_a_refused_check_leaves_the_next_check_its_whole_budget(monkeypatch):
+    # the suite and the benchmark run many checks in one process
+    # jacobi-trudi's checks of size <= 3 spend at most 21 units at n = 2 and 57 at n = 3
+    _tight(monkeypatch, "jacobi-trudi", 50)
+    config = SuiteConfig(max_partition_size=3, max_n=3, only=["jacobi-trudi", "bialternant"])
+    reports = run_suite(config)
+    assert [r.status for r in reports] == [VERIFIED, VERIFIED, ERROR] + [VERIFIED] * 3
+    assert reports[2].params["error"] == (
+        "TooLarge: jacobi-trudi [shape=[3] n=3] spent 51 units of ring work,"
+        " past its budget of 50"
+    )
+
+
+def test_the_suite_at_max_n_5_verifies_under_the_real_budgets():
+    assert all_verified(run_suite(SuiteConfig(max_n=5)))
 
 
 # -- the fault table -------------------------------------------------------------------

@@ -5,6 +5,7 @@ from operator import or_
 import pytest
 from hypothesis import example, given, strategies as st
 
+from schurpaths import ring
 from schurpaths.ring import (
     _byte_length,
     _field,
@@ -15,6 +16,7 @@ from schurpaths.ring import (
     Monomial,
     NotDivisible,
     Polynomial,
+    TooLarge,
     UnassignedVariable,
     Variable,
     add_mul,
@@ -31,6 +33,7 @@ from schurpaths.ring import (
     sum_of_products,
     tpoly,
     tvar,
+    work_budget,
     x_exponent_sum,
     x_shift_sums,
     xpoly,
@@ -521,3 +524,73 @@ def test_equality_is_term_map_equality():
         p._hash = q._hash = 12345
         assert hash(p) == hash(q) and p != q
     assert x1 + x2 == x2 + x1
+
+
+def test_a_linear_quotient_records_its_true_degree():
+    # a degree stated too low could let a later product pass check_degree and overflow a field
+    x1, x2, x3 = xpoly(1), xpoly(2), xpoly(3)
+    for q in [Polynomial.one(), x1, x3**4 + x2 + 7, x1**2 * x2 - x3, (x1 + x2 + x3) ** 3]:
+        for d in (x1 - x2, x2 - x1, x3 - x1):
+            quotient = exact_div(q * d, d)
+            assert quotient == q
+            assert quotient.degree() == Polynomial(quotient.terms()).degree() == q.degree()
+
+
+# -- the work meter ------------------------------------------------------------------
+
+
+def _charged(operation) -> int:
+    start = ring._spent
+    operation()
+    return ring._spent - start
+
+
+def test_each_metered_kernel_charges_its_exact_units():
+    x1, x2, x3 = xpoly(1), xpoly(2), xpoly(3)
+    one, two, three = x1, x1 + x2, x1 + 2 * x2 + x3
+    zero = Polynomial.zero()
+    # a product charges one unit for each term pair, whichever pass forms it
+    assert _charged(lambda: mul(one, three)) == 3  # the one-term pass
+    assert _charged(lambda: mul(two, three)) == 6
+    assert _charged(lambda: add_mul(three, three, two, degree_cap=1)) == 6
+    assert _charged(lambda: add_mul(three, zero, two)) == 0
+    assert _charged(lambda: sum_of_products([(one, two), (two, three), (three, zero)])) == 8
+    # synthetic division charges one unit for each dividend term; long division its products
+    dividend, difference = x1 * x3 - x2 * x3 + x1**2 - x2**2, x1 - x2
+    assert _charged(lambda: exact_div(dividend, difference)) == 4
+    dividend, divisor = x1**2 - 1, x1 + 1
+    assert _charged(lambda: exact_div(dividend, divisor)) == 4  # two steps of 1 x 2 terms
+    # the shifted sums charge one unit for each term they write
+    assert _charged(lambda: x_shift_sums({"a": [(two, 1), (three, 0)], "b": [(one, 2)]}, 4)) == 6
+    assert _charged(lambda: x_exponent_sum([(two, [(1, 0), (0, 2), (1, 1)]), (one, [(2,)])])) == 7
+
+
+def test_a_budget_refuses_the_charge_that_passes_it():
+    two = xpoly(1) + xpoly(2)
+    with work_budget(8, "a check [n=2]"):
+        mul(two, two)
+        mul(two, two)  # 8 units: at the budget, not past it
+        message = r"^a check \[n=2\] spent 12 units of ring work, past its budget of 8$"
+        with pytest.raises(TooLarge, match=message):
+            mul(two, two)
+
+
+def test_a_budget_ends_with_its_body_however_it_ends():
+    two = xpoly(1) + xpoly(2)
+    for failure in (ValueError, TooLarge):
+        with pytest.raises(failure):
+            with work_budget(4, "first"):
+                mul(two, two)
+                if failure is ValueError:
+                    raise ValueError
+                mul(two, two)
+        with work_budget(4, "second"):
+            mul(two, two)  # the whole budget: nothing of the first carried over
+    for _ in range(3):  # outside every budget nothing is refused
+        mul(two, two)
+    with work_budget(4, "outer"):
+        with work_budget(100, "inner"):  # an inner budget replaces the outer one
+            mul(two, two)
+            mul(two, two)
+        with pytest.raises(TooLarge, match="^outer spent 12 units"):
+            mul(two, two)
