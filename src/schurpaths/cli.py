@@ -47,8 +47,9 @@ _PRINTED_SYSTEMS = 10**18  # a refusal names the system count up to here; the co
 # 1.6 s and 162 MB at n = 20, 3.0 s and 308 MB at 21, 8.7 s and 615 MB at 22
 _MAX_VANDERMONDE_RENDER_N = 20
 # schur's work budget, for every method: at (5,4,3,2,1), n = 8, jacobitrudi spends 14.9
-# million units in 4.4 s, lgv 1.23, tableaux 0.42 and bialternant 0.07; jacobitrudi at
-# (6,5,4,3,2,1), n = 8 ran 92 s, and refuses at 30.4 million units in 2.7 s
+# million units in 4.1-5.3 s, lgv 1.23, tableaux 0.42 and bialternant 0.07; jacobitrudi
+# refuses at (6,5,4,3,2,1), n = 8 (ran 92 s) at 30.3 million units in 2.5 s, and at (16),
+# n = 16, while it builds h_16 (3 * 10^8 terms), at 22.7 million in 15 s and 2.1 GB
 _SCHUR_BUDGET = 20_000_000
 
 

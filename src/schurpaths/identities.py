@@ -618,9 +618,9 @@ def _shape_row(n: int, max_size: int, **options: object) -> Group:
 #   corollary         (n, m) (14, 110) 6.60 in 3.1, (16, 36) 6.54 in 2.4, (18, 18) 5.24
 #                     in 2.1; refused (19, 19) 10.5 in 4.9 and (20, 20) 21.0 in 13
 #   vandermonde       n = 8 1.57 in 0.8; n = 9 is refused at once
-#   jacobi-trudi      (4,4,4,4) n = 8 16.6 in 4.6, (5,4,3,2,1) n = 8 16.5 in 5.1-6.0;
-#                     refused (8,8) n = 8 38.1 in 12, (5,4,3,2,1) n = 9 75.6 in 31 and
-#                     (6,5,4,3,2,1) n = 8 past 94 in 40
+#   jacobi-trudi      (4,4,4,4) n = 8 16.6 in 4.6-6.1, (5,4,3,2,1) n = 8 16.5 in 4.5-6.0;
+#                     refused (8,8) n = 8 38.1 in 14, (5,4,3,2,1) n = 9 75.6 in 35 and
+#                     (6,5,4,3,2,1) n = 8, which ran past 40 s, at 32.4 in 3.0
 #   bialternant       (109) n = 4 16.6 in 4.5, (15,15,4,4,1) n = 5 13.4 in 3.5,
 #                     (5,4,3,2,1) n = 8 11.8 in 3.6-4.8; refused (2,1) n = 13 21.0 in 6.8
 #                     and (26) n = 8, out of memory past 29.7

@@ -7,11 +7,11 @@ Jacobi-Trudi determinant; the plain alternant (all n! terms) and the
 Vandermonde product; the bialternant and factorial-Schur quotients; falling
 factorial powers; and divided differences of powers, with their Newton form.
 
-The Jacobi-Trudi route applies column operations C_j <- C_j - x_m * C_(j-1)
-to the printed matrix det(h_(lambda_i - i + j)) before det.  They leave the
-determinant unchanged whatever the entries, and they turn the matrix into
-the flagged one, column j in the variables x1..x_(n-j+1) only, whose
-products are far smaller.
+The Jacobi-Trudi route reads the flagged matrix, column j h_(lambda_i - i +
+j) in x1..x_(n-j+1) only, off one table of h_a(x1..xm), each entry one
+add_mul by h_a(x1..xm) = h_a(x1..x_(m-1)) + x_m * h_(a-1)(x1..xm).  Column
+operations C_j <- C_j - x_m * C_(j-1), which keep a determinant, turn the
+printed det(h_(lambda_i - i + j)) into it, so det multiplies smaller entries.
 
 Both quotients divide an alternant by the Vandermonde a_delta in the
 alternant's antisymmetric normal form, the sum of c_gamma * a_gamma over
@@ -25,7 +25,7 @@ at a time (synthetic division inside exact_div).
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapify
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from operator import add, lt, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -145,40 +145,39 @@ def complete_homogeneous(k: int, n: int) -> Polynomial:
 
 
 def jacobi_trudi(shape: Sequence[int], n: int) -> Polynomial:
-    """det(h_{lambda_i - i + j}) over an r x r matrix, r = rows(lambda), by column operations.
+    """det(h_{lambda_i - i + j}) over an r x r matrix, r = rows(lambda), from one table of h.
 
     The index orientation is the one that agrees with the tableau sum
     (S_(1,1) = h1^2 - h2); the printed transpose-like orientation with
     h_{lambda_i + i - j} fails already at lambda = (2,1).
 
-    Before det, stage s = 1..r-1 sets C_j <- C_j - x_(n-s+1) * C_(j-1) for
-    j = r down to s + 1.  A column operation leaves the determinant
-    unchanged, so the result is the determinant of the printed matrix
-    whatever the entries become.  After stage s every column j > s holds one
-    value per index a = lambda_i - i + j, T_s(a) = T_(s-1)(a) - x_(n-s+1) *
-    T_(s-1)(a - 1) with T_0(a) = h_a(x1..xn), so each (s, a) is formed once.
-    By h_a(x1..xm) - x_m * h_(a-1)(x1..xm) = h_a(x1..x_(m-1)), T_s(a) is h_a
-    in n - s variables: det multiplies the flagged matrix h_{lambda_i - i +
-    j}(x1..x_(n-j+1)) (Gessel and Viennot 1989; Wachs 1985), whose entries
-    are far smaller than the printed ones.
+    The table holds T_m(a) = T_(m-1)(a) + x_m * T_m(a - 1), T_m(0) = 1 and
+    T_0(a) = 0 for a > 0, each entry by one add_mul; T_m(a) is h_a(x1..xm),
+    split by whether a monomial holds x_m.  Column j takes T_(n-j+1)(lambda_i
+    - i + j), 0 at a negative index: the flagged matrix (Gessel and Viennot
+    1989; Wachs 1985).  Its determinant is the printed one, whose columns all
+    read T_n: for m = n down to n - r + 2, C_j <- C_j - x_m * C_(j-1) on each
+    column j that reads T_m, right to left, keeps the determinant and makes
+    column j read T_m(a) - x_m * T_m(a - 1) = T_(m-1)(a), since column j - 1
+    reads T_m at a - 1 in the row where column j reads a.  Row m is built as
+    far as the columns 1..n - m + 1 read it, and dropped once row m + 1 is.
     """
     shape = fit_shape(shape, n)
     r = n - shape.count(0)
     if r == 0:
         return Polynomial.one()
-    indices = [[shape[i] - i + j for j in range(r)] for i in range(r)]
-    printed = {a: complete_homogeneous(a, n) for a in set(chain(*indices))}
-    rows = [[printed[a] for a in row] for row in indices]
-    formed: dict[tuple[int, int], Polynomial] = {}  # (s, a) -> T_s(a)
-    for s in range(1, r):
-        minus_x = -xpoly(n - s + 1)
-        for j in reversed(range(s, r)):  # 0-based: the columns s + 1..r, right to left
-            for row, row_indices in zip(rows, indices):
-                key = (s, row_indices[j])
-                if key not in formed:
-                    formed[key] = add_mul(row[j], minus_x, row[j - 1])
-                row[j] = formed[key]
-    return det(PolyMatrix.from_rows(rows))
+    zero = Polynomial.zero()
+    entries = [zero] * (r * r)
+    offsets = [part - i for i, part in enumerate(shape[:r])]  # lambda_i - i, 0-based
+    row = [Polynomial.one()] + [zero] * (shape[0] + r - 1)  # T_0
+    for m in range(1, n + 1):
+        x_m, j = xpoly(m), n - m  # the 0-based column that reads T_m, if j < r
+        last, row = row, [row[0]]
+        for a in range(1, shape[0] + min(j, r - 1) + 1):
+            row.append(add_mul(last[a], x_m, row[a - 1]))
+        if j < r:
+            entries[j::r] = [row[k + j] if k + j >= 0 else zero for k in offsets]
+    return det(PolyMatrix(r, r, entries))
 
 
 def alternant(shape: Sequence[int], n: int) -> Polynomial:

@@ -385,6 +385,21 @@ def test_schur_refuses_past_its_budget_for_every_method(monkeypatch, capsys):
     assert (code, out, err) == (0, "x1 + x2\n", "")
 
 
+def test_schur_jacobitrudi_meets_its_budget_while_building_h(monkeypatch, capsys):
+    # h_12 in 12 variables has 1,352,078 terms; the table charges each entry as it is
+    # built, so the refusal passes the budget by at most one entry, C(18, 7) = 31,824
+    monkeypatch.setattr(cli, "_SCHUR_BUDGET", 100_000)
+    argv = ("schur", "--method", "jacobitrudi", "--shape", "[12]", "--n", "12")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    found = re.fullmatch(
+        r"refused: schur \[shape=\[12\] n=12 method=jacobitrudi\] spent (\d+) units of ring"
+        r" work, past its budget of 100000\n",
+        err,
+    )
+    assert found and int(found[1]) < 200_000
+
+
 def test_schur_refuses_a_row_past_the_ring_degree_at_once(monkeypatch, capsys):
     # the tableau walk would first list every state of the row
     monkeypatch.setattr(combinat, "schur_tableaux", _build)
